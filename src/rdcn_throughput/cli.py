@@ -205,11 +205,13 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, tol, trace, e
             mode = "static" if net_class == "da-static" else "periodic"
             theta, heuristic_trace = evaluation.throughput_demand_aware(
                 m, p, mode, step=step, seed=seed, tol=tol)
-            scaled = m.scaled(theta if theta > 0 else step)
+            # The last scanned step's build, which certifies theta when theta > 0.
+            scaled = m.scaled(heuristic_trace.iter_values[-1])
+            step_seed = heuristic_trace.seeds[-1]
             if mode == "static":
-                topo = topology.build_demand_aware_static(scaled, p, seed=seed)
+                topo = topology.build_demand_aware_static(scaled, p, seed=step_seed)
             else:
-                topo, schedule = topology.build_demand_aware_periodic(scaled, p, seed=seed)
+                topo, schedule = topology.build_demand_aware_periodic(scaled, p, seed=step_seed)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     except flowlp.SolverError as exc:

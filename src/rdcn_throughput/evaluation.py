@@ -35,18 +35,25 @@ _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 @dataclass(frozen=True)
 class HeuristicTrace:
-    """Record of one descending heuristic scan."""
+    """Record of one descending heuristic scan.
+
+    Step k scanned iter_values[k] on a topology built with seeds[k] and
+    reached objectives[k]. When chosen_theta > 0, the last step's topology
+    certifies it.
+    """
 
     iter_values: tuple
     objectives: tuple
     chosen_theta: float
     step: float
+    seeds: tuple
 
     def to_json_dict(self) -> dict:
         return {
             "step": self.step,
             "iter_values": list(self.iter_values),
             "objectives": list(self.objectives),
+            "seeds": list(self.seeds),
             "chosen_theta": self.chosen_theta,
         }
 
@@ -173,6 +180,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
         raise ValueError(f"step must lie in (0, 1), got {step}")
     iter_values = []
     objectives = []
+    seeds = []
     k = 0
     while True:
         scale = round(1.0 - k * step, 12)
@@ -188,10 +196,11 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
         objective = _solve_verified(topo, normalize(scaled, topo.link_capacity), tol).theta
         iter_values.append(scale)
         objectives.append(objective)
+        seeds.append(iter_seed)
         if objective >= OBJECTIVE_REACHED:
-            trace = HeuristicTrace(tuple(iter_values), tuple(objectives), scale, step)
+            trace = HeuristicTrace(tuple(iter_values), tuple(objectives), scale, step, tuple(seeds))
             return scale, trace
-    trace = HeuristicTrace(tuple(iter_values), tuple(objectives), 0.0, step)
+    trace = HeuristicTrace(tuple(iter_values), tuple(objectives), 0.0, step, tuple(seeds))
     return 0.0, trace
 
 

@@ -1,18 +1,33 @@
-"""Exact throughput via the multi-commodity-flow linear program.
+"""Exact throughput via the max-concurrent-flow linear program.
 
-Edge-based formulation: one commodity per (source, destination) pair with
-positive demand, one flow variable per commodity and directed arc. Parallel
-links between a pair aggregate into a single arc whose capacity is the link
-count (unit link capacities; demand must be normalized to the same unit).
-Maximize the demand scaling factor theta subject to source/destination demand,
-flow conservation at intermediate nodes, and arc capacities. Padding
-self-loops never enter the variable set.
+Source-aggregated edge formulation (as in Jyothi et al., "Measuring and
+Understanding Throughput of Network Topologies", SC'16): one flow per source
+with positive demand, on each routable arc. Parallel links between a pair
+aggregate into a single arc whose capacity is the link count (unit link
+capacities; demand must be normalized to the same unit). Padding self-loops
+never enter the variable set.
 
-The demand constraints bound the NET flow out of the source and into the
-destination (gross minus returning flow). Bounding gross flow instead would
-let disjoint cycles touching the endpoints register phantom throughput; net
-flow is what a path flow delivers, matching the path-based definition of
-throughput and the brute-force path oracle.
+    maximize theta subject to
+      bal_s_v:  sum_i f[s,i,v] - sum_j f[s,v,j] = theta * m[s,v]
+                for each source s and each node v != s
+      cap_i_j:  sum_s f[s,i,j] <= links(i,j)   for each arc (i,j)
+      f >= 0, theta >= 0
+
+Aggregating by source is exact for max concurrent flow. The per-(s, d)
+commodity flows of any feasible routing sum to a source flow that meets the
+balance rows with the same arc loads. Conversely, a single-source flow that
+meets them decomposes into paths from s to each v carrying theta * m[s, v],
+plus cycles that only use capacity. So the optimum is the one the per-pair
+and the path formulations give, with one flow block per source instead of one
+per (s, d) pair: 16 blocks instead of 240 on the complete graph at n=16.
+
+The balance rows are equalities, so net flow is what counts: a cycle through
+an endpoint delivers nothing, and a flow that over-delivers at a destination
+does not meet its row.
+
+`_assemble_lp` builds the sparse LP once per call; `solve_max_throughput`
+hands it to the solver, `verify_solution` checks a flow against its arcs and
+rows, and `export_lp` renders its rows as text.
 """
 
 from __future__ import annotations
@@ -41,7 +56,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowViolation:
-    kind: str  # capacity | source-demand | dest-demand | conservation | negative-flow | unknown-arc
+    # capacity | demand (balance row with m[s, v] > 0) | conservation (m[s, v] = 0)
+    # | negative-flow | unknown-arc (no LP variable for this source and arc)
+    kind: str
     detail: str
     magnitude: float
 
@@ -59,8 +76,9 @@ class VerificationReport:
 class ThroughputResult:
     """Optimal scaling factor plus the flow assignment that certifies it.
 
-    flows maps (s, d, i, j) to the flow of commodity (s, d) on arc (i, j),
-    in link-capacity units.
+    flows maps (s, i, j) to the flow that source s sends over arc (i, j), in
+    link-capacity units, summed over all of s's destinations; entries at or
+    below FLOW_EPS are left out.
     """
 
     theta: float
@@ -74,16 +92,69 @@ class ThroughputResult:
         return self
 
 
-def _problem_structure(t: Topology, m: DemandMatrix):
+@dataclass(frozen=True)
+class _FlowLP:
+    """The assembled LP. Column 0 is theta; column 1 + k*len(arcs) + a is the
+    flow of sources[k] on arcs[a]."""
+
+    arcs: np.ndarray  # (A, 2) routable arcs (i, j), row-major
+    capacity: np.ndarray  # (A,) link count of each arc: the cap rows' bounds
+    sources: np.ndarray  # (S,) nodes with positive demand
+    balance: np.ndarray  # (R, 2) the (s, v) of each bal row
+    c: np.ndarray
+    A_ub: sp.csr_matrix  # one cap row per arc
+    A_eq: sp.csr_matrix
+    b_eq: np.ndarray
+
+    def column_names(self) -> list:
+        i, j = self.arcs.T.tolist()
+        return ["theta"] + [f"f_{s}_{a}_{b}" for s in self.sources.tolist() for a, b in zip(i, j)]
+
+
+def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     if t.n != m.n:
         raise ValueError(f"dimension mismatch: topology n={t.n}, demand n={m.n}")
-    counts = t.routable_counts()
     n = t.n
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and counts[i, j] > 0]
-    commodities = [(s, d) for s in range(n) for d in range(n) if m.entries[s, d] > 0]
-    if not commodities:
+    demand = m.entries
+    counts = t.routable_counts()
+    tail, head = np.nonzero(counts > 0)
+    sources = np.flatnonzero((demand > 0).any(axis=1))
+    if not sources.size:
         raise ValueError("demand matrix has no positive entries; throughput is unbounded")
-    return counts, arcs, commodities
+    n_arcs, n_src = tail.size, sources.size
+    nvar = 1 + n_src * n_arcs
+
+    # Balance rows, one per (source, node != source); row_of maps them back.
+    src_idx, node = np.nonzero(np.arange(n)[None, :] != sources[:, None])
+    row_of = np.full((n_src, n), -1)
+    row_of[src_idx, node] = np.arange(src_idx.size)
+    need = demand[sources[src_idx], node]
+    has_need = need > 0
+    var = 1 + np.arange(n_src * n_arcs)
+    k, a = np.divmod(var - 1, n_arcs)
+    into = row_of[k, head[a]]  # -1 where the arc enters the flow's own source
+    out_of = row_of[k, tail[a]]
+    enters, leaves = into >= 0, out_of >= 0
+    rows = np.concatenate((np.flatnonzero(has_need), into[enters], out_of[leaves]))
+    cols = np.concatenate((np.zeros(has_need.sum(), dtype=np.int64), var[enters], var[leaves]))
+    data = np.concatenate((-need[has_need], np.ones(enters.sum()), -np.ones(leaves.sum())))
+    A_eq = sp.csr_matrix((data, (rows, cols)), shape=(src_idx.size, nvar))
+    # A node no arc touches and no demand reaches has an empty row; drop it.
+    kept = np.flatnonzero(np.diff(A_eq.indptr))
+    A_eq = A_eq[kept]
+    A_ub = sp.csr_matrix((np.ones(var.size), (a, var)), shape=(n_arcs, nvar))
+    c = np.zeros(nvar)
+    c[0] = -1.0
+    return _FlowLP(
+        arcs=np.column_stack((tail, head)),
+        capacity=counts[tail, head].astype(float),
+        sources=sources,
+        balance=np.column_stack((sources[src_idx[kept]], node[kept])),
+        c=c,
+        A_ub=A_ub,
+        A_eq=A_eq,
+        b_eq=np.zeros(kept.size),
+    )
 
 
 def solve_max_throughput(t: Topology, m: DemandMatrix, tol: float = DEFAULT_TOL,
@@ -95,83 +166,15 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, tol: float = DEFAULT_TOL,
     an optimality tolerance of `tol` is acceptable. If the chosen method fails
     numerically, the dual simplex is tried once before reporting trouble.
     """
-    counts, arcs, commodities = _problem_structure(t, m)
-    n = t.n
-    n_arcs = len(arcs)
-    n_comm = len(commodities)
-    nvar = 1 + n_comm * n_arcs  # theta first, then flows laid out commodity-major
-
-    arcs_from = [[] for _ in range(n)]
-    arcs_to = [[] for _ in range(n)]
-    for a, (i, j) in enumerate(arcs):
-        arcs_from[i].append(a)
-        arcs_to[j].append(a)
-    arcs_from = [np.array(lst, dtype=np.int64) for lst in arcs_from]
-    arcs_to = [np.array(lst, dtype=np.int64) for lst in arcs_to]
-
-    ub_rows, ub_cols, ub_data, b_ub = [], [], [], []
-    row = 0
-    # Source and destination demand: net outflow at s (net inflow at d)
-    # >= theta * m[s, d], written as theta*m - sum(f_out) + sum(f_in) <= 0.
-    for k, (s, d) in enumerate(commodities):
-        base = 1 + k * n_arcs
-        for fwd, rev in ((arcs_from[s], arcs_to[s]), (arcs_to[d], arcs_from[d])):
-            size = 1 + fwd.size + rev.size
-            ub_rows.append(np.full(size, row))
-            ub_cols.append(np.concatenate(([0], base + fwd, base + rev)))
-            ub_data.append(np.concatenate(
-                ([m.entries[s, d]], np.full(fwd.size, -1.0), np.ones(rev.size))
-            ))
-            b_ub.append(0.0)
-            row += 1
-    # Arc capacities: total flow over all commodities <= link count.
-    cap_rows = row + np.tile(np.arange(n_arcs), n_comm)
-    cap_cols = 1 + (np.arange(n_comm)[:, None] * n_arcs + np.arange(n_arcs)[None, :]).ravel()
-    ub_rows.append(cap_rows)
-    ub_cols.append(cap_cols)
-    ub_data.append(np.ones(n_comm * n_arcs))
-    b_ub.extend(float(counts[i, j]) for i, j in arcs)
-    row += n_arcs
-
-    A_ub = sp.csr_matrix(
-        (np.concatenate(ub_data), (np.concatenate(ub_rows), np.concatenate(ub_cols))),
-        shape=(row, nvar),
-    )
-
-    eq_rows, eq_cols, eq_data = [], [], []
-    row = 0
-    for k, (s, d) in enumerate(commodities):
-        base = 1 + k * n_arcs
-        for j in range(n):
-            if j == s or j == d:
-                continue
-            inc, out = arcs_to[j], arcs_from[j]
-            if inc.size == 0 and out.size == 0:
-                continue
-            eq_rows.append(np.full(inc.size + out.size, row))
-            eq_cols.append(np.concatenate((base + inc, base + out)))
-            eq_data.append(np.concatenate((np.ones(inc.size), -np.ones(out.size))))
-            row += 1
-    if row:
-        A_eq = sp.csr_matrix(
-            (np.concatenate(eq_data), (np.concatenate(eq_rows), np.concatenate(eq_cols))),
-            shape=(row, nvar),
-        )
-        b_eq = np.zeros(row)
-    else:
-        A_eq, b_eq = None, None
-
-    c = np.zeros(nvar)
-    c[0] = -1.0
+    lp = _assemble_lp(t, m)
     options = {
         "primal_feasibility_tolerance": max(tol, 1e-11),
         "dual_feasibility_tolerance": max(tol, 1e-11),
     }
-    b_ub = np.array(b_ub)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+    res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
                   bounds=(0, None), method=method, options=options)
     if res.status not in (0, 3) and method != FALLBACK_METHOD:
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
                       bounds=(0, None), method=FALLBACK_METHOD, options=options)
 
     if res.status == 3:
@@ -181,119 +184,103 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, tol: float = DEFAULT_TOL,
         return ThroughputResult(float("nan"), {}, status, message=str(res.message))
 
     x = res.x
-    flows = {}
-    for idx in np.nonzero(x[1:] > FLOW_EPS)[0]:
-        k, a = divmod(int(idx), n_arcs)
-        s, d = commodities[k]
-        i, j = arcs[a]
-        flows[(s, d, i, j)] = float(x[1 + idx])
-    return ThroughputResult(float(x[0]), flows, "optimal")
+    idx = np.flatnonzero(x[1:] > FLOW_EPS)
+    k, a = np.divmod(idx, len(lp.arcs))
+    keys = zip(lp.sources[k].tolist(), *lp.arcs[a].T.tolist())
+    return ThroughputResult(float(x[0]), dict(zip(keys, x[1 + idx].tolist())), "optimal")
 
 
 def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,
                     eps: float = 1e-6) -> VerificationReport:
     """Re-check every LP constraint from the raw flows with fresh arithmetic.
 
-    Returns a report of violations exceeding eps (in link-capacity units);
-    empty report means the flows certify theta.
+    The arcs, sources and rows come from the assembled LP; arc loads and
+    per-(s, v) net inflows are summed here from `r.flows`, not read off the
+    constraint matrices. Returns a report of violations exceeding eps (in
+    link-capacity units); an empty report means the flows certify theta.
     """
-    counts = t.routable_counts()
+    lp = _assemble_lp(t, m)
     n = t.n
+    keys = np.array(list(r.flows), dtype=np.int64).reshape(-1, 3)
+    vals = np.fromiter(r.flows.values(), dtype=float, count=len(r.flows))
     violations = []
 
-    arc_load = {}
-    outflow = {}
-    inflow = {}
-    node_in = {}
-    node_out = {}
-    for (s, d, i, j), val in r.flows.items():
-        if val < -eps:
-            violations.append(FlowViolation("negative-flow", f"f[{s},{d},{i},{j}] = {val}", -val))
-        if i == j or not (0 <= i < n and 0 <= j < n) or counts[i, j] == 0:
-            violations.append(FlowViolation("unknown-arc", f"flow on nonexistent arc ({i},{j})", val))
-            continue
-        arc_load[(i, j)] = arc_load.get((i, j), 0.0) + val
-        outflow[(s, d, i)] = outflow.get((s, d, i), 0.0) + val
-        inflow[(s, d, j)] = inflow.get((s, d, j), 0.0) + val
-        node_out.setdefault((s, d), set()).add(i)
-        node_in.setdefault((s, d), set()).add(j)
+    for q in np.flatnonzero(vals < -eps):
+        violations.append(FlowViolation("negative-flow", f"f{tuple(keys[q].tolist())} = {vals[q]}",
+                                        -float(vals[q])))
 
-    for (i, j), load in arc_load.items():
-        slack = load - float(counts[i, j])
-        if slack > eps:
-            violations.append(
-                FlowViolation("capacity", f"arc ({i},{j}) carries {load:.9g} > {int(counts[i, j])}", slack)
-            )
+    # Variable index per (source, arc); -1 where the LP has no such variable.
+    arc_id = np.full((n, n), -1)
+    arc_id[lp.arcs[:, 0], lp.arcs[:, 1]] = np.arange(len(lp.arcs))
+    is_source = np.zeros(n, dtype=bool)
+    is_source[lp.sources] = True
+    arc = np.full(len(vals), -1)
+    in_range = ((keys >= 0) & (keys < n)).all(axis=1)
+    s, i, j = keys[in_range].T
+    arc[in_range] = np.where(is_source[s], arc_id[i, j], -1)
+    for q in np.flatnonzero(arc < 0):
+        violations.append(FlowViolation(
+            "unknown-arc", f"flow f{tuple(keys[q].tolist())} on a nonexistent arc or source",
+            float(vals[q])))
 
-    theta = r.theta
-    for s in range(n):
-        for d in range(n):
-            need = theta * m.entries[s, d]
-            if m.entries[s, d] <= 0:
-                continue
-            got_out = outflow.get((s, d, s), 0.0) - inflow.get((s, d, s), 0.0)
-            if got_out < need - eps:
-                violations.append(
-                    FlowViolation("source-demand",
-                                  f"commodity ({s},{d}) net-emits {got_out:.9g} < {need:.9g}",
-                                  need - got_out)
-                )
-            got_in = inflow.get((s, d, d), 0.0) - outflow.get((s, d, d), 0.0)
-            if got_in < need - eps:
-                violations.append(
-                    FlowViolation("dest-demand",
-                                  f"commodity ({s},{d}) net-absorbs {got_in:.9g} < {need:.9g}",
-                                  need - got_in)
-                )
-            touched = node_in.get((s, d), set()) | node_out.get((s, d), set())
-            for j in touched:
-                if j in (s, d):
-                    continue
-                imbalance = inflow.get((s, d, j), 0.0) - outflow.get((s, d, j), 0.0)
-                if abs(imbalance) > eps:
-                    violations.append(
-                        FlowViolation("conservation",
-                                      f"commodity ({s},{d}) unbalanced at node {j} by {imbalance:.9g}",
-                                      abs(imbalance))
-                    )
+    known = arc >= 0
+    s, i, j = keys[known].T
+    flow = vals[known]
+    load = np.bincount(arc[known], weights=flow, minlength=len(lp.arcs))
+    for a in np.flatnonzero(load - lp.capacity > eps):
+        (i_a, j_a), cap = lp.arcs[a].tolist(), lp.capacity[a]
+        violations.append(FlowViolation(
+            "capacity", f"arc ({i_a},{j_a}) carries {load[a]:.9g} > {cap:.9g}",
+            float(load[a] - cap)))
+
+    net_in = np.zeros((n, n))  # net_in[s, v]: inflow minus outflow of s's flow at v
+    np.add.at(net_in, (s, j), flow)
+    np.add.at(net_in, (s, i), -flow)
+    src, node = lp.balance.T
+    need = r.theta * m.entries[src, node]
+    gap = net_in[src, node] - need
+    for q in np.flatnonzero(np.abs(gap) > eps):
+        s_q, v_q = int(src[q]), int(node[q])
+        if m.entries[s_q, v_q] > 0:
+            violations.append(FlowViolation(
+                "demand", f"source {s_q} nets {net_in[s_q, v_q]:.9g} at node {v_q}, "
+                          f"needs {need[q]:.9g}", abs(float(gap[q]))))
+        else:
+            violations.append(FlowViolation(
+                "conservation", f"source {s_q} unbalanced at node {v_q} by {gap[q]:.9g}",
+                abs(float(gap[q]))))
     return VerificationReport(tuple(violations))
 
 
+def _lp_expr(cols, coefs, names) -> str:
+    terms = []
+    for col, coef in zip(cols.tolist(), coefs.tolist()):
+        body = names[col] if abs(coef) == 1 else f"{abs(coef):.17g} {names[col]}"
+        terms.append(f"{'-' if coef < 0 else '+'} {body}")
+    text = " ".join(terms)
+    return text[2:] if text.startswith("+ ") else text
+
+
 def export_lp(t: Topology, m: DemandMatrix) -> str:
-    """Render the LP in human-readable text with stable names f_s_d_i_j and theta."""
-    counts, arcs, commodities = _problem_structure(t, m)
+    """Render the assembled LP as text: columns theta and f_<s>_<i>_<j>, rows
+    bal_<s>_<v> and cap_<i>_<j>, in the order the solver receives them."""
+    lp = _assemble_lp(t, m)
+    names = lp.column_names()
+    objective = np.flatnonzero(lp.c)
     lines = [
         f"\\ max-throughput LP for a {t.net_class!r} network, n={t.n}",
         "Maximize",
-        " obj: theta",
+        f" obj: {_lp_expr(objective, -lp.c[objective], names)}",
         "Subject To",
     ]
-    arcs_from = {}
-    arcs_to = {}
-    for (i, j) in arcs:
-        arcs_from.setdefault(i, []).append((i, j))
-        arcs_to.setdefault(j, []).append((i, j))
-    for s, d in commodities:
-        out_terms = " + ".join(f"f_{s}_{d}_{i}_{j}" for i, j in arcs_from.get(s, []))
-        out_terms += "".join(f" - f_{s}_{d}_{i}_{j}" for i, j in arcs_to.get(s, []))
-        in_terms = " + ".join(f"f_{s}_{d}_{i}_{j}" for i, j in arcs_to.get(d, []))
-        in_terms += "".join(f" - f_{s}_{d}_{i}_{j}" for i, j in arcs_from.get(d, []))
-        dem = f"{m.entries[s, d]:.17g} theta"
-        lines.append(f" src_{s}_{d}: {out_terms or '0 theta'} - {dem} >= 0")
-        lines.append(f" dst_{s}_{d}: {in_terms or '0 theta'} - {dem} >= 0")
-        for j in range(t.n):
-            if j in (s, d):
-                continue
-            inc = [f"f_{s}_{d}_{i}_{k}" for i, k in arcs_to.get(j, [])]
-            out = [f"f_{s}_{d}_{j}_{k}" for _, k in arcs_from.get(j, [])]
-            if not inc and not out:
-                continue
-            expr = " + ".join(inc) if inc else ""
-            if out:
-                expr += "".join(f" - {term}" for term in out)
-            lines.append(f" con_{s}_{d}_{j}: {expr} = 0")
-    for i, j in arcs:
-        total = " + ".join(f"f_{s}_{d}_{i}_{j}" for s, d in commodities)
-        lines.append(f" cap_{i}_{j}: {total} <= {int(counts[i, j])}")
+    blocks = (
+        (lp.A_eq, (f"bal_{s}_{v}" for s, v in lp.balance.tolist()), "=", lp.b_eq),
+        (lp.A_ub, (f"cap_{i}_{j}" for i, j in lp.arcs.tolist()), "<=", lp.capacity),
+    )
+    for matrix, row_names, sense, rhs in blocks:
+        for row, name in enumerate(row_names):
+            span = slice(matrix.indptr[row], matrix.indptr[row + 1])
+            expr = _lp_expr(matrix.indices[span], matrix.data[span], names)
+            lines.append(f" {name}: {expr} {sense} {rhs[row]:.17g}")
     lines += ["Bounds", " theta >= 0", "End", ""]
     return "\n".join(lines)

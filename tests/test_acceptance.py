@@ -2,7 +2,7 @@
 
 One test per criterion; each prints its own [PASS]/[FAIL] line with the
 measured values. The degree sweep backing criteria 1-7 runs once per session
-and takes the bulk of the time (tens of minutes at one or two workers).
+and takes the bulk of the time (about 40 s at two workers on a 2-core host).
 """
 
 import os

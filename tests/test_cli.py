@@ -5,8 +5,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rdcn_throughput import NetworkParams, SweepResult, SweepRow, generate, load_csv, save_csv
+from rdcn_throughput import (
+    NetworkParams,
+    SweepResult,
+    SweepRow,
+    Topology,
+    generate,
+    load_csv,
+    normalize,
+    save_csv,
+    solve_max_throughput,
+    verify_solution,
+)
 from rdcn_throughput.cli import _fig3_checks, main
+from rdcn_throughput.evaluation import OBJECTIVE_REACHED
 
 
 @pytest.fixture
@@ -108,6 +120,29 @@ class TestEval:
         assert set(sched) == {"u", "gamma", "slot_duration_s", "reconfig_duration_s", "switches"}
         assert sched["u"] == 2 and sched["gamma"] == 2
         assert '"iter_values"' in result.output
+
+    def test_emitted_topology_certifies_theta(self, runner, tmp_path):
+        # The chessboard at seed 0: the heuristic's step topology reaches the
+        # reported theta, a rebuild with the raw seed only objective 0.997.
+        p = NetworkParams(16, 4, 25e9)
+        chess = generate("chessboard", p)
+        path = tmp_path / "chessboard.csv"
+        save_csv(chess, path)
+        result = runner.invoke(main, ["eval", str(path), "--class", "da-periodic", "--u", "4",
+                                      "--c", "25e9", "--trace", "--emit-topo",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        trace = json.loads(result.output[result.output.index("{"):result.output.rindex("}") + 1])
+        theta = trace["chosen_theta"]
+        assert theta > 0 and len(trace["seeds"]) == len(trace["iter_values"])
+        data = json.loads((tmp_path / "topology.json").read_text())
+        n = data["n"]
+        topo = Topology(np.array(data["link_count"]).reshape(n, n), data["link_capacity"],
+                        data["class"], degree_budget=n)
+        scaled = normalize(chess.scaled(theta), topo.link_capacity)
+        cert = solve_max_throughput(topo, scaled).require_optimal()
+        assert cert.theta >= OBJECTIVE_REACHED
+        assert verify_solution(topo, scaled, cert).ok
 
     def test_oblivious_eval(self, runner, tmp_path):
         path = write_small_permutation(tmp_path)

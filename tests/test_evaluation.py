@@ -90,7 +90,8 @@ class TestDemandAwareHeuristic:
     def test_trace_json(self):
         _, trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "periodic")
         payload = trace.to_json_dict()
-        assert set(payload) == {"step", "iter_values", "objectives", "chosen_theta"}
+        assert set(payload) == {"step", "iter_values", "objectives", "seeds", "chosen_theta"}
+        assert len(payload["seeds"]) == len(payload["iter_values"])
         json.dumps(payload)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdcn_throughput import (
     DemandMatrix,
@@ -13,6 +15,8 @@ from rdcn_throughput import (
     solve_max_throughput,
     verify_solution,
 )
+
+from rdcn_throughput.flowlp import _assemble_lp
 
 from lp_oracle import path_lp_throughput
 
@@ -144,6 +148,33 @@ class TestPathOracleEquivalence:
             assert edge_opt == pytest.approx(path_opt, abs=1e-6), t.net_class
 
 
+@st.composite
+def random_instances(draw):
+    n = draw(st.integers(2, 5))
+    counts = np.array(draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)))
+    counts = counts.reshape(n, n)
+    np.fill_diagonal(counts, 0)
+    demand = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+    entries = np.array(draw(st.lists(demand, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(entries, 0.0)
+    assume(entries.any())
+    budget = max(int(counts.sum(axis=0).max()), int(counts.sum(axis=1).max()), 1)
+    return Topology(counts, 1.0, "random", degree_budget=budget), DemandMatrix(entries)
+
+
+class TestRandomInstances:
+    """Edge LP = path oracle, with a clean verification, on random small instances."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(random_instances())
+    def test_matches_path_oracle_and_verifies(self, instance):
+        t, m = instance
+        result = solve_max_throughput(t, m).require_optimal()
+        assert result.theta == pytest.approx(
+            path_lp_throughput(t.routable_counts(), m.entries), abs=1e-6)
+        assert verify_solution(t, m, result).ok
+
+
 class TestVerifySolution:
     def _solved(self):
         t = complete_topology(4)
@@ -165,13 +196,19 @@ class TestVerifySolution:
     def test_inflated_theta_detected(self):
         t, m, result = self._solved()
         report = verify_solution(t, m, ThroughputResult(result.theta * 1.1, result.flows, "optimal"))
-        kinds = {v.kind for v in report.violations}
-        assert "source-demand" in kinds and "dest-demand" in kinds
+        assert {v.kind for v in report.violations} == {"demand"}
+
+    def test_over_delivery_detected(self):
+        # Balance rows are equalities: flows that deliver more than theta*m fail.
+        t, m, result = self._solved()
+        report = verify_solution(t, m, ThroughputResult(result.theta * 0.9, result.flows, "optimal"))
+        assert {v.kind for v in report.violations} == {"demand"}
+        assert len(report.violations) == 12  # every (s, v) pair of the 4-node uniform demand
 
     def test_flow_on_missing_arc_detected(self):
         t, m, result = self._solved()
         flows = dict(result.flows)
-        flows[(0, 1, 2, 2)] = 0.5
+        flows[(0, 2, 2)] = 0.5
         report = verify_solution(t, m, ThroughputResult(result.theta, flows, "optimal"))
         assert any(v.kind == "unknown-arc" for v in report.violations)
 
@@ -184,7 +221,7 @@ class TestVerifySolution:
         m = DemandMatrix(entries)
         result = solve_max_throughput(t, m)
         flows = dict(result.flows)
-        flows[(0, 2, 0, 1)] = flows.get((0, 2, 0, 1), 0.0) + 0.25
+        flows[(0, 1, 2)] = flows.get((0, 1, 2), 0.0) + 0.25
         report = verify_solution(t, m, ThroughputResult(result.theta, flows, "optimal"))
         assert any(v.kind == "conservation" for v in report.violations)
 
@@ -195,18 +232,57 @@ class TestVerifySolution:
             bad.require_optimal()
 
 
+def _parse_lp_rows(text):
+    """{row name: ({column name: coefficient}, sense, rhs)} for every constraint row."""
+    body = text.split("Subject To\n", 1)[1].split("Bounds\n", 1)[0]
+    rows = {}
+    for line in body.splitlines():
+        name, expr = line.strip().split(": ", 1)
+        *tokens, sense, rhs = expr.split()
+        coefs, sign, scale = {}, 1.0, 1.0
+        for token in tokens:
+            if token in "+-":
+                sign = -1.0 if token == "-" else 1.0
+            elif token[0].isdigit():
+                scale = float(token)
+            else:
+                assert token not in coefs, f"{name}: {token} appears twice"
+                coefs[token] = sign * scale
+                sign, scale = 1.0, 1.0
+        rows[name] = (coefs, sense, float(rhs))
+    return rows
+
+
 class TestExportLp:
     def test_stable_naming_and_structure(self):
-        counts = np.zeros((3, 3), dtype=int)
-        counts[0, 1] = 1
+        # Every text row is the matching row of the matrices linprog receives.
+        counts = np.zeros((4, 4), dtype=int)
+        counts[0, 1] = counts[2, 3] = counts[3, 0] = 1
         counts[1, 2] = 2
-        t = Topology(counts, 1.0, "line", degree_budget=2)
-        entries = np.zeros((3, 3))
+        t = Topology(counts, 1.0, "ring", degree_budget=2)
+        entries = np.zeros((4, 4))
         entries[0, 2] = 1.5
-        text = export_lp(t, DemandMatrix(entries))
+        entries[0, 3] = 0.25
+        entries[2, 1] = 0.75
+        m = DemandMatrix(entries)
+        text = export_lp(t, m)
         assert "Maximize" in text and "obj: theta" in text
-        assert " src_0_2: f_0_2_0_1 - 1.5 theta >= 0" in text
-        assert " dst_0_2: f_0_2_1_2 - 1.5 theta >= 0" in text
-        assert " con_0_2_1: f_0_2_0_1 - f_0_2_1_2 = 0" in text
-        assert " cap_1_2: f_0_2_1_2 <= 2" in text
         assert text.rstrip().endswith("End")
+
+        lp = _assemble_lp(t, m)
+        names = lp.column_names()
+        assert names[0] == "theta" and names[1] == "f_0_0_1"
+        expected = {}
+        for matrix, row_names, sense, rhs in (
+            (lp.A_eq, [f"bal_{s}_{v}" for s, v in lp.balance.tolist()], "=", lp.b_eq),
+            (lp.A_ub, [f"cap_{i}_{j}" for i, j in lp.arcs.tolist()], "<=", lp.capacity),
+        ):
+            dense = matrix.toarray()
+            for row, name in enumerate(row_names):
+                cols = np.flatnonzero(dense[row])
+                expected[name] = ({names[c]: dense[row, c] for c in cols}, sense, rhs[row])
+        assert _parse_lp_rows(text) == expected
+        # 2 sources x 3 other nodes, and one cap row per arc.
+        assert len(expected) == 2 * 3 + 4
+        assert expected["bal_0_2"][0] == {"theta": -1.5, "f_0_1_2": 1.0, "f_0_2_3": -1.0}
+        assert expected["cap_1_2"] == ({"f_0_1_2": 1.0, "f_2_1_2": 1.0}, "<=", 2.0)
