@@ -28,10 +28,12 @@ from .decomposition import (
     random_regular_digraph,
 )
 from .evaluation import (
+    Cell,
     HeuristicTrace,
     SweepResult,
     SweepRow,
     build_suite,
+    evaluate_cell,
     sweep_degree,
     sweep_matrices,
     throughput_demand_aware,

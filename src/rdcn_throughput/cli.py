@@ -93,8 +93,8 @@ def _load_matrix(path, capacity, normalized) -> DemandMatrix:
 
 def _solver_modules():
     try:
-        from . import evaluation, flowlp, topology  # noqa: F401  (lazy: needs scipy)
-        return evaluation, flowlp, topology
+        from . import evaluation, flowlp  # lazy: needs scipy
+        return evaluation, flowlp
     except ImportError as exc:
         _fail(EXIT_SOLVER, f"LP backend unavailable ({exc}); install scipy >= 1.10")
 
@@ -183,101 +183,39 @@ def decompose(matrix_path, c, normalized, out):
 @click.option("--emit-topo", is_flag=True, help="Write topology (and schedule) JSON.")
 @click.option("--out", type=click.Path(), default=None)
 def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, tol, trace, emit_topo, out):
-    """Compute throughput of one matrix on one network class."""
-    evaluation, flowlp, topology = _solver_modules()
+    """Compute throughput of one matrix on one network class.
+
+    The build seed comes from --seed and the file's stem, as for a sweep cell
+    of the same label (`reproduce --matrix-csv`).
+    """
+    evaluation, flowlp = _solver_modules()
     try:
         m = _load_matrix(matrix_path, c, normalized)
         p = NetworkParams(m.n, u, c)
     except (MatrixParseError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
-
-    heuristic_trace = None
-    schedule = None
     try:
-        if net_class == "static":
-            topo = topology.build_static_expander(
-                p, seed=evaluation._seed_int(seed, "static-topology"))
-            theta = evaluation.throughput_static(topo, m, tol=tol)
-        elif net_class == "oblivious":
-            topo = topology.build_oblivious_equivalent(p)
-            theta = evaluation.throughput_static(topo, m, tol=tol)
-        else:
-            mode = "static" if net_class == "da-static" else "periodic"
-            theta, heuristic_trace = evaluation.throughput_demand_aware(
-                m, p, mode, step=step, seed=seed, tol=tol)
-            # The last scanned step's build, which certifies theta when theta > 0.
-            scaled = m.scaled(heuristic_trace.iter_values[-1])
-            step_seed = heuristic_trace.seeds[-1]
-            if mode == "static":
-                topo = topology.build_demand_aware_static(scaled, p, seed=step_seed)
-            else:
-                topo, schedule = topology.build_demand_aware_periodic(scaled, p, seed=step_seed)
+        cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem,
+                                        step=step, tol=tol)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     except flowlp.SolverError as exc:
         _fail(EXIT_SOLVER, str(exc))
 
-    click.echo(f"theta({net_class}, {Path(matrix_path).name}) = {theta:.6g}")
-    if trace and heuristic_trace is not None:
-        click.echo(json.dumps(heuristic_trace.to_json_dict(), indent=2))
+    click.echo(f"theta({net_class}, {Path(matrix_path).name}) = {cell.theta:.6g}")
+    if trace and cell.trace is not None:
+        click.echo(json.dumps(cell.trace.to_json_dict(), indent=2))
     if emit_topo:
         outdir = _outdir(out)
         topo_path = outdir / "topology.json"
-        topo_path.write_text(json.dumps(topo.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        topo_path.write_text(json.dumps(cell.topology.to_json_dict(), indent=2) + "\n",
+                             encoding="utf-8")
         click.echo(f"wrote {topo_path}")
-        if schedule is not None:
+        if cell.schedule is not None:
             sched_path = outdir / "schedule.json"
-            sched_path.write_text(json.dumps(schedule.to_json_dict(), indent=2) + "\n",
+            sched_path.write_text(json.dumps(cell.schedule.to_json_dict(), indent=2) + "\n",
                                   encoding="utf-8")
             click.echo(f"wrote {sched_path}")
-
-
-def _fig3_checks(result, suite_labels, uniform_residual_labels):
-    checks = []
-    other = ("static", "oblivious", "da-static")
-    worst_gap = min(
-        result.theta(label, "da-periodic") - result.theta(label, cls)
-        for label in suite_labels for cls in other
-    )
-    checks.append(("dominance: da-periodic >= every class on every matrix (tol 1e-6)",
-                   worst_gap >= -1e-6))
-    chess = result.theta("chessboard", "da-periodic")
-    checks.append((f"chessboard da-periodic = {chess:.3f}, expected 0.84 +/- 0.01 "
-                   f"(floor plus simple random residual)",
-                   abs(chess - 0.84) <= 0.01 + 1e-12))
-    perm_dap = result.theta("permutation", "da-periodic")
-    checks.append((f"permutation da-periodic = {perm_dap:.3f}, expected 1.00 +/- 0.01",
-                   abs(perm_dap - 1.0) <= 0.01 + 1e-12))
-    perm_obl = result.theta("permutation", "oblivious")
-    checks.append((f"permutation oblivious = {perm_obl:.3f}, expected 0.50 +/- 0.05",
-                   abs(perm_obl - 0.5) <= 0.05 + 1e-12))
-    unif_obl = result.theta("uniform", "oblivious")
-    checks.append((f"uniform oblivious = {unif_obl:.8f}, expected 1 +/- 1e-6",
-                   abs(unif_obl - 1.0) <= 1e-6))
-    bound = 2.0 / 3.0 - 0.01
-    low = min(result.theta(label, "da-periodic") for label in uniform_residual_labels)
-    checks.append((f"uniform-residual matrices: min da-periodic = {low:.3f} >= 2/3 - 0.01",
-                   low >= bound - 1e-12))
-    return checks
-
-
-def _fig4_checks(result, degrees):
-    checks = []
-    wc_dap = [result.worst_case("da-periodic", u)[0] for u in degrees]
-    spread = max(wc_dap) - min(wc_dap)
-    checks.append((f"da-periodic worst-case spread over degrees = {spread:.4f} <= 0.02",
-                   spread <= 0.02 + 1e-12))
-    separation = min(
-        result.worst_case("da-periodic", u)[0] - result.worst_case("oblivious", u)[0]
-        for u in degrees
-    )
-    checks.append((f"worst-case separation da-periodic - oblivious = {separation:.4f} >= 0.28",
-                   separation >= 0.28 - 1e-12))
-    top = max(degrees)
-    gap = abs(result.worst_case("da-static", top)[0] - result.worst_case("da-periodic", top)[0])
-    checks.append((f"da-static converges at u={top}: |gap| = {gap:.4f} <= 0.02",
-                   gap <= 0.02 + 1e-12))
-    return checks
 
 
 @main.command()
@@ -299,7 +237,7 @@ def reproduce(figure, n, u, c, seed, step, tol, jobs, matrix_csv, out, config):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
     from .svg import grouped_bar_chart
 
-    evaluation, flowlp, _topology = _solver_modules()
+    evaluation, flowlp = _solver_modules()
     casts = {"n": int, "u": int, "c": float, "seed": int, "step": float,
              "tol": float, "jobs": int, "out": str}
     merged = _merge_config(config, {"n": n, "u": u, "c": c, "seed": seed, "step": step,
@@ -336,27 +274,22 @@ def reproduce(figure, n, u, c, seed, step, tol, jobs, matrix_csv, out, config):
         series = {cls: [result.theta(label, cls) for label in labels] for cls in classes}
         svg_text = grouped_bar_chart(labels, series,
                                      title=f"throughput per demand matrix (n={n}, u={u})")
-        uniform_residual = []
-        for label, matrix in suite:
-            dec = decompose_integer_residual(normalize(matrix, c))
-            if classify_uniform_residual(dec).value != "not-uniform":
-                uniform_residual.append(label)
-        checks = _fig3_checks(result, labels, uniform_residual)
     else:
+        suite = ()  # fig4 criteria compare worst cases only
         degrees = result.degrees()
         series = {
             cls: [result.worst_case(cls, d)[0] for d in degrees] for cls in classes
         }
         svg_text = grouped_bar_chart([str(d) for d in degrees], series,
                                      title=f"worst-case throughput per degree (n={n})")
-        checks = _fig4_checks(result, degrees)
+    checks = evaluation.check_landscape(result, suite, p, figure=figure)
     svg_path = outdir / f"{figure}.svg"
     svg_path.write_text(svg_text, encoding="utf-8")
     click.echo(f"wrote {csv_path}, {json_path}, {svg_path}")
 
     failed = 0
-    for description, ok in checks:
-        click.echo(f"[{'PASS' if ok else 'FAIL'}] {description}")
+    for criterion, ok, detail in checks:
+        click.echo(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion.number}: {detail}")
         failed += 0 if ok else 1
     if result.errors:
         failed += len(result.errors)

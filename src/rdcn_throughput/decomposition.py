@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 BVN_DEFAULT_TOL = 1e-9
 
@@ -108,29 +110,15 @@ class RegularMultigraph:
 def perfect_matching(support) -> PermutationMatching | None:
     """Find a perfect matching using only True cells of a boolean n x n support.
 
-    Augmenting-path search in lexicographic order, so the result is
-    deterministic. Returns None when no perfect matching exists.
+    Hopcroft-Karp (scipy's maximum_bipartite_matching), iterative, so n is not
+    capped by the recursion limit; the result is deterministic for a given
+    scipy. Returns None when no perfect matching exists.
     """
-    sup = np.asarray(support, dtype=bool)
-    n = sup.shape[0]
-    col_owner = [-1] * n
-
-    def augment(row, banned):
-        for col in range(n):
-            if sup[row, col] and col not in banned:
-                banned.add(col)
-                if col_owner[col] < 0 or augment(col_owner[col], banned):
-                    col_owner[col] = row
-                    return True
-        return False
-
-    for row in range(n):
-        if not augment(row, set()):
-            return None
-    mapping = [0] * n
-    for col, row in enumerate(col_owner):
-        mapping[row] = col
-    return PermutationMatching(tuple(mapping))
+    sup = csr_array(np.asarray(support, dtype=bool))
+    mapping = maximum_bipartite_matching(sup, perm_type="column")
+    if np.any(mapping < 0):
+        return None
+    return PermutationMatching(tuple(mapping.tolist()))
 
 
 def bvn_decompose(m, tol: float = BVN_DEFAULT_TOL) -> BvnDecomposition:

@@ -1,5 +1,6 @@
-"""Top-level throughput procedures: per-class evaluation, the iterative
-demand-aware heuristic, and the matrix/degree sweeps.
+"""Top-level throughput procedures: the one cell evaluator, the iterative
+demand-aware heuristic, the matrix/degree sweeps and the table of landscape
+criteria they are checked against.
 
 The demand-aware heuristic scales the demand matrix by `iter` descending from
 1 in fixed steps, rebuilds the demand-aware topology for each scaled matrix,
@@ -13,12 +14,23 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .demand import DemandMatrix, NetworkParams, generate, load_csv, normalize
+from .demand import (
+    DemandMatrix,
+    NetworkParams,
+    UniformResidualClass,
+    classify_uniform_residual,
+    decompose_integer_residual,
+    generate,
+    load_csv,
+    normalize,
+)
 from .flowlp import SolverError, solve_max_throughput, verify_solution
 from .topology import (
+    PeriodicSchedule,
     Topology,
     build_demand_aware_periodic,
     build_demand_aware_static,
@@ -58,12 +70,31 @@ class HeuristicTrace:
         }
 
 
+class Cell(NamedTuple):
+    """One cell's throughput and the build that certifies it.
+
+    `topology` is the network theta was computed on; for the demand-aware
+    classes it is the heuristic's last step, with its switch `schedule` for
+    da-periodic (None when u does not divide n, and for every other class).
+    `trace` is None for the LP classes.
+    """
+
+    theta: float
+    trace: HeuristicTrace | None
+    topology: Topology
+    schedule: PeriodicSchedule | None
+
+
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep cell. A demand-aware row keeps the heuristic trace, whose last
+    step and seed rebuild the certifying topology at this row's degree."""
+
     matrix: str
     net_class: str
     degree: int
     theta: float
+    trace: HeuristicTrace | None = None
 
 
 @dataclass(frozen=True)
@@ -71,13 +102,16 @@ class SweepResult:
     rows: tuple
     errors: tuple = field(default_factory=tuple)
 
-    def theta(self, matrix: str, net_class: str, degree: int | None = None) -> float:
+    def row(self, matrix: str, net_class: str, degree: int | None = None) -> SweepRow:
         for row in self.rows:
             if row.matrix == matrix and row.net_class == net_class and (
                 degree is None or row.degree == degree
             ):
-                return row.theta
+                return row
         raise KeyError(f"no sweep cell ({matrix!r}, {net_class!r}, degree={degree})")
+
+    def theta(self, matrix: str, net_class: str, degree: int | None = None) -> float:
+        return self.row(matrix, net_class, degree).theta
 
     def worst_case(self, net_class: str, degree: int | None = None):
         """Minimum theta over the suite for one class (optionally one degree).
@@ -106,13 +140,13 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        payload = {
-            "rows": [
-                {"matrix": r.matrix, "class": r.net_class, "degree": r.degree, "theta": r.theta}
-                for r in self.rows
-            ],
-            "worst_case": [],
-        }
+        rows = []
+        for r in self.rows:
+            rows.append({"matrix": r.matrix, "class": r.net_class, "degree": r.degree,
+                         "theta": r.theta})
+            if r.trace is not None:
+                rows[-1]["trace"] = r.trace.to_json_dict()
+        payload = {"rows": rows, "worst_case": []}
         for degree in self.degrees():
             for cls in NETWORK_CLASSES:
                 try:
@@ -166,13 +200,16 @@ def throughput_oblivious(m: DemandMatrix, p: NetworkParams, tol: float = 1e-7) -
 
 def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
                             step: float = DEFAULT_STEP, seed: int = 0,
-                            tol: float = 1e-7):
-    """Iterative heuristic for demand-aware networks. Returns (theta, HeuristicTrace).
+                            tol: float = 1e-7) -> Cell:
+    """Iterative heuristic for demand-aware networks. Returns a Cell whose
+    trace is the HeuristicTrace and whose topology (and schedule) is the last
+    step's build.
 
     mode is "static" (one-shot topology, degree u) or "periodic" (emulated
     degree-n graph at capacity c*u/n). The reported theta is the first scan
     value whose LP objective reaches 1, hence a multiple of `step` with
-    uncertainty one step; 0.0 with a full trace if no scan value succeeds.
+    uncertainty one step, and the last step's build certifies it; 0.0 with a
+    full trace if no scan value succeeds.
     """
     if mode not in ("static", "periodic"):
         raise ValueError(f"mode must be 'static' or 'periodic', got {mode!r}")
@@ -190,18 +227,18 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
         scaled = m.scaled(scale)
         iter_seed = _seed_int(seed, "iter", k - 1)
         if mode == "static":
-            topo = build_demand_aware_static(scaled, p, seed=iter_seed)
+            topo, schedule = build_demand_aware_static(scaled, p, seed=iter_seed), None
         else:
-            topo, _schedule = build_demand_aware_periodic(scaled, p, seed=iter_seed)
+            topo, schedule = build_demand_aware_periodic(scaled, p, seed=iter_seed)
         objective = _solve_verified(topo, normalize(scaled, topo.link_capacity), tol).theta
         iter_values.append(scale)
         objectives.append(objective)
         seeds.append(iter_seed)
         if objective >= OBJECTIVE_REACHED:
             trace = HeuristicTrace(tuple(iter_values), tuple(objectives), scale, step, tuple(seeds))
-            return scale, trace
+            return Cell(scale, trace, topo, schedule)
     trace = HeuristicTrace(tuple(iter_values), tuple(objectives), 0.0, step, tuple(seeds))
-    return 0.0, trace
+    return Cell(0.0, trace, topo, schedule)
 
 
 def build_suite(p: NetworkParams, csv_paths=()) -> list:
@@ -219,21 +256,34 @@ def build_suite(p: NetworkParams, csv_paths=()) -> list:
     return suite
 
 
-def _cell_seed(net_class: str, master_seed: int, label: str) -> int:
+def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: int,
+                  label: str, step: float = DEFAULT_STEP, tol: float = 1e-7) -> Cell:
+    """Throughput of matrix m, labelled `label`, on one network class.
+
+    Builds are seeded from the master seed and, for the demand-aware classes,
+    the label (the static expander is one per master seed), so a matrix gets
+    the same cell wherever it is evaluated: in a sweep or on its own.
+    """
     if net_class == "static":
-        return _seed_int(master_seed, "static-topology")  # one expander per sweep
-    if net_class in ("da-static", "da-periodic"):
-        return _seed_int(master_seed, label)
-    return 0  # oblivious builds carry no randomness
+        topo = build_static_expander(p, seed=_seed_int(seed, "static-topology"))
+    elif net_class == "oblivious":
+        topo = build_oblivious_equivalent(p)  # carries no randomness
+    elif net_class in ("da-static", "da-periodic"):
+        mode = "static" if net_class == "da-static" else "periodic"
+        return throughput_demand_aware(m, p, mode, step=step, seed=_seed_int(seed, label),
+                                       tol=tol)
+    else:
+        raise ValueError(f"unknown network class {net_class!r}")
+    return Cell(throughput_static(topo, m, tol=tol), None, topo, None)
 
 
-def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, cell_seed: int,
+def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, label: str,
               step: float, tol: float):
-    """Content key for a sweep cell.
+    """Key for a sweep cell: its label, master seed and content.
 
     The oblivious and da-periodic results depend on the demand only through
-    m/(c*u/n) with a fixed degree budget of n, so suite matrices regenerated
-    for different physical degrees collapse onto one key.
+    m/(c*u/n) with a fixed degree budget of n, so a label's suite matrices
+    regenerated for different physical degrees collapse onto one key.
     """
     if net_class in ("oblivious", "da-periodic"):
         unit = p.c * p.u / p.n
@@ -242,28 +292,20 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, cell_seed: 
         unit = p.c
         budget = p.u
     normalized = np.asarray(entries, dtype=float) / unit
-    return (net_class, p.n, budget, cell_seed, step, tol, normalized.tobytes())
+    return (net_class, p.n, budget, seed, label, step, tol, normalized.tobytes())
 
 
 def _evaluate_cell(task):
-    """Compute one sweep cell; module-level so process pools can pickle it."""
-    (entries, net_class, n, u, c, cell_seed, step, tol) = task
-    p = NetworkParams(n, u, c)
-    m = DemandMatrix(entries)
+    """Compute one sweep cell as (theta, trace, error); module-level so process
+    pools can pickle it. The topology stays behind: a shared da-periodic cell
+    serves several degrees, and a build belongs to one."""
+    (entries, net_class, n, u, c, seed, label, step, tol) = task
     try:
-        if net_class == "static":
-            topo = build_static_expander(p, seed=cell_seed)
-            theta = throughput_static(topo, m, tol=tol)
-        elif net_class == "oblivious":
-            theta = throughput_oblivious(m, p, tol=tol)
-        elif net_class in ("da-static", "da-periodic"):
-            mode = "static" if net_class == "da-static" else "periodic"
-            theta, _ = throughput_demand_aware(m, p, mode, step=step, seed=cell_seed, tol=tol)
-        else:
-            raise ValueError(f"unknown network class {net_class!r}")
+        cell = evaluate_cell(DemandMatrix(entries), NetworkParams(n, u, c), net_class,
+                             seed=seed, label=label, step=step, tol=tol)
     except (SolverError, ValueError) as exc:
-        return float("nan"), str(exc)
-    return theta, None
+        return float("nan"), None, str(exc)
+    return cell.theta, cell.trace, None
 
 
 def _run_cells(tasks, jobs: int):
@@ -277,9 +319,8 @@ def _plan_cells(p: NetworkParams, suite, classes, seed, step, tol):
     plans = []
     for label, m in suite:
         for net_class in classes:
-            cell_seed = _cell_seed(net_class, seed, label)
-            key = _cell_key(m.entries, net_class, p, cell_seed, step, tol)
-            task = (np.array(m.entries), net_class, p.n, p.u, p.c, cell_seed, step, tol)
+            key = _cell_key(m.entries, net_class, p, seed, label, step, tol)
+            task = (np.array(m.entries), net_class, p.n, p.u, p.c, seed, label, step, tol)
             plans.append(((label, net_class, p.u), key, task))
     return plans
 
@@ -294,8 +335,8 @@ def _execute_plans(plans, jobs: int) -> SweepResult:
     outcomes = dict(zip(order, _run_cells([unique[k] for k in order], jobs)))
     rows, errors = [], []
     for (label, net_class, degree), key, _ in plans:
-        theta, err = outcomes[key]
-        rows.append(SweepRow(label, net_class, degree, theta))
+        theta, trace, err = outcomes[key]
+        rows.append(SweepRow(label, net_class, degree, theta, trace))
         if err is not None:
             errors.append((label, net_class, degree, err))
     return SweepResult(tuple(rows), tuple(errors))
@@ -327,3 +368,88 @@ def sweep_degree(p_base: NetworkParams, degrees, classes=NETWORK_CLASSES, seed: 
         p = NetworkParams(p_base.n, u, p_base.c)
         plans.extend(_plan_cells(p, build_suite(p, csv_paths=csv_paths), classes, seed, step, tol))
     return _execute_plans(plans, jobs)
+
+
+class Criterion(NamedTuple):
+    """A landscape criterion as `reproduce` and the acceptance tests check it.
+    check(sweep, suite, p) -> (ok, detail) reads the cells at degree p.u; fig4
+    entries compare worst cases over sweep.degrees()."""
+
+    number: int
+    figure: str
+    check: Callable
+
+
+def _dominance(result, suite, p):
+    gap, label, cls = min(
+        (result.theta(label, "da-periodic", p.u) - result.theta(label, cls, p.u), label, cls)
+        for label, _ in suite for cls in ("static", "oblivious", "da-static")
+    )
+    return gap >= -1e-6, (f"da-periodic >= every class on every matrix at u={p.u} (tol 1e-6; "
+                          f"tightest margin {gap:+.4f} vs {cls} on {label})")
+
+
+def _cell_within(label, net_class, target, width, slack, digits, note=""):
+    def check(result, suite, p):
+        theta = result.theta(label, net_class, p.u)
+        return abs(theta - target) <= width + slack, (
+            f"{label} {net_class} = {theta:.{digits}f}, expected {target:g} +/- {width:g}{note}")
+    return check
+
+
+def _uniform_residual_floor(result, suite, p):
+    bound = 2.0 / 3.0 - 0.01
+    thetas = {
+        label: result.theta(label, "da-periodic", p.u) for label, matrix in suite
+        if classify_uniform_residual(decompose_integer_residual(normalize(matrix, p.c)))
+        is not UniformResidualClass.NOT_UNIFORM
+    }
+    low = min(thetas.values(), default=float("nan"))
+    failures = [(label, theta) for label, theta in thetas.items() if theta < bound - 1e-12]
+    return bool(thetas) and not failures, (
+        f"{len(thetas)} uniform-residual matrices: min da-periodic = {low:.3f} >= 2/3 - 0.01"
+        + (f"; failures: {failures}" if failures else ""))
+
+
+def _worst_case_spread(result, suite, p):
+    wc_dap = [result.worst_case("da-periodic", u)[0] for u in result.degrees()]
+    spread = max(wc_dap) - min(wc_dap)
+    return spread <= 0.02 + 1e-12, f"da-periodic worst-case spread over degrees = {spread:.4f} <= 0.02"
+
+
+def _worst_case_separation(result, suite, p):
+    separation = min(
+        result.worst_case("da-periodic", u)[0] - result.worst_case("oblivious", u)[0]
+        for u in result.degrees()
+    )
+    return separation >= 0.28 - 1e-12, (
+        f"worst-case separation da-periodic - oblivious = {separation:.4f} >= 0.28")
+
+
+def _static_convergence(result, suite, p):
+    top = max(result.degrees())
+    gap = abs(result.worst_case("da-static", top)[0] - result.worst_case("da-periodic", top)[0])
+    return gap <= 0.02 + 1e-12, f"da-static converges at u={top}: |gap| = {gap:.4f} <= 0.02"
+
+
+LANDSCAPE_CRITERIA = (
+    Criterion(1, "fig3", _dominance),
+    Criterion(2, "fig3", _cell_within("chessboard", "da-periodic", 0.84, 0.01, 1e-12, 3,
+                                      " (floor plus simple random residual)")),
+    Criterion(3, "fig3", _cell_within("permutation", "da-periodic", 1.0, 0.01, 1e-12, 3)),
+    Criterion(3, "fig3", _cell_within("permutation", "oblivious", 0.5, 0.05, 1e-12, 3)),
+    Criterion(4, "fig3", _cell_within("uniform", "oblivious", 1.0, 1e-6, 0.0, 8)),
+    Criterion(5, "fig3", _uniform_residual_floor),
+    Criterion(6, "fig4", _worst_case_spread),
+    Criterion(6, "fig4", _worst_case_separation),
+    Criterion(7, "fig4", _static_convergence),
+)
+
+
+def check_landscape(result: SweepResult, suite, p: NetworkParams, *, figure=None,
+                    number=None) -> list:
+    """(criterion, ok, detail) for every table entry of one figure or number."""
+    return [
+        (c, *c.check(result, suite, p)) for c in LANDSCAPE_CRITERIA
+        if figure in (None, c.figure) and number in (None, c.number)
+    ]

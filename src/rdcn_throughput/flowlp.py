@@ -187,7 +187,8 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, tol: float = DEFAULT_TOL,
     idx = np.flatnonzero(x[1:] > FLOW_EPS)
     k, a = np.divmod(idx, len(lp.arcs))
     keys = zip(lp.sources[k].tolist(), *lp.arcs[a].T.tolist())
-    return ThroughputResult(float(x[0]), dict(zip(keys, x[1 + idx].tolist())), "optimal")
+    theta = float(x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
+    return ThroughputResult(theta, dict(zip(keys, x[1 + idx].tolist())), "optimal")
 
 
 def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,

@@ -2,15 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdcn_throughput import (
     BvnDecomposition,
     PermutationMatching,
     RegularMultigraph,
+    Topology,
     bvn_decompose,
     edge_color_regular,
     perfect_matching,
     random_regular_digraph,
+    synthesize_schedule,
 )
 
 from conftest import sinkhorn_doubly_stochastic
@@ -67,6 +71,14 @@ class TestPerfectMatching:
             assert (found is None) == (expect is None)
             if found is not None:
                 assert all(support[i, found.mapping[i]] for i in range(3))
+
+    def test_long_bidiagonal_support(self):
+        # Row i allows columns i-1 and i: the identity is the only perfect
+        # matching, and a search that recurses along the chain exceeds
+        # Python's recursion limit at this size.
+        n = 1200
+        support = np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+        assert perfect_matching(support).mapping == tuple(range(n))
 
     @pytest.mark.parametrize("n,seed", [(4, s) for s in range(30)] + [(5, s) for s in range(30)])
     def test_agrees_with_brute_force_sampled(self, n, seed):
@@ -156,6 +168,46 @@ class TestEdgeColorRegular:
     def test_irregular_input_rejected(self):
         with pytest.raises(ValueError, match="regular"):
             RegularMultigraph(np.array([[0, 2], [1, 0]]))
+
+
+def _union(matchings, n):
+    union = np.zeros((n, n), dtype=np.int64)
+    for pm in matchings:
+        union[np.arange(n), pm.mapping] += 1
+    return union
+
+
+@st.composite
+def regular_multigraphs(draw, full_degree=False):
+    """Counts of a d-regular multigraph (self-loops and parallel links allowed)
+    on n <= 12 nodes, as a sum of d permutations; d = n when full_degree."""
+    n = draw(st.integers(1, 12))
+    d = n if full_degree else draw(st.integers(1, 12))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=d, max_size=d))
+    return _union([PermutationMatching(perm) for perm in perms], n)
+
+
+class TestColouringProperties:
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(regular_multigraphs())
+    def test_edge_coloring_splits_into_degree_matchings(self, counts):
+        g = RegularMultigraph(counts)
+        matchings = edge_color_regular(g)
+        assert len(matchings) == g.degree
+        assert all(isinstance(pm, PermutationMatching) for pm in matchings)
+        np.testing.assert_array_equal(_union(matchings, g.n), counts)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(regular_multigraphs(full_degree=True), st.data())
+    def test_schedule_union_reconstructs_topology(self, counts, data):
+        n = counts.shape[0]
+        u = data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        topo = Topology(counts, 1.0, "test", degree_budget=n)
+        schedule = synthesize_schedule(topo, u, seed=seed)
+        assert schedule.u == u and schedule.period == n // u
+        np.testing.assert_array_equal(
+            _union([pm for slots in schedule.switches for pm in slots], n), counts)
 
 
 class TestRandomRegularDigraph:

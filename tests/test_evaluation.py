@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 
 from rdcn_throughput import (
+    HeuristicTrace,
     NetworkParams,
     build_suite,
+    evaluate_cell,
     generate,
+    normalize,
     save_csv,
+    solve_max_throughput,
     sweep_degree,
     sweep_matrices,
     throughput_demand_aware,
     throughput_oblivious,
     throughput_static,
 )
-from rdcn_throughput.evaluation import NETWORK_CLASSES, SweepResult, SweepRow
+from rdcn_throughput.evaluation import (
+    NETWORK_CLASSES,
+    OBJECTIVE_REACHED,
+    SweepResult,
+    SweepRow,
+)
 
 SMALL = NetworkParams(4, 2, 1e9)
 
@@ -38,7 +47,8 @@ class TestThroughputFunctions:
 
 class TestDemandAwareHeuristic:
     def test_permutation_stops_at_first_iter(self):
-        theta, trace = throughput_demand_aware(generate("permutation", SMALL), SMALL, "periodic")
+        theta, trace, _topo, _schedule = throughput_demand_aware(
+            generate("permutation", SMALL), SMALL, "periodic")
         assert theta == 1.0
         assert trace.iter_values == (1.0,)
         assert trace.objectives[0] >= 1.0 - 1e-9
@@ -52,7 +62,8 @@ class TestDemandAwareHeuristic:
         entries[2, 3] = 4.0
         entries[3, 2] = 4.0
         from rdcn_throughput import DemandMatrix
-        theta, trace = throughput_demand_aware(DemandMatrix(entries), p, "periodic", step=0.25)
+        theta, trace, _topo, _schedule = throughput_demand_aware(DemandMatrix(entries), p,
+                                                                 "periodic", step=0.25)
         values = np.array(trace.iter_values)
         assert np.allclose(np.diff(values), -0.25)
         assert all(round(v / 0.25, 9) == int(round(v / 0.25)) for v in values)
@@ -67,8 +78,8 @@ class TestDemandAwareHeuristic:
         p = NetworkParams(6, 6, 2.0)
         for kind in ("chessboard", "permutation", "uniform"):
             m = generate(kind, p)
-            th_static, _ = throughput_demand_aware(m, p, "static", seed=5)
-            th_periodic, _ = throughput_demand_aware(m, p, "periodic", seed=5)
+            th_static = throughput_demand_aware(m, p, "static", seed=5).theta
+            th_periodic = throughput_demand_aware(m, p, "periodic", seed=5).theta
             assert th_static == th_periodic, kind
 
     def test_periodic_never_below_static_at_full_degree(self):
@@ -76,8 +87,8 @@ class TestDemandAwareHeuristic:
         # with extra real links, so it may strictly exceed the one-shot build.
         p = NetworkParams(6, 6, 2.0)
         m = generate("random-saturated", p, seed=8)
-        th_static, _ = throughput_demand_aware(m, p, "static", seed=5)
-        th_periodic, _ = throughput_demand_aware(m, p, "periodic", seed=5)
+        th_static = throughput_demand_aware(m, p, "static", seed=5).theta
+        th_periodic = throughput_demand_aware(m, p, "periodic", seed=5).theta
         assert th_periodic >= th_static - 1e-9
 
     def test_bad_mode_and_step(self):
@@ -88,11 +99,42 @@ class TestDemandAwareHeuristic:
             throughput_demand_aware(m, SMALL, "static", step=0.0)
 
     def test_trace_json(self):
-        _, trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "periodic")
+        trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "periodic").trace
         payload = trace.to_json_dict()
         assert set(payload) == {"step", "iter_values", "objectives", "seeds", "chosen_theta"}
         assert len(payload["seeds"]) == len(payload["iter_values"])
         json.dumps(payload)
+
+
+class TestEvaluateCell:
+    def test_agrees_with_sweep_cell_by_cell(self):
+        suite = build_suite(SMALL)[:4]
+        sweep = sweep_matrices(SMALL, suite, seed=3)
+        for label, m in suite:
+            for net_class in NETWORK_CLASSES:
+                cell = evaluate_cell(m, SMALL, net_class, seed=3, label=label)
+                row = sweep.row(label, net_class)
+                assert (cell.theta, cell.trace) == (row.theta, row.trace), (label, net_class)
+                assert (cell.trace is None) == (net_class in ("static", "oblivious"))
+
+    def test_demand_aware_cell_carries_its_certificate(self):
+        p = NetworkParams(8, 2, 1.0)
+        m = generate("chessboard", p)
+        cell = evaluate_cell(m, p, "da-periodic", seed=0, label="chessboard")
+        assert 0 < cell.theta < 1
+        scaled = normalize(m.scaled(cell.theta), cell.topology.link_capacity)
+        assert solve_max_throughput(cell.topology, scaled).theta >= OBJECTIVE_REACHED
+        assert np.array_equal(cell.schedule.union_counts(), cell.topology.link_count)
+
+    def test_lp_cell_topology_is_the_solved_one(self):
+        m = generate("permutation", SMALL)
+        cell = evaluate_cell(m, SMALL, "oblivious", seed=0, label="permutation")
+        assert cell.topology.net_class == "oblivious" and cell.schedule is None
+        assert cell.theta == throughput_oblivious(m, SMALL)
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError, match="unknown network class"):
+            evaluate_cell(generate("uniform", SMALL), SMALL, "rotor", seed=0, label="uniform")
 
 
 class TestBuildSuite:
@@ -150,12 +192,14 @@ class TestSweeps:
 
 
 class TestSweepResultSerialization:
+    TRACE = HeuristicTrace((1.0,), (1.25,), 1.0, 0.01, (42,))
+
     def _result(self):
         rows = (
             SweepRow("uniform", "oblivious", 4, 1.0),
-            SweepRow("uniform", "da-periodic", 4, 1.0),
+            SweepRow("uniform", "da-periodic", 4, 1.0, self.TRACE),
             SweepRow("permutation", "oblivious", 4, 0.5),
-            SweepRow("permutation", "da-periodic", 4, 1.0),
+            SweepRow("permutation", "da-periodic", 4, 1.0, self.TRACE),
         )
         return SweepResult(rows)
 
@@ -164,7 +208,26 @@ class TestSweepResultSerialization:
         lines = text.strip().split("\n")
         assert lines[0] == "matrix,class,degree,theta"
         assert lines[1] == "uniform,oblivious,4,1"
+        assert lines[2] == "uniform,da-periodic,4,1"
         assert len(lines) == 5
+
+    def test_json_rows_carry_demand_aware_traces_only(self):
+        rows = self._result().to_json_dict()["rows"]
+        assert rows[0] == {"matrix": "uniform", "class": "oblivious", "degree": 4, "theta": 1.0}
+        assert rows[1]["trace"] == {"step": 0.01, "iter_values": [1.0], "objectives": [1.25],
+                                    "seeds": [42], "chosen_theta": 1.0}
+        assert [("trace" in r) for r in rows] == [False, True, False, True]
+
+    def test_sweep_json_trace_certifies_theta(self):
+        payload = sweep_matrices(SMALL, build_suite(SMALL)[:2], seed=0).to_json_dict()
+        for row in payload["rows"]:
+            if row["class"] in ("da-static", "da-periodic"):
+                trace = row["trace"]
+                assert trace["chosen_theta"] == row["theta"] == trace["iter_values"][-1]
+                assert trace["objectives"][-1] >= OBJECTIVE_REACHED
+            else:
+                assert "trace" not in row
+        json.dumps(payload)
 
     def test_json_worst_case(self):
         payload = self._result().to_json_dict()

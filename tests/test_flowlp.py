@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -56,6 +58,7 @@ class TestSolveMaxThroughput:
         entries[0, 1] = 1.0
         result = solve_max_throughput(t, DemandMatrix(entries))
         assert result.theta == pytest.approx(0.0, abs=1e-9)
+        assert math.copysign(1.0, result.theta) == 1.0  # +0.0, not -0.0
 
     def test_oblivious_lp_at_least_two_hop_oracle(self):
         p = NetworkParams(8, 2, 1.0)
