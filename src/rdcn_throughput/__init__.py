@@ -1,7 +1,6 @@
 """Reconfigurable-datacenter-network topology synthesis and LP throughput evaluation."""
 
 from .demand import (
-    AugmentationError,
     DemandMatrix,
     IntegerResidualDecomposition,
     MatrixParseError,
@@ -13,7 +12,6 @@ from .demand import (
     generate,
     load_csv,
     normalize,
-    saturate,
     save_csv,
     validate_hose,
 )
@@ -37,7 +35,6 @@ from .evaluation import (
     sweep_degree,
     sweep_matrices,
     throughput_demand_aware,
-    throughput_oblivious,
     throughput_static,
 )
 from .flowlp import (

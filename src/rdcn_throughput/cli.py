@@ -14,6 +14,7 @@ from pathlib import Path
 
 import click
 
+from . import evaluation, flowlp, svg
 from .demand import (
     GENERATOR_KINDS,
     DemandMatrix,
@@ -91,14 +92,6 @@ def _load_matrix(path, capacity, normalized) -> DemandMatrix:
     return m
 
 
-def _solver_modules():
-    try:
-        from . import evaluation, flowlp  # lazy: needs scipy
-        return evaluation, flowlp
-    except ImportError as exc:
-        _fail(EXIT_SOLVER, f"LP backend unavailable ({exc}); install scipy >= 1.10")
-
-
 @click.group()
 def main():
     """Synthesize reconfigurable-datacenter topologies and compute LP throughput."""
@@ -172,23 +165,21 @@ def decompose(matrix_path, c, normalized, out):
 @main.command(name="eval")
 @click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--class", "net_class", required=True,
-              type=click.Choice(("static", "oblivious", "da-static", "da-periodic")))
+              type=click.Choice(evaluation.NETWORK_CLASSES))
 @click.option("--u", type=int, default=4, show_default=True)
 @click.option("--c", type=float, default=25e9, show_default=True)
 @click.option("--normalized", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--step", type=float, default=0.01, show_default=True)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--trace", is_flag=True, help="Print the heuristic trace as JSON.")
 @click.option("--emit-topo", is_flag=True, help="Write topology (and schedule) JSON.")
 @click.option("--out", type=click.Path(), default=None)
-def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, tol, trace, emit_topo, out):
+def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_topo, out):
     """Compute throughput of one matrix on one network class.
 
     The build seed comes from --seed and the file's stem, as for a sweep cell
     of the same label (`reproduce --matrix-csv`).
     """
-    evaluation, flowlp = _solver_modules()
     try:
         m = _load_matrix(matrix_path, c, normalized)
         p = NetworkParams(m.n, u, c)
@@ -196,7 +187,7 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, tol, trace, e
         _fail(EXIT_INPUT, str(exc))
     try:
         cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem,
-                                        step=step, tol=tol)
+                                        step=step)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     except flowlp.SolverError as exc:
@@ -225,7 +216,6 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, tol, trace, e
 @click.option("--c", type=float, default=25e9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--step", type=float, default=0.01, show_default=True)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Concurrent solver instances.")
 @click.option("--matrix-csv", multiple=True, type=click.Path(exists=True, dir_okay=False),
@@ -233,29 +223,24 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, tol, trace, e
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Flat key=value config file (flags take precedence).")
-def reproduce(figure, n, u, c, seed, step, tol, jobs, matrix_csv, out, config):
+def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out, config):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
-    from .svg import grouped_bar_chart
-
-    evaluation, flowlp = _solver_modules()
-    casts = {"n": int, "u": int, "c": float, "seed": int, "step": float,
-             "tol": float, "jobs": int, "out": str}
+    casts = {"n": int, "u": int, "c": float, "seed": int, "step": float, "jobs": int, "out": str}
     merged = _merge_config(config, {"n": n, "u": u, "c": c, "seed": seed, "step": step,
-                                    "tol": tol, "jobs": jobs, "out": out}, casts)
+                                    "jobs": jobs, "out": out}, casts)
     n, u, c = merged["n"], merged["u"], merged["c"]
-    seed, step, tol, jobs, out = (merged["seed"], merged["step"], merged["tol"],
-                                  merged["jobs"], merged["out"])
+    seed, step, jobs, out = merged["seed"], merged["step"], merged["jobs"], merged["out"]
     outdir = _outdir(out)
     try:
         if figure == "fig3":
             p = NetworkParams(n, u, c)
             suite = evaluation.build_suite(p, csv_paths=matrix_csv)
-            result = evaluation.sweep_matrices(p, suite, seed=seed, step=step, tol=tol, jobs=jobs)
+            result = evaluation.sweep_matrices(p, suite, seed=seed, step=step, jobs=jobs)
         else:
             degrees = [d for d in (4, 8, 12, 16) if d <= n] or [u]
             p = NetworkParams(n, degrees[0], c)
-            result = evaluation.sweep_degree(p, degrees, seed=seed, step=step, tol=tol,
-                                             jobs=jobs, csv_paths=matrix_csv)
+            result = evaluation.sweep_degree(p, degrees, seed=seed, step=step, jobs=jobs,
+                                             csv_paths=matrix_csv)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     except flowlp.SolverError as exc:
@@ -272,16 +257,16 @@ def reproduce(figure, n, u, c, seed, step, tol, jobs, matrix_csv, out, config):
     if figure == "fig3":
         labels = [label for label, _ in suite]
         series = {cls: [result.theta(label, cls) for label in labels] for cls in classes}
-        svg_text = grouped_bar_chart(labels, series,
-                                     title=f"throughput per demand matrix (n={n}, u={u})")
+        svg_text = svg.grouped_bar_chart(labels, series,
+                                         title=f"throughput per demand matrix (n={n}, u={u})")
     else:
         suite = ()  # fig4 criteria compare worst cases only
         degrees = result.degrees()
         series = {
             cls: [result.worst_case(cls, d)[0] for d in degrees] for cls in classes
         }
-        svg_text = grouped_bar_chart([str(d) for d in degrees], series,
-                                     title=f"worst-case throughput per degree (n={n})")
+        svg_text = svg.grouped_bar_chart([str(d) for d in degrees], series,
+                                         title=f"worst-case throughput per degree (n={n})")
     checks = evaluation.check_landscape(result, suite, p, figure=figure)
     svg_path = outdir / f"{figure}.svg"
     svg_path.write_text(svg_text, encoding="utf-8")

@@ -41,9 +41,6 @@ class PermutationMatching:
     def n(self) -> int:
         return len(self.mapping)
 
-    def self_maps(self) -> tuple:
-        return tuple(i for i, j in enumerate(self.mapping) if i == j)
-
     def as_matrix(self) -> np.ndarray:
         mat = np.zeros((self.n, self.n))
         mat[np.arange(self.n), self.mapping] = 1.0
@@ -207,25 +204,19 @@ def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
     return PermutationMatching(tuple(mapping))
 
 
-def random_regular_digraph(n: int, d: int, seed,
-                           allow_self_loops: bool = False) -> RegularMultigraph:
+def random_regular_digraph(n: int, d: int, seed) -> RegularMultigraph:
     """Sample a simple d-regular digraph: the union of d pairwise-disjoint random matchings.
 
     Every node gets exactly d distinct out-neighbors and d distinct in-neighbors
-    (no parallel arcs), which maximizes pair coverage for a given degree budget.
-    Self-loops are excluded unless allow_self_loops is set. Deterministic per seed.
+    (no parallel arcs, no self-loops), which maximizes pair coverage for a given
+    degree budget. Deterministic per seed.
     """
-    if n < 1:
-        raise ValueError(f"need at least one node, got n={n}")
-    if n == 1 and not allow_self_loops:
-        raise ValueError("a single node admits no self-loop-free links")
-    max_d = n if allow_self_loops else n - 1
-    if not 1 <= d <= max_d:
-        raise ValueError(f"degree d={d} must satisfy 1 <= d <= {max_d} for n={n}")
+    if n < 2:
+        raise ValueError(f"a self-loop-free digraph needs at least 2 nodes, got n={n}")
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"degree d={d} must satisfy 1 <= d <= {n - 1} for n={n}")
     rng = np.random.default_rng(seed)
-    allowed = np.ones((n, n), dtype=bool)
-    if not allow_self_loops:
-        np.fill_diagonal(allowed, False)
+    allowed = ~np.eye(n, dtype=bool)
     mult = np.zeros((n, n), dtype=np.int64)
     for _ in range(d):
         pm = _random_disjoint_matching(allowed, rng)

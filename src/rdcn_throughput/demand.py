@@ -1,4 +1,4 @@
-"""Demand matrices: validation, generation, saturation and integer-residual decomposition.
+"""Demand matrices: validation, generation and integer-residual decomposition.
 
 All rates are bits/s unless a matrix has been normalized, in which case entries
 are dimensionless multiples of the chosen unit (usually link capacity).
@@ -17,7 +17,8 @@ INT_SNAP_TOL = 1e-9
 
 
 class MatrixParseError(ValueError):
-    """Raised when a CSV matrix file is malformed (non-square, non-numeric, negative)."""
+    """Raised when a CSV matrix file is malformed (non-square, non-numeric, non-finite,
+    negative)."""
 
     def __init__(self, message, row=None, col=None):
         loc = ""
@@ -26,10 +27,6 @@ class MatrixParseError(ValueError):
         super().__init__(message + loc)
         self.row = row
         self.col = col
-
-
-class AugmentationError(ValueError):
-    """Raised when a matrix cannot be saturated to the requested row/column sums."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +75,9 @@ class DemandMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"demand matrix must be square, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            i, j = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"non-finite demand {arr[i, j]} at ({i}, {j})")
         if np.any(arr < 0):
             i, j = np.argwhere(arr < 0)[0]
             raise ValueError(f"negative demand {arr[i, j]} at ({i}, {j})")
@@ -170,63 +170,6 @@ def normalize(m: DemandMatrix, unit: float) -> DemandMatrix:
     if not unit > 0:
         raise ValueError(f"normalization unit must be positive, got {unit}")
     return DemandMatrix(m.entries / unit)
-
-
-def saturate(m: DemandMatrix, target: float) -> DemandMatrix:
-    """Augment m off-diagonally until every row and column sums to exactly `target`.
-
-    Only adds mass (result >= m entrywise). Uses a deterministic greedy
-    transportation fill over row/column slacks; the fill amount at each step is
-    capped so no node's combined row+column slack can exceed the remaining total,
-    which keeps the off-diagonal completion feasible whenever one exists.
-
-    Raises AugmentationError if a row/column already exceeds target, or if no
-    off-diagonal completion exists.
-    """
-    if not target > 0:
-        raise ValueError(f"target must be positive, got {target}")
-    n = m.n
-    out = np.array(m.entries, dtype=float)
-    row_slack = target - out.sum(axis=1)
-    col_slack = target - out.sum(axis=0)
-    tol = 1e-12 * target * n
-    if np.any(row_slack < -tol) or np.any(col_slack < -tol):
-        axis = "row" if np.any(row_slack < -tol) else "column"
-        raise AugmentationError(f"infeasible: a {axis} sum already exceeds target {target}")
-    row_slack = np.maximum(row_slack, 0.0)
-    col_slack = np.maximum(col_slack, 0.0)
-    total = row_slack.sum()
-
-    steps = 0
-    max_steps = 8 * n * n + 8
-    while total > tol:
-        steps += 1
-        if steps > max_steps:
-            raise AugmentationError("augmentation failed to converge")
-        excess = row_slack + col_slack
-        k = int(np.argmax(excess))
-        if row_slack[k] >= col_slack[k]:
-            i = k
-            masked = col_slack.copy()
-            masked[i] = -1.0
-            j = int(np.argmax(masked))
-        else:
-            j = k
-            masked = row_slack.copy()
-            masked[j] = -1.0
-            i = int(np.argmax(masked))
-        # Feasibility invariant: for every node v, row_slack[v] + col_slack[v]
-        # must stay <= total. Cap delta so no third node's excess is stranded.
-        others = np.delete(excess, [i] if i == j else [i, j])
-        headroom = total - (others.max() if others.size else 0.0)
-        delta = min(row_slack[i], col_slack[j], headroom)
-        if i == j or delta <= tol / max_steps:
-            raise AugmentationError("no off-diagonal completion exists for this slack pattern")
-        out[i, j] += delta
-        row_slack[i] -= delta
-        col_slack[j] -= delta
-        total -= delta
-    return DemandMatrix(out)
 
 
 def decompose_integer_residual(m) -> IntegerResidualDecomposition:
@@ -376,6 +319,8 @@ def load_csv(path) -> DemandMatrix:
                     val = float(tok)
                 except ValueError:
                     raise MatrixParseError(f"non-numeric entry {tok!r}", row=lineno, col=colno) from None
+                if not np.isfinite(val):
+                    raise MatrixParseError(f"non-finite entry {tok!r}", row=lineno, col=colno)
                 if val < 0:
                     raise MatrixParseError(f"negative entry {val}", row=lineno, col=colno)
                 values.append(val)

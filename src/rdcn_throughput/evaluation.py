@@ -175,32 +175,23 @@ def _seed_int(*parts) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
-def _solve_verified(t: Topology, m_normalized: DemandMatrix, tol: float):
-    result = solve_max_throughput(t, m_normalized, tol=tol).require_optimal()
-    report = verify_solution(t, m_normalized, result, eps=1e-6)
-    if not report.ok:
-        worst = report.violations[0]
-        raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
-    return result
-
-
-def throughput_static(t: Topology, m: DemandMatrix, tol: float = 1e-7) -> float:
+def throughput_static(t: Topology, m: DemandMatrix) -> float:
     """Raw LP optimum of m on a fixed topology (may exceed 1 for slack demand).
 
     Every returned optimum is independently re-checked against the flow
-    constraints before being reported.
+    constraints before being reported; a failed check raises SolverError.
     """
-    return _solve_verified(t, normalize(m, t.link_capacity), tol).theta
-
-
-def throughput_oblivious(m: DemandMatrix, p: NetworkParams, tol: float = 1e-7) -> float:
-    """Throughput of the rotor-equivalent complete graph at capacity c/Gamma."""
-    return throughput_static(build_oblivious_equivalent(p), m, tol=tol)
+    normalized = normalize(m, t.link_capacity)
+    result = solve_max_throughput(t, normalized).require_optimal()
+    report = verify_solution(t, normalized, result, eps=1e-6)
+    if not report.ok:
+        worst = report.violations[0]
+        raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
+    return result.theta
 
 
 def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
-                            step: float = DEFAULT_STEP, seed: int = 0,
-                            tol: float = 1e-7) -> Cell:
+                            step: float = DEFAULT_STEP, seed: int = 0) -> Cell:
     """Iterative heuristic for demand-aware networks. Returns a Cell whose
     trace is the HeuristicTrace and whose topology (and schedule) is the last
     step's build.
@@ -230,7 +221,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
             topo, schedule = build_demand_aware_static(scaled, p, seed=iter_seed), None
         else:
             topo, schedule = build_demand_aware_periodic(scaled, p, seed=iter_seed)
-        objective = _solve_verified(topo, normalize(scaled, topo.link_capacity), tol).theta
+        objective = throughput_static(topo, scaled)
         iter_values.append(scale)
         objectives.append(objective)
         seeds.append(iter_seed)
@@ -257,7 +248,7 @@ def build_suite(p: NetworkParams, csv_paths=()) -> list:
 
 
 def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: int,
-                  label: str, step: float = DEFAULT_STEP, tol: float = 1e-7) -> Cell:
+                  label: str, step: float = DEFAULT_STEP) -> Cell:
     """Throughput of matrix m, labelled `label`, on one network class.
 
     Builds are seeded from the master seed and, for the demand-aware classes,
@@ -270,15 +261,14 @@ def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: in
         topo = build_oblivious_equivalent(p)  # carries no randomness
     elif net_class in ("da-static", "da-periodic"):
         mode = "static" if net_class == "da-static" else "periodic"
-        return throughput_demand_aware(m, p, mode, step=step, seed=_seed_int(seed, label),
-                                       tol=tol)
+        return throughput_demand_aware(m, p, mode, step=step, seed=_seed_int(seed, label))
     else:
         raise ValueError(f"unknown network class {net_class!r}")
-    return Cell(throughput_static(topo, m, tol=tol), None, topo, None)
+    return Cell(throughput_static(topo, m), None, topo, None)
 
 
 def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, label: str,
-              step: float, tol: float):
+              step: float):
     """Key for a sweep cell: its label, master seed and content.
 
     The oblivious and da-periodic results depend on the demand only through
@@ -292,17 +282,17 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, 
         unit = p.c
         budget = p.u
     normalized = np.asarray(entries, dtype=float) / unit
-    return (net_class, p.n, budget, seed, label, step, tol, normalized.tobytes())
+    return (net_class, p.n, budget, seed, label, step, normalized.tobytes())
 
 
 def _evaluate_cell(task):
     """Compute one sweep cell as (theta, trace, error); module-level so process
     pools can pickle it. The topology stays behind: a shared da-periodic cell
     serves several degrees, and a build belongs to one."""
-    (entries, net_class, n, u, c, seed, label, step, tol) = task
+    (entries, net_class, n, u, c, seed, label, step) = task
     try:
         cell = evaluate_cell(DemandMatrix(entries), NetworkParams(n, u, c), net_class,
-                             seed=seed, label=label, step=step, tol=tol)
+                             seed=seed, label=label, step=step)
     except (SolverError, ValueError) as exc:
         return float("nan"), None, str(exc)
     return cell.theta, cell.trace, None
@@ -315,12 +305,12 @@ def _run_cells(tasks, jobs: int):
     return [_evaluate_cell(task) for task in tasks]
 
 
-def _plan_cells(p: NetworkParams, suite, classes, seed, step, tol):
+def _plan_cells(p: NetworkParams, suite, classes, seed, step):
     plans = []
     for label, m in suite:
         for net_class in classes:
-            key = _cell_key(m.entries, net_class, p, seed, label, step, tol)
-            task = (np.array(m.entries), net_class, p.n, p.u, p.c, seed, label, step, tol)
+            key = _cell_key(m.entries, net_class, p, seed, label, step)
+            task = (np.array(m.entries), net_class, p.n, p.u, p.c, seed, label, step)
             plans.append(((label, net_class, p.u), key, task))
     return plans
 
@@ -343,7 +333,7 @@ def _execute_plans(plans, jobs: int) -> SweepResult:
 
 
 def sweep_matrices(p: NetworkParams, suite, classes=NETWORK_CLASSES, seed: int = 0,
-                   step: float = DEFAULT_STEP, tol: float = 1e-7, jobs: int = 1) -> SweepResult:
+                   step: float = DEFAULT_STEP, jobs: int = 1) -> SweepResult:
     """Throughput of every (matrix, class) pair of the suite at degree p.u.
 
     The per-cell seed is derived from the master seed and the matrix label
@@ -351,12 +341,11 @@ def sweep_matrices(p: NetworkParams, suite, classes=NETWORK_CLASSES, seed: int =
     cell. Cells with identical content are solved once. Per-cell failures are
     recorded and the sweep continues.
     """
-    return _execute_plans(_plan_cells(p, suite, classes, seed, step, tol), jobs)
+    return _execute_plans(_plan_cells(p, suite, classes, seed, step), jobs)
 
 
 def sweep_degree(p_base: NetworkParams, degrees, classes=NETWORK_CLASSES, seed: int = 0,
-                 step: float = DEFAULT_STEP, tol: float = 1e-7, jobs: int = 1,
-                 csv_paths=()) -> SweepResult:
+                 step: float = DEFAULT_STEP, jobs: int = 1, csv_paths=()) -> SweepResult:
     """Worst-case throughput study across physical degrees.
 
     The suite is regenerated per degree (matrix magnitudes scale with u) and
@@ -366,7 +355,7 @@ def sweep_degree(p_base: NetworkParams, degrees, classes=NETWORK_CLASSES, seed: 
     plans = []
     for u in degrees:
         p = NetworkParams(p_base.n, u, p_base.c)
-        plans.extend(_plan_cells(p, build_suite(p, csv_paths=csv_paths), classes, seed, step, tol))
+        plans.extend(_plan_cells(p, build_suite(p, csv_paths=csv_paths), classes, seed, step))
     return _execute_plans(plans, jobs)
 
 
@@ -381,12 +370,16 @@ class Criterion(NamedTuple):
 
 
 def _dominance(result, suite, p):
+    claim = f"da-periodic >= every class on every matrix at u={p.u}"
+    nan_cells = [f"{label} {cls}" for label, _ in suite for cls in NETWORK_CLASSES
+                 if np.isnan(result.theta(label, cls, p.u))]
+    if nan_cells:
+        return False, f"{claim}: NaN cells {', '.join(nan_cells)}"
     gap, label, cls = min(
         (result.theta(label, "da-periodic", p.u) - result.theta(label, cls, p.u), label, cls)
         for label, _ in suite for cls in ("static", "oblivious", "da-static")
     )
-    return gap >= -1e-6, (f"da-periodic >= every class on every matrix at u={p.u} (tol 1e-6; "
-                          f"tightest margin {gap:+.4f} vs {cls} on {label})")
+    return gap >= -1e-6, f"{claim} (tol 1e-6; tightest margin {gap:+.4f} vs {cls} on {label})"
 
 
 def _cell_within(label, net_class, target, width, slack, digits, note=""):
@@ -404,8 +397,9 @@ def _uniform_residual_floor(result, suite, p):
         if classify_uniform_residual(decompose_integer_residual(normalize(matrix, p.c)))
         is not UniformResidualClass.NOT_UNIFORM
     }
-    low = min(thetas.values(), default=float("nan"))
-    failures = [(label, theta) for label, theta in thetas.items() if theta < bound - 1e-12]
+    # np.min reports a NaN cell as the minimum, and `not >=` makes it a failure
+    low = float(np.min(list(thetas.values()))) if thetas else float("nan")
+    failures = [(label, theta) for label, theta in thetas.items() if not theta >= bound - 1e-12]
     return bool(thetas) and not failures, (
         f"{len(thetas)} uniform-residual matrices: min da-periodic = {low:.3f} >= 2/3 - 0.01"
         + (f"; failures: {failures}" if failures else ""))

@@ -42,6 +42,10 @@ from .demand import DemandMatrix
 from .topology import Topology
 
 DEFAULT_TOL = 1e-7
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": DEFAULT_TOL,
+    "dual_feasibility_tolerance": DEFAULT_TOL,
+}
 # Interior point with crossover is markedly faster than simplex on the
 # degenerate demand-aware instances and returns the same vertex optima;
 # dual simplex stays available as the fallback.
@@ -157,25 +161,21 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     )
 
 
-def solve_max_throughput(t: Topology, m: DemandMatrix, tol: float = DEFAULT_TOL,
+def solve_max_throughput(t: Topology, m: DemandMatrix,
                          method: str = DEFAULT_METHOD) -> ThroughputResult:
     """Maximize theta such that theta*m admits a feasible flow on t.
 
     `m` must already be normalized to t.link_capacity units. `method` names the
-    scipy.optimize.linprog backend; any LP solver honoring the formulation and
-    an optimality tolerance of `tol` is acceptable. If the chosen method fails
-    numerically, the dual simplex is tried once before reporting trouble.
+    scipy.optimize.linprog backend, run at feasibility tolerances of
+    DEFAULT_TOL. If the chosen method fails numerically, the dual simplex is
+    tried once before reporting trouble.
     """
     lp = _assemble_lp(t, m)
-    options = {
-        "primal_feasibility_tolerance": max(tol, 1e-11),
-        "dual_feasibility_tolerance": max(tol, 1e-11),
-    }
     res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                  bounds=(0, None), method=method, options=options)
+                  bounds=(0, None), method=method, options=_HIGHS_OPTIONS)
     if res.status not in (0, 3) and method != FALLBACK_METHOD:
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                      bounds=(0, None), method=FALLBACK_METHOD, options=options)
+                      bounds=(0, None), method=FALLBACK_METHOD, options=_HIGHS_OPTIONS)
 
     if res.status == 3:
         raise SolverError("LP reported unbounded theta on a capacity-bounded network")

@@ -4,7 +4,7 @@ attribute."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 CLASS_COLORS = {
     "static": "#4878cf",

@@ -20,6 +20,7 @@ from rdcn_throughput import (
 )
 from rdcn_throughput.cli import main
 from rdcn_throughput.evaluation import OBJECTIVE_REACHED, check_landscape
+from rdcn_throughput.svg import grouped_bar_chart
 
 
 @pytest.fixture
@@ -97,6 +98,14 @@ class TestDecompose:
         result = runner.invoke(main, ["decompose", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_entry_exits_two(self, runner, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,{token},1\n1,0,1\n1,1,0\n")
+        result = runner.invoke(main, ["decompose", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "non-finite" in result.output and not list(tmp_path.glob("bad_*.csv"))
+
 
 class TestEval:
     def test_permutation_da_periodic_full_throughput(self, runner, tmp_path):
@@ -165,6 +174,14 @@ class TestEval:
                                       "--u", "2", "--c", "1e9"])
         assert result.exit_code == 0, result.output
 
+    def test_non_finite_entry_exits_two(self, runner, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0,nan,1\n1,0,1\n1,1,0\n")
+        result = runner.invoke(main, ["eval", str(path), "--class", "oblivious", "--u", "2",
+                                      "--c", "1", "--normalized"])
+        assert result.exit_code == 2
+        assert "non-finite entry 'nan' at row 1, column 1" in result.output
+
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", str(tmp_path / "nope.csv"),
                                       "--class", "oblivious"])
@@ -198,6 +215,11 @@ class TestReproduce:
             assert result.exit_code == 4
         else:
             assert result.exit_code == 0
+
+    def test_svg_escapes_labels_inside_attributes(self):
+        text = grouped_bar_chart(['a"b<c'], {"static": [0.5]}, title="t & u")
+        [bar] = [el for el in ET.fromstring(text).iter() if "data-theta" in el.attrib]
+        assert bar.attrib["data-group"] == 'a"b<c'
 
     def test_fig4_small_scale(self, runner, tmp_path):
         result = runner.invoke(main, ["reproduce", "fig4", "--n", "4",
@@ -241,9 +263,9 @@ class TestFig3Checks:
     no LP involved."""
 
     @staticmethod
-    def fig3_checks(chess_theta):
+    def fig3_checks(chess_theta, uniform_theta=1.0):
         p = NetworkParams(16, 4, 25e9)
-        dap = {"chessboard": chess_theta, "uniform": 1.0, "permutation": 1.0}
+        dap = {"chessboard": chess_theta, "uniform": uniform_theta, "permutation": 1.0}
         obl = {"chessboard": 0.5, "uniform": 1.0, "permutation": 0.5}
         rows = []
         for label in dap:
@@ -264,3 +286,10 @@ class TestFig3Checks:
         # uniform-residual floor included
         assert all(passed for c, passed, _ in checks if c.number != 2)
         assert {c.number for c, _, _ in checks} == {1, 2, 3, 4, 5}
+
+    def test_nan_cell_fails_dominance_and_uniform_residual_floor(self):
+        checks = self.fig3_checks(0.84, uniform_theta=float("nan"))
+        verdicts = {c.number: (passed, detail) for c, passed, detail in checks}
+        assert not verdicts[1][0] and "NaN cells uniform da-periodic" in verdicts[1][1]
+        assert not verdicts[5][0] and "('uniform', nan)" in verdicts[5][1]
+        assert verdicts[2][0]  # the chessboard cell itself is fine

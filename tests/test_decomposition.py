@@ -35,10 +35,6 @@ class TestPermutationMatching:
             PermutationMatching((0, 0, 1))
         pm = PermutationMatching((2, 0, 1))
         assert pm.n == 3
-        assert pm.self_maps() == ()
-
-    def test_self_maps_reported(self):
-        assert PermutationMatching((0, 2, 1)).self_maps() == (0,)
 
     def test_matrix_form(self):
         mat = PermutationMatching((1, 0)).as_matrix()
@@ -234,10 +230,6 @@ class TestRandomRegularDigraph:
         a = random_regular_digraph(12, 6, seed=7)
         b = random_regular_digraph(12, 6, seed=7)
         np.testing.assert_array_equal(a.edge_multiplicity, b.edge_multiplicity)
-
-    def test_self_loops_allowed_on_request(self):
-        g = random_regular_digraph(4, 4, seed=0, allow_self_loops=True)
-        np.testing.assert_array_equal(g.edge_multiplicity.sum(axis=1), 4)
 
     def test_limits(self):
         with pytest.raises(ValueError):

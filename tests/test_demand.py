@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rdcn_throughput import (
-    AugmentationError,
     DemandMatrix,
     MatrixParseError,
     NetworkParams,
@@ -12,7 +11,6 @@ from rdcn_throughput import (
     generate,
     load_csv,
     normalize,
-    saturate,
     save_csv,
     validate_hose,
 )
@@ -52,6 +50,11 @@ class TestDemandMatrix:
             DemandMatrix([[0.5, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="square"):
             DemandMatrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match=r"non-finite demand .* at \(1, 0\)"):
+            DemandMatrix([[0.0, 1.0], [value, 0.0]])
 
     def test_entries_are_immutable(self):
         m = DemandMatrix([[0.0, 1.0], [1.0, 0.0]])
@@ -110,53 +113,6 @@ class TestNormalize:
         np.testing.assert_allclose(m.entries[same], 0.5 + 0.5 / 7)
         assert np.all(np.diagonal(m.entries) == 0)
         np.testing.assert_allclose(m.row_sums(), 16.0, rtol=1e-12)
-
-
-class TestSaturate:
-    def test_already_saturated_unchanged(self):
-        m = DemandMatrix([[0, 1.0], [1.0, 0]])
-        np.testing.assert_array_equal(saturate(m, 1.0).entries, m.entries)
-
-    def test_unique_two_node_completion(self):
-        out = saturate(DemandMatrix([[0, 0.5], [0.5, 0]]), 1.0)
-        np.testing.assert_allclose(out.entries, [[0, 1.0], [1.0, 0]])
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_slack_fills_to_target(self, seed):
-        rng = np.random.default_rng(seed)
-        entries = rng.random((6, 6)) * 0.1
-        np.fill_diagonal(entries, 0.0)
-        out = saturate(DemandMatrix(entries), 1.0)
-        assert np.all(out.entries >= entries - 1e-15)
-        np.testing.assert_allclose(out.row_sums(), 1.0, atol=1e-9)
-        np.testing.assert_allclose(out.col_sums(), 1.0, atol=1e-9)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        entries = rng.random((5, 5)) * 0.15
-        np.fill_diagonal(entries, 0.0)
-        once = saturate(DemandMatrix(entries), 1.0)
-        twice = saturate(once, 1.0)
-        np.testing.assert_array_equal(once.entries, twice.entries)
-
-    def test_slack_concentrated_on_one_node_pair_is_handled(self):
-        # A naive max-slack greedy would dump row 0's slack into column 2 and
-        # strand row 1; the capped fill must still find the completion.
-        m = DemandMatrix([[0, 0, 0], [1.0, 0, 0], [2.0, 1.0, 0]])
-        out = saturate(m, 3.0)
-        np.testing.assert_allclose(out.row_sums(), 3.0, atol=1e-9)
-        np.testing.assert_allclose(out.col_sums(), 3.0, atol=1e-9)
-
-    def test_exceeding_target_is_infeasible(self):
-        with pytest.raises(AugmentationError, match="infeasible"):
-            saturate(DemandMatrix([[0, 2.0], [0.5, 0]]), 1.0)
-
-    def test_impossible_off_diagonal_completion(self):
-        # all remaining slack sits on row 0 and column 0: only the forbidden
-        # diagonal cell could absorb it
-        m = DemandMatrix([[0, 0.25, 0.25], [0.25, 0, 0.75], [0.25, 0.75, 0]])
-        with pytest.raises(AugmentationError):
-            saturate(m, 1.0)
 
 
 class TestDecomposeIntegerResidual:
@@ -340,6 +296,14 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert err.value.row == 2
         assert err.value.col == 0
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_with_location(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1,1\n1,0,{token}\n1,1,0\n")
+        with pytest.raises(MatrixParseError, match="non-finite") as err:
+            load_csv(path)
+        assert (err.value.row, err.value.col) == (2, 2)
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -6,6 +6,7 @@ import pytest
 from rdcn_throughput import (
     HeuristicTrace,
     NetworkParams,
+    build_oblivious_equivalent,
     build_suite,
     evaluate_cell,
     generate,
@@ -15,7 +16,6 @@ from rdcn_throughput import (
     sweep_degree,
     sweep_matrices,
     throughput_demand_aware,
-    throughput_oblivious,
     throughput_static,
 )
 from rdcn_throughput.evaluation import (
@@ -30,18 +30,19 @@ SMALL = NetworkParams(4, 2, 1e9)
 
 class TestThroughputFunctions:
     def test_oblivious_uniform_is_full_throughput(self):
-        assert throughput_oblivious(generate("uniform", SMALL), SMALL) == pytest.approx(1.0, abs=1e-9)
+        theta = throughput_static(build_oblivious_equivalent(SMALL), generate("uniform", SMALL))
+        assert theta == pytest.approx(1.0, abs=1e-9)
 
     def test_oblivious_permutation_at_small_n(self):
         # direct share 1/n plus (n-2) two-hop relays at half weight: (1 + (n-2)/2)/n
-        theta = throughput_oblivious(generate("permutation", SMALL), SMALL)
+        theta = throughput_static(build_oblivious_equivalent(SMALL), generate("permutation", SMALL))
         assert theta == pytest.approx((1 + (4 - 2) / 2) / 4, abs=1e-8)
 
     def test_static_expander_below_oblivious_on_permutation(self):
         from rdcn_throughput import build_static_expander
         m = generate("permutation", SMALL)
         static = throughput_static(build_static_expander(SMALL, seed=1), m)
-        oblivious = throughput_oblivious(m, SMALL)
+        oblivious = throughput_static(build_oblivious_equivalent(SMALL), m)
         assert static <= oblivious + 1e-9
 
 
@@ -130,7 +131,7 @@ class TestEvaluateCell:
         m = generate("permutation", SMALL)
         cell = evaluate_cell(m, SMALL, "oblivious", seed=0, label="permutation")
         assert cell.topology.net_class == "oblivious" and cell.schedule is None
-        assert cell.theta == throughput_oblivious(m, SMALL)
+        assert cell.theta == throughput_static(build_oblivious_equivalent(SMALL), m)
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown network class"):
