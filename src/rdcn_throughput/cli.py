@@ -243,8 +243,6 @@ def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out, config):
                                              csv_paths=matrix_csv)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-    except flowlp.SolverError as exc:
-        _fail(EXIT_SOLVER, str(exc))
     for matrix, net_class, degree, message in result.errors:
         click.echo(f"cell ({matrix}, {net_class}, u={degree}) failed: {message}", err=True)
 

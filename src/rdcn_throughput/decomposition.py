@@ -180,28 +180,31 @@ def edge_color_regular(g: RegularMultigraph) -> list:
 
 
 def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
-    """Random perfect matching on the allowed cells (Kuhn with rng-shuffled orders)."""
+    """Random perfect matching on the allowed cells (Kuhn with rng-shuffled orders),
+    searching each augmenting path depth first on an explicit stack, not by recursion."""
     n = allowed.shape[0]
-    prefs = [rng.permutation(np.nonzero(allowed[i])[0]) for i in range(n)]
-    col_owner = [-1] * n
+    prefs = [rng.permutation(np.nonzero(allowed[i])[0]).tolist() for i in range(n)]
+    col_owner, row_col = [-1] * n, [-1] * n
 
-    def augment(row, banned):
-        for col in prefs[row]:
-            col = int(col)
-            if col not in banned:
-                banned.add(col)
-                if col_owner[col] < 0 or augment(col_owner[col], banned):
+    for root in rng.permutation(n).tolist():
+        banned, stack = set(), [(root, iter(prefs[root]))]  # (row, its untried columns)
+        while stack:
+            for col in stack[-1][1]:
+                if col not in banned:
+                    break
+            else:  # the top row cannot be rematched: back up
+                stack.pop()
+                continue
+            banned.add(col)
+            if col_owner[col] < 0:  # free: each row on the stack takes the next row's column
+                for row, _ in reversed(stack):
                     col_owner[col] = row
-                    return True
-        return False
-
-    for row in rng.permutation(n):
-        if not augment(int(row), set()):
+                    row_col[row], col = col, row_col[row]
+                break
+            stack.append((col_owner[col], iter(prefs[col_owner[col]])))
+        else:
             raise DecompositionError("allowed support has no perfect matching")
-    mapping = [0] * n
-    for col, row in enumerate(col_owner):
-        mapping[row] = col
-    return PermutationMatching(tuple(mapping))
+    return PermutationMatching(tuple(row_col))
 
 
 def random_regular_digraph(n: int, d: int, seed) -> RegularMultigraph:

@@ -62,6 +62,18 @@ class NetworkParams:
         return self.c * self.u
 
 
+def _check_entries(arr: np.ndarray) -> None:
+    """Reject a non-square array, then name its first non-finite or negative entry."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"demand matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"non-finite demand {arr[i, j]} at ({i}, {j})")
+    if np.any(arr < 0):
+        i, j = np.argwhere(arr < 0)[0]
+        raise ValueError(f"negative demand {arr[i, j]} at ({i}, {j})")
+
+
 @dataclass(frozen=True)
 class DemandMatrix:
     """Square nonnegative rate matrix, row = source ToR, column = destination ToR.
@@ -73,14 +85,7 @@ class DemandMatrix:
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"demand matrix must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite demand {arr[i, j]} at ({i}, {j})")
-        if np.any(arr < 0):
-            i, j = np.argwhere(arr < 0)[0]
-            raise ValueError(f"negative demand {arr[i, j]} at ({i}, {j})")
+        _check_entries(arr)
         if np.any(np.diagonal(arr) != 0):
             i = int(np.nonzero(np.diagonal(arr))[0][0])
             raise ValueError(f"self-demand not allowed: nonzero diagonal at ({i}, {i})")
@@ -175,15 +180,12 @@ def normalize(m: DemandMatrix, unit: float) -> DemandMatrix:
 def decompose_integer_residual(m) -> IntegerResidualDecomposition:
     """Floor a normalized matrix into integer + residual parts with per-row/col ratios.
 
-    Accepts a DemandMatrix or any square nonnegative array (the decomposition is
+    Accepts a DemandMatrix or any square, finite, nonnegative array (the decomposition is
     defined for plain matrices too, e.g. ones carrying a nonzero diagonal).
     Entries within 1e-9 of an integer are snapped to it before flooring.
     """
     entries = m.entries if isinstance(m, DemandMatrix) else np.asarray(m, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    if np.any(entries < 0):
-        raise ValueError("cannot decompose a matrix with negative entries")
+    _check_entries(entries)
     nearest = np.rint(entries)
     snapped = np.where(np.abs(entries - nearest) <= INT_SNAP_TOL, nearest, entries)
     int_part = np.floor(snapped).astype(np.int64)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -88,19 +88,26 @@ class Cell(NamedTuple):
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep cell. A demand-aware row keeps the heuristic trace, whose last
-    step and seed rebuild the certifying topology at this row's degree."""
+    step and seed rebuild the certifying topology at this row's degree. A
+    failed cell has theta NaN and the failure's message as its error."""
 
     matrix: str
     net_class: str
     degree: int
     theta: float
     trace: HeuristicTrace | None = None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
-    errors: tuple = field(default_factory=tuple)
+
+    @property
+    def errors(self) -> tuple:
+        """(matrix, class, degree, message) of every failed cell, in row order."""
+        return tuple((r.matrix, r.net_class, r.degree, r.error) for r in self.rows
+                     if r.error is not None)
 
     def row(self, matrix: str, net_class: str, degree: int | None = None) -> SweepRow:
         for row in self.rows:
@@ -116,19 +123,14 @@ class SweepResult:
     def worst_case(self, net_class: str, degree: int | None = None):
         """Minimum theta over the suite for one class (optionally one degree).
 
-        Returns (theta, matrix label) of the arg-min cell.
+        Returns (theta, matrix label) of the arg-min cell, the first in row
+        order on a tie. A failed (NaN) cell is the worst case.
         """
-        best = None
-        for row in self.rows:
-            if row.net_class != net_class or (degree is not None and row.degree != degree):
-                continue
-            if np.isnan(row.theta):
-                continue
-            if best is None or row.theta < best[0]:
-                best = (row.theta, row.matrix)
-        if best is None:
+        rows = [r for r in self.rows if r.net_class == net_class and degree in (None, r.degree)]
+        if not rows:
             raise KeyError(f"no sweep rows for class {net_class!r}, degree={degree}")
-        return best
+        worst = min(rows, key=lambda r: (not np.isnan(r.theta), r.theta))
+        return worst.theta, worst.matrix
 
     def degrees(self) -> tuple:
         return tuple(sorted({row.degree for row in self.rows}))
@@ -182,7 +184,7 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     constraints before being reported; a failed check raises SolverError.
     """
     normalized = normalize(m, t.link_capacity)
-    result = solve_max_throughput(t, normalized).require_optimal()
+    result = solve_max_throughput(t, normalized)
     report = verify_solution(t, normalized, result, eps=1e-6)
     if not report.ok:
         worst = report.violations[0]
@@ -190,20 +192,20 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     return result.theta
 
 
-def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
+def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
                             step: float = DEFAULT_STEP, seed: int = 0) -> Cell:
     """Iterative heuristic for demand-aware networks. Returns a Cell whose
     trace is the HeuristicTrace and whose topology (and schedule) is the last
     step's build.
 
-    mode is "static" (one-shot topology, degree u) or "periodic" (emulated
-    degree-n graph at capacity c*u/n). The reported theta is the first scan
+    net_class is "da-static" (one-shot topology, degree u) or "da-periodic"
+    (emulated degree-n graph at capacity c*u/n). The reported theta is the first scan
     value whose LP objective reaches 1, hence a multiple of `step` with
     uncertainty one step, and the last step's build certifies it; 0.0 with a
     full trace if no scan value succeeds.
     """
-    if mode not in ("static", "periodic"):
-        raise ValueError(f"mode must be 'static' or 'periodic', got {mode!r}")
+    if net_class not in ("da-static", "da-periodic"):
+        raise ValueError(f"unknown demand-aware class {net_class!r}")
     if not 0 < step < 1:
         raise ValueError(f"step must lie in (0, 1), got {step}")
     iter_values = []
@@ -217,7 +219,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, mode: str,
         k += 1
         scaled = m.scaled(scale)
         iter_seed = _seed_int(seed, "iter", k - 1)
-        if mode == "static":
+        if net_class == "da-static":
             topo, schedule = build_demand_aware_static(scaled, p, seed=iter_seed), None
         else:
             topo, schedule = build_demand_aware_periodic(scaled, p, seed=iter_seed)
@@ -260,8 +262,7 @@ def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: in
     elif net_class == "oblivious":
         topo = build_oblivious_equivalent(p)  # carries no randomness
     elif net_class in ("da-static", "da-periodic"):
-        mode = "static" if net_class == "da-static" else "periodic"
-        return throughput_demand_aware(m, p, mode, step=step, seed=_seed_int(seed, label))
+        return throughput_demand_aware(m, p, net_class, step=step, seed=_seed_int(seed, label))
     else:
         raise ValueError(f"unknown network class {net_class!r}")
     return Cell(throughput_static(topo, m), None, topo, None)
@@ -317,19 +318,10 @@ def _plan_cells(p: NetworkParams, suite, classes, seed, step):
 
 def _execute_plans(plans, jobs: int) -> SweepResult:
     unique = {}
-    order = []
     for _, key, task in plans:
-        if key not in unique:
-            unique[key] = task
-            order.append(key)
-    outcomes = dict(zip(order, _run_cells([unique[k] for k in order], jobs)))
-    rows, errors = [], []
-    for (label, net_class, degree), key, _ in plans:
-        theta, trace, err = outcomes[key]
-        rows.append(SweepRow(label, net_class, degree, theta, trace))
-        if err is not None:
-            errors.append((label, net_class, degree, err))
-    return SweepResult(tuple(rows), tuple(errors))
+        unique.setdefault(key, task)
+    outcomes = dict(zip(unique, _run_cells(list(unique.values()), jobs)))
+    return SweepResult(tuple(SweepRow(*cell, *outcomes[key]) for cell, key, _ in plans))
 
 
 def sweep_matrices(p: NetworkParams, suite, classes=NETWORK_CLASSES, seed: int = 0,
@@ -405,25 +397,37 @@ def _uniform_residual_floor(result, suite, p):
         + (f"; failures: {failures}" if failures else ""))
 
 
+def _worst_cases(result, classes, degrees):
+    """Worst-case thetas as an array indexed [class, degree], and a note naming
+    the failed (NaN) cells among them. The reductions over the array propagate
+    NaN, so a criterion that reads a failed cell fails."""
+    cases = [[result.worst_case(cls, u) for u in degrees] for cls in classes]
+    nan = [f"{label} {cls} u={u}" for cls, row in zip(classes, cases)
+           for u, (theta, label) in zip(degrees, row) if np.isnan(theta)]
+    thetas = np.array([[theta for theta, _ in row] for row in cases])
+    return thetas, f"; NaN cells {', '.join(nan)}" if nan else ""
+
+
 def _worst_case_spread(result, suite, p):
-    wc_dap = [result.worst_case("da-periodic", u)[0] for u in result.degrees()]
-    spread = max(wc_dap) - min(wc_dap)
-    return spread <= 0.02 + 1e-12, f"da-periodic worst-case spread over degrees = {spread:.4f} <= 0.02"
+    (dap,), nan = _worst_cases(result, ("da-periodic",), result.degrees())
+    spread = np.max(dap) - np.min(dap)
+    return bool(spread <= 0.02 + 1e-12), (
+        f"da-periodic worst-case spread over degrees = {spread:.4f} <= 0.02{nan}")
 
 
 def _worst_case_separation(result, suite, p):
-    separation = min(
-        result.worst_case("da-periodic", u)[0] - result.worst_case("oblivious", u)[0]
-        for u in result.degrees()
-    )
-    return separation >= 0.28 - 1e-12, (
-        f"worst-case separation da-periodic - oblivious = {separation:.4f} >= 0.28")
+    (dap, obl), nan = _worst_cases(result, ("da-periodic", "oblivious"), result.degrees())
+    separation = np.min(dap - obl)
+    return bool(separation >= 0.28 - 1e-12), (
+        f"worst-case separation da-periodic - oblivious = {separation:.4f} >= 0.28{nan}")
 
 
 def _static_convergence(result, suite, p):
     top = max(result.degrees())
-    gap = abs(result.worst_case("da-static", top)[0] - result.worst_case("da-periodic", top)[0])
-    return gap <= 0.02 + 1e-12, f"da-static converges at u={top}: |gap| = {gap:.4f} <= 0.02"
+    ((das,), (dap,)), nan = _worst_cases(result, ("da-static", "da-periodic"), (top,))
+    gap = abs(das - dap)
+    return bool(gap <= 0.02 + 1e-12), (
+        f"da-static converges at u={top}: |gap| = {gap:.4f} <= 0.02{nan}")
 
 
 LANDSCAPE_CRITERIA = (

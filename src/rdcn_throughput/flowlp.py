@@ -87,13 +87,6 @@ class ThroughputResult:
 
     theta: float
     flows: dict
-    solver_status: str  # optimal | infeasible | numerical-trouble
-    message: str = ""
-
-    def require_optimal(self) -> "ThroughputResult":
-        if self.solver_status != "optimal":
-            raise SolverError(f"solver returned {self.solver_status}: {self.message}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -167,28 +160,26 @@ def solve_max_throughput(t: Topology, m: DemandMatrix,
 
     `m` must already be normalized to t.link_capacity units. `method` names the
     scipy.optimize.linprog backend, run at feasibility tolerances of
-    DEFAULT_TOL. If the chosen method fails numerically, the dual simplex is
-    tried once before reporting trouble.
+    DEFAULT_TOL. If the chosen method fails, the dual simplex is tried once;
+    if that fails too, SolverError names the solver's status and message.
     """
     lp = _assemble_lp(t, m)
-    res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                  bounds=(0, None), method=method, options=_HIGHS_OPTIONS)
-    if res.status not in (0, 3) and method != FALLBACK_METHOD:
+    for attempt in dict.fromkeys((method, FALLBACK_METHOD)):
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                      bounds=(0, None), method=FALLBACK_METHOD, options=_HIGHS_OPTIONS)
+                      bounds=(0, None), method=attempt, options=_HIGHS_OPTIONS)
+        if res.status in (0, 3):
+            break
 
-    if res.status == 3:
-        raise SolverError("LP reported unbounded theta on a capacity-bounded network")
     if res.status != 0:
-        status = "infeasible" if res.status == 2 else "numerical-trouble"
-        return ThroughputResult(float("nan"), {}, status, message=str(res.message))
+        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "numerical-trouble")
+        raise SolverError(f"solver returned {status}: {res.message}")
 
     x = res.x
     idx = np.flatnonzero(x[1:] > FLOW_EPS)
     k, a = np.divmod(idx, len(lp.arcs))
     keys = zip(lp.sources[k].tolist(), *lp.arcs[a].T.tolist())
     theta = float(x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
-    return ThroughputResult(theta, dict(zip(keys, x[1 + idx].tolist())), "optimal")
+    return ThroughputResult(theta, dict(zip(keys, x[1 + idx].tolist())))
 
 
 def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,

@@ -113,7 +113,7 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     # demand takes 12*theta of the node's 16 link units in one hop and the light
     # demand 2*4*theta over two hops, so 12*theta + 2*4*theta = 16.
     all_heavy = _all_heavy_topology(p)
-    heavy_lp = solve_max_throughput(all_heavy, demand).require_optimal().theta
+    heavy_lp = solve_max_throughput(all_heavy, demand).theta
 
     # The documented construction gives every heavy pair one floor link and
     # each node 8 residual arcs, a = 8*8/15 of them on heavy pairs on average.
@@ -131,14 +131,14 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     # last step with that step's seed.
     trace, scaled_chess, topo, _ = certifying_build(landscape, "chessboard", p)
     scaled = normalize(scaled_chess, topo.link_capacity)
-    cert = solve_max_throughput(topo, scaled).require_optimal()
+    cert = solve_max_throughput(topo, scaled)
     certified = cert.theta >= OBJECTIVE_REACHED and verify_solution(topo, scaled, cert, eps=1e-6).ok
 
     # Every residual draw lands where its own two-hop count puts it.
     per_seed = []
     for seed in range(10):
         topo, _ = build_demand_aware_periodic(chess.scaled(expected), p, seed=seed)
-        lp = solve_max_throughput(topo, demand).require_optimal().theta
+        lp = solve_max_throughput(topo, demand).theta
         per_seed.append((lp, _two_hop_theta(topo, demand)))
     lps = [lp for lp, _ in per_seed]
     hop_gap = max(abs(lp - hop) for lp, hop in per_seed)
@@ -194,7 +194,7 @@ def test_criterion_08_integer_one_shot():
         m = DemandMatrix(counts * CAPACITY)
         topo = build_one_shot_integer(m, p)
         normalized = normalize(m, CAPACITY)
-        result = solve_max_throughput(topo, normalized).require_optimal()
+        result = solve_max_throughput(topo, normalized)
         assert verify_solution(topo, normalized, result).ok
         worst = min(worst, result.theta)
         assert abs(result.theta - 1.0) <= 1e-6, (trial, n, result.theta)
@@ -291,7 +291,7 @@ def test_criterion_11_lp_oracle_equivalence():
         np.fill_diagonal(demand_entries, 0.0)
         demand = DemandMatrix(demand_entries)
         for topo in _small_topologies(n):
-            edge_opt = solve_max_throughput(topo, demand).require_optimal().theta
+            edge_opt = solve_max_throughput(topo, demand).theta
             path_opt = path_lp_throughput(topo.routable_counts(), demand.entries)
             worst = max(worst, abs(edge_opt - path_opt))
             assert abs(edge_opt - path_opt) <= 1e-6, (n, topo.net_class, edge_opt, path_opt)
@@ -315,7 +315,7 @@ def test_criterion_12_solution_verification(landscape):
     cases.append((topo, normalize(scaled_chess, topo.link_capacity)))
     objectives = []
     for topo, demand in cases:
-        result = solve_max_throughput(topo, demand).require_optimal()
+        result = solve_max_throughput(topo, demand)
         rep = verify_solution(topo, demand, result, eps=1e-6)
         assert rep.ok, rep.violations[:3]
         objectives.append(result.theta)

@@ -150,7 +150,7 @@ class TestEval:
         topo = Topology(np.array(data["link_count"]).reshape(n, n), data["link_capacity"],
                         data["class"], degree_budget=n)
         scaled = normalize(chess.scaled(theta), topo.link_capacity)
-        cert = solve_max_throughput(topo, scaled).require_optimal()
+        cert = solve_max_throughput(topo, scaled)
         assert cert.theta >= OBJECTIVE_REACHED
         assert verify_solution(topo, scaled, cert).ok
 
@@ -229,6 +229,31 @@ class TestReproduce:
         assert (tmp_path / "fig4.svg").exists()
         assert "[PASS]" in result.output or "[FAIL]" in result.output
 
+    def test_fig4_failed_cells_are_worst_cases(self, runner, tmp_path):
+        # a permutation at 6c per row: over the hose bound c*u at u=4, within it at u=8
+        hot = tmp_path / "hot.csv"
+        save_csv(generate("permutation", NetworkParams(8, 6, 25e9)), hot)
+        result = runner.invoke(main, ["reproduce", "fig4", "--n", "8", "--jobs", "2",
+                                      "--matrix-csv", str(hot), "--out", str(tmp_path)])
+        assert result.exit_code == 4
+        hose = "failed: demand matrix violates hose model: row 0 sums to 1.5e+11 > 1e+11"
+        assert result.stderr.splitlines() == [
+            f"cell (hot, da-static, u=4) {hose}", f"cell (hot, da-periodic, u=4) {hose}"]
+        csv_rows = (tmp_path / "fig4.csv").read_text().splitlines()
+        assert [row for row in csv_rows if row.endswith(",nan")] == [
+            "hot,da-static,4,nan", "hot,da-periodic,4,nan"]
+        lines = [line for line in result.stdout.splitlines() if "] criterion" in line]
+        assert len(lines) == 3
+        for line in lines[:2]:
+            assert line.startswith("[FAIL] criterion 6:") and "NaN cells hot da-periodic u=4" in line
+        assert lines[2].startswith("[PASS] criterion 7:")  # it reads u=8 only
+        assert "[FAIL] 2 sweep cells errored" in result.stdout
+        worst = {(e["class"], e["degree"]): e
+                 for e in json.loads((tmp_path / "fig4.json").read_text())["worst_case"]}
+        for cls in ("da-static", "da-periodic"):
+            assert np.isnan(worst[cls, 4]["theta"]) and worst[cls, 4]["matrix"] == "hot"
+            assert not np.isnan(worst[cls, 8]["theta"])
+
     def test_config_file_provides_defaults(self, runner, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("n = 4\nu = 2\nc = 1e9\nseed = 7\n")
@@ -293,3 +318,36 @@ class TestFig3Checks:
         assert not verdicts[1][0] and "NaN cells uniform da-periodic" in verdicts[1][1]
         assert not verdicts[5][0] and "('uniform', nan)" in verdicts[5][1]
         assert verdicts[2][0]  # the chessboard cell itself is fine
+
+
+class TestFig4Checks:
+    """The fig4 entries of the landscape criteria table on hand-built sweeps."""
+
+    @staticmethod
+    def fig4_checks(failed):
+        """A passing sweep but for the (matrix, class, degree) cell `failed`."""
+        worst = {"oblivious": 0.5, "da-static": 0.83, "da-periodic": 0.84}
+        rows = []
+        for u in (4, 8):
+            for cls, theta in worst.items():
+                rows.append(SweepRow("chessboard", cls, u, theta))
+                rows.append(SweepRow("uniform", cls, u, 1.0))
+        rows = [SweepRow(r.matrix, r.net_class, r.degree, float("nan"), error="forced")
+                if (r.matrix, r.net_class, r.degree) == failed else r for r in rows]
+        p = NetworkParams(16, 4, 25e9)
+        return check_landscape(SweepResult(tuple(rows)), (), p, figure="fig4")
+
+    @pytest.mark.parametrize("label", ["chessboard", "uniform"])
+    def test_nan_cell_fails_every_entry_and_is_named(self, label):
+        checks = self.fig4_checks((label, "da-periodic", 8))
+        assert [c.number for c, _, _ in checks] == [6, 6, 7]
+        for _, passed, detail in checks:
+            assert passed is False
+            assert f"NaN cells {label} da-periodic u=8" in detail and "nan" in detail
+
+    def test_nan_cell_below_the_top_degree_leaves_convergence(self):
+        checks = self.fig4_checks(("uniform", "da-static", 4))
+        assert [passed for _, passed, _ in checks] == [True, True, True]
+        checks = self.fig4_checks(("uniform", "oblivious", 4))
+        assert [passed for _, passed, _ in checks] == [True, False, True]
+        assert "NaN cells uniform oblivious u=4" in checks[1][2]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rdcn_throughput import (
     BvnDecomposition,
+    DecompositionError,
     PermutationMatching,
     RegularMultigraph,
     Topology,
@@ -17,7 +18,34 @@ from rdcn_throughput import (
     synthesize_schedule,
 )
 
+from rdcn_throughput import decomposition
 from conftest import sinkhorn_doubly_stochastic
+
+
+def recursive_disjoint_matching(allowed, rng):
+    """The recursive Kuhn search the iterative `_random_disjoint_matching`
+    replaces, kept as its reference: same rng calls, same search order."""
+    n = allowed.shape[0]
+    prefs = [rng.permutation(np.nonzero(allowed[i])[0]) for i in range(n)]
+    col_owner = [-1] * n
+
+    def augment(row, banned):
+        for col in prefs[row]:
+            col = int(col)
+            if col not in banned:
+                banned.add(col)
+                if col_owner[col] < 0 or augment(col_owner[col], banned):
+                    col_owner[col] = row
+                    return True
+        return False
+
+    for row in rng.permutation(n):
+        if not augment(int(row), set()):
+            raise DecompositionError("allowed support has no perfect matching")
+    mapping = [0] * n
+    for col, row in enumerate(col_owner):
+        mapping[row] = col
+    return PermutationMatching(tuple(mapping))
 
 
 def brute_force_matching(support):
@@ -230,6 +258,23 @@ class TestRandomRegularDigraph:
         a = random_regular_digraph(12, 6, seed=7)
         b = random_regular_digraph(12, 6, seed=7)
         np.testing.assert_array_equal(a.edge_multiplicity, b.edge_multiplicity)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 64])
+    def test_matches_recursive_reference(self, n, monkeypatch):
+        degrees = sorted({1, max(1, n // 2), n - 1})
+        samples = {(seed, d): random_regular_digraph(n, d, seed=seed).edge_multiplicity
+                   for seed in range(10) for d in degrees}
+        monkeypatch.setattr(decomposition, "_random_disjoint_matching",
+                            recursive_disjoint_matching)
+        for (seed, d), mult in samples.items():
+            reference = random_regular_digraph(n, d, seed=seed).edge_multiplicity
+            assert mult.tobytes() == reference.tobytes(), (seed, d)
+
+    def test_large_n_needs_no_recursion(self):
+        mult = random_regular_digraph(1200, 3, seed=0).edge_multiplicity
+        np.testing.assert_array_equal(mult.sum(axis=1), 3)
+        np.testing.assert_array_equal(mult.sum(axis=0), 3)
+        assert mult.max() == 1 and not np.any(np.diagonal(mult))
 
     def test_limits(self):
         with pytest.raises(ValueError):

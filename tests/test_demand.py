@@ -148,6 +148,11 @@ class TestDecomposeIntegerResidual:
         with pytest.raises(ValueError):
             decompose_integer_residual(np.array([[-0.1, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected_with_location(self, value):
+        with pytest.raises(ValueError, match=r"non-finite demand .* at \(0, 1\)"):
+            decompose_integer_residual(np.array([[0.0, value], [1.0, 0.0]]))
+
     def test_zero_rows_get_zero_ratio(self):
         dec = decompose_integer_residual(np.array([[0.0, 0.0], [0.5, 0.0]]))
         assert dec.row_ratios[0] == 0.0

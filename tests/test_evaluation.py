@@ -49,7 +49,7 @@ class TestThroughputFunctions:
 class TestDemandAwareHeuristic:
     def test_permutation_stops_at_first_iter(self):
         theta, trace, _topo, _schedule = throughput_demand_aware(
-            generate("permutation", SMALL), SMALL, "periodic")
+            generate("permutation", SMALL), SMALL, "da-periodic")
         assert theta == 1.0
         assert trace.iter_values == (1.0,)
         assert trace.objectives[0] >= 1.0 - 1e-9
@@ -64,7 +64,7 @@ class TestDemandAwareHeuristic:
         entries[3, 2] = 4.0
         from rdcn_throughput import DemandMatrix
         theta, trace, _topo, _schedule = throughput_demand_aware(DemandMatrix(entries), p,
-                                                                 "periodic", step=0.25)
+                                                                 "da-periodic", step=0.25)
         values = np.array(trace.iter_values)
         assert np.allclose(np.diff(values), -0.25)
         assert all(round(v / 0.25, 9) == int(round(v / 0.25)) for v in values)
@@ -75,12 +75,12 @@ class TestDemandAwareHeuristic:
 
     def test_static_and_periodic_agree_when_u_equals_n(self):
         # Exact equality whenever the floor matrix is degree-symmetric (all
-        # suite matrices are): both modes then build the same topology.
+        # suite matrices are): both classes then build the same topology.
         p = NetworkParams(6, 6, 2.0)
         for kind in ("chessboard", "permutation", "uniform"):
             m = generate(kind, p)
-            th_static = throughput_demand_aware(m, p, "static", seed=5).theta
-            th_periodic = throughput_demand_aware(m, p, "periodic", seed=5).theta
+            th_static = throughput_demand_aware(m, p, "da-static", seed=5).theta
+            th_periodic = throughput_demand_aware(m, p, "da-periodic", seed=5).theta
             assert th_static == th_periodic, kind
 
     def test_periodic_never_below_static_at_full_degree(self):
@@ -88,19 +88,19 @@ class TestDemandAwareHeuristic:
         # with extra real links, so it may strictly exceed the one-shot build.
         p = NetworkParams(6, 6, 2.0)
         m = generate("random-saturated", p, seed=8)
-        th_static = throughput_demand_aware(m, p, "static", seed=5).theta
-        th_periodic = throughput_demand_aware(m, p, "periodic", seed=5).theta
+        th_static = throughput_demand_aware(m, p, "da-static", seed=5).theta
+        th_periodic = throughput_demand_aware(m, p, "da-periodic", seed=5).theta
         assert th_periodic >= th_static - 1e-9
 
     def test_bad_mode_and_step(self):
         m = generate("uniform", SMALL)
-        with pytest.raises(ValueError, match="mode"):
-            throughput_demand_aware(m, SMALL, "rotor")
+        with pytest.raises(ValueError, match="unknown demand-aware class"):
+            throughput_demand_aware(m, SMALL, "oblivious")
         with pytest.raises(ValueError, match="step"):
-            throughput_demand_aware(m, SMALL, "static", step=0.0)
+            throughput_demand_aware(m, SMALL, "da-static", step=0.0)
 
     def test_trace_json(self):
-        trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "periodic").trace
+        trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "da-periodic").trace
         payload = trace.to_json_dict()
         assert set(payload) == {"step", "iter_values", "objectives", "seeds", "chosen_theta"}
         assert len(payload["seeds"]) == len(payload["iter_values"])
@@ -236,6 +236,20 @@ class TestSweepResultSerialization:
         assert wc[("oblivious", 4)]["matrix"] == "permutation"
         assert wc[("da-periodic", 4)]["theta"] == 1.0
         json.dumps(payload)
+
+    def test_failed_cell_is_the_worst_case_and_an_error(self):
+        rows = self._result().rows + (
+            SweepRow("hot", "da-periodic", 4, float("nan"), error="hose violated"),)
+        result = SweepResult(rows)
+        theta, label = result.worst_case("da-periodic", 4)
+        assert np.isnan(theta) and label == "hot"
+        assert result.errors == (("hot", "da-periodic", 4, "hose violated"),)
+        payload = result.to_json_dict()
+        wc = {(e["class"], e["degree"]): e for e in payload["worst_case"]}
+        assert np.isnan(wc[("da-periodic", 4)]["theta"]) and wc[("da-periodic", 4)]["matrix"] == "hot"
+        assert payload["errors"] == [{"matrix": "hot", "class": "da-periodic", "degree": 4,
+                                      "error": "hose violated"}]
+        assert "errors" not in self._result().to_json_dict()
 
     def test_missing_cell_raises(self):
         with pytest.raises(KeyError):

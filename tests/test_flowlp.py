@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from rdcn_throughput import (
     DemandMatrix,
     NetworkParams,
+    SolverError,
     Topology,
     ThroughputResult,
     build_oblivious_equivalent,
@@ -18,6 +20,7 @@ from rdcn_throughput import (
     verify_solution,
 )
 
+from rdcn_throughput import flowlp
 from rdcn_throughput.flowlp import _assemble_lp
 
 from lp_oracle import path_lp_throughput
@@ -38,7 +41,6 @@ def unit_uniform_demand(n):
 class TestSolveMaxThroughput:
     def test_complete_graph_carries_unit_uniform_exactly(self):
         result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert result.solver_status == "optimal"
         assert result.theta == pytest.approx(1.0, abs=1e-9)
 
     def test_single_link_half_throughput(self):
@@ -172,7 +174,7 @@ class TestRandomInstances:
     @given(random_instances())
     def test_matches_path_oracle_and_verifies(self, instance):
         t, m = instance
-        result = solve_max_throughput(t, m).require_optimal()
+        result = solve_max_throughput(t, m)
         assert result.theta == pytest.approx(
             path_lp_throughput(t.routable_counts(), m.entries), abs=1e-6)
         assert verify_solution(t, m, result).ok
@@ -193,18 +195,18 @@ class TestVerifySolution:
         flows = dict(result.flows)
         key = next(iter(flows))
         flows[key] += 1.0
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows, "optimal"))
+        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
         assert any(v.kind == "capacity" for v in report.violations)
 
     def test_inflated_theta_detected(self):
         t, m, result = self._solved()
-        report = verify_solution(t, m, ThroughputResult(result.theta * 1.1, result.flows, "optimal"))
+        report = verify_solution(t, m, ThroughputResult(result.theta * 1.1, result.flows))
         assert {v.kind for v in report.violations} == {"demand"}
 
     def test_over_delivery_detected(self):
         # Balance rows are equalities: flows that deliver more than theta*m fail.
         t, m, result = self._solved()
-        report = verify_solution(t, m, ThroughputResult(result.theta * 0.9, result.flows, "optimal"))
+        report = verify_solution(t, m, ThroughputResult(result.theta * 0.9, result.flows))
         assert {v.kind for v in report.violations} == {"demand"}
         assert len(report.violations) == 12  # every (s, v) pair of the 4-node uniform demand
 
@@ -212,7 +214,7 @@ class TestVerifySolution:
         t, m, result = self._solved()
         flows = dict(result.flows)
         flows[(0, 2, 2)] = 0.5
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows, "optimal"))
+        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
         assert any(v.kind == "unknown-arc" for v in report.violations)
 
     def test_conservation_violation_detected(self):
@@ -225,14 +227,47 @@ class TestVerifySolution:
         result = solve_max_throughput(t, m)
         flows = dict(result.flows)
         flows[(0, 1, 2)] = flows.get((0, 1, 2), 0.0) + 0.25
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows, "optimal"))
+        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
         assert any(v.kind == "conservation" for v in report.violations)
 
-    def test_require_optimal_raises_on_failure_status(self):
-        from rdcn_throughput import SolverError
-        bad = ThroughputResult(float("nan"), {}, "numerical-trouble", "test")
-        with pytest.raises(SolverError):
-            bad.require_optimal()
+
+class TestSolverFallback:
+    """A failed solve is retried once with dual simplex; a failure of that
+    raises SolverError with the solver's status and message."""
+
+    @staticmethod
+    def _failing(monkeypatch, failing, status=4):
+        calls = []
+        real = flowlp.linprog
+
+        def linprog(*args, method, **kwargs):
+            calls.append(method)
+            if method in failing:
+                return OptimizeResult(status=status, message=f"forced failure of {method}")
+            return real(*args, method=method, **kwargs)
+
+        monkeypatch.setattr(flowlp, "linprog", linprog)
+        return calls
+
+    def test_failed_interior_point_falls_back_to_dual_simplex(self, monkeypatch):
+        calls = self._failing(monkeypatch, {"highs-ipm"})
+        result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert calls == ["highs-ipm", "highs-ds"]
+        assert result.theta == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("status,name", [(2, "infeasible"), (4, "numerical-trouble")])
+    def test_both_methods_fail_raises(self, monkeypatch, status, name):
+        calls = self._failing(monkeypatch, {"highs-ipm", "highs-ds"}, status)
+        with pytest.raises(SolverError) as err:
+            solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert str(err.value) == f"solver returned {name}: forced failure of highs-ds"
+        assert calls == ["highs-ipm", "highs-ds"]
+
+    def test_failed_dual_simplex_is_not_retried(self, monkeypatch):
+        calls = self._failing(monkeypatch, {"highs-ds"})
+        with pytest.raises(SolverError, match="solver returned numerical-trouble"):
+            solve_max_throughput(complete_topology(4), unit_uniform_demand(4), method="highs-ds")
+        assert calls == ["highs-ds"]
 
 
 def _parse_lp_rows(text):
