@@ -249,7 +249,8 @@ def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out, config):
     csv_path = outdir / f"{figure}.csv"
     csv_path.write_text(result.to_csv_text(), encoding="utf-8")
     json_path = outdir / f"{figure}.json"
-    json_path.write_text(json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    json_path.write_text(json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n",
+                         encoding="utf-8")
 
     classes = list(evaluation.NETWORK_CLASSES)
     if figure == "fig3":

@@ -5,7 +5,8 @@ criteria they are checked against.
 The demand-aware heuristic scales the demand matrix by `iter` descending from
 1 in fixed steps, rebuilds the demand-aware topology for each scaled matrix,
 and stops at the first iter whose LP objective reaches 1; that iter is the
-reported throughput (granularity = one step).
+reported throughput (granularity = one step). A step whose topology bounds
+the objective below 1 (`throughput_upper_bound`) is rejected without its LP.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .demand import (
     load_csv,
     normalize,
 )
-from .flowlp import SolverError, solve_max_throughput, verify_solution
+from .flowlp import SolverError, solve_max_throughput, throughput_upper_bound, verify_solution
 from .topology import (
     PeriodicSchedule,
     Topology,
@@ -41,6 +42,10 @@ from .topology import (
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
 DEFAULT_STEP = 0.01
 OBJECTIVE_REACHED = 1.0 - 1e-9
+# A step's LP is skipped when its upper bound lies below OBJECTIVE_REACHED by
+# more than this: ten times the solver's feasibility tolerance, so a step the
+# LP could accept is always solved.
+SKIP_MARGIN = 1e-6
 
 _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -49,12 +54,15 @@ _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 class HeuristicTrace:
     """Record of one descending heuristic scan.
 
-    Step k scanned iter_values[k] on a topology built with seeds[k] and
-    reached objectives[k]. When chosen_theta > 0, the last step's topology
-    certifies it.
+    Step k scanned iter_values[k] on a topology built with seeds[k], whose
+    upper bound on the LP objective is bounds[k]. objectives[k] is the LP
+    optimum, or None where the bound fell below OBJECTIVE_REACHED - SKIP_MARGIN
+    and the LP was skipped. When chosen_theta > 0, the last step was solved
+    and its topology certifies it.
     """
 
     iter_values: tuple
+    bounds: tuple
     objectives: tuple
     chosen_theta: float
     step: float
@@ -64,6 +72,7 @@ class HeuristicTrace:
         return {
             "step": self.step,
             "iter_values": list(self.iter_values),
+            "bounds": list(self.bounds),
             "objectives": list(self.objectives),
             "seeds": list(self.seeds),
             "chosen_theta": self.chosen_theta,
@@ -142,10 +151,12 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        """The rows, worst cases and errors as standard JSON values: a failed
+        cell's NaN theta is written as None (null)."""
         rows = []
         for r in self.rows:
             rows.append({"matrix": r.matrix, "class": r.net_class, "degree": r.degree,
-                         "theta": r.theta})
+                         "theta": _json_theta(r.theta)})
             if r.trace is not None:
                 rows[-1]["trace"] = r.trace.to_json_dict()
         payload = {"rows": rows, "worst_case": []}
@@ -156,7 +167,7 @@ class SweepResult:
                 except KeyError:
                     continue
                 payload["worst_case"].append(
-                    {"class": cls, "degree": degree, "theta": theta, "matrix": label}
+                    {"class": cls, "degree": degree, "theta": _json_theta(theta), "matrix": label}
                 )
         if self.errors:
             payload["errors"] = [
@@ -164,6 +175,10 @@ class SweepResult:
                 for m, c, deg, msg in self.errors
             ]
         return payload
+
+
+def _json_theta(theta: float):
+    return None if np.isnan(theta) else theta
 
 
 def _seed_int(*parts) -> int:
@@ -202,13 +217,16 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     (emulated degree-n graph at capacity c*u/n). The reported theta is the first scan
     value whose LP objective reaches 1, hence a multiple of `step` with
     uncertainty one step, and the last step's build certifies it; 0.0 with a
-    full trace if no scan value succeeds.
+    full trace if no scan value succeeds. Every step builds its topology from
+    its own seed, but solves its LP only if the topology's upper bound leaves
+    the objective room to reach 1, so skipping changes no theta.
     """
     if net_class not in ("da-static", "da-periodic"):
         raise ValueError(f"unknown demand-aware class {net_class!r}")
     if not 0 < step < 1:
         raise ValueError(f"step must lie in (0, 1), got {step}")
     iter_values = []
+    bounds = []
     objectives = []
     seeds = []
     k = 0
@@ -223,14 +241,20 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
             topo, schedule = build_demand_aware_static(scaled, p, seed=iter_seed), None
         else:
             topo, schedule = build_demand_aware_periodic(scaled, p, seed=iter_seed)
-        objective = throughput_static(topo, scaled)
+        bound = throughput_upper_bound(topo, scaled)
+        objective = None
+        if bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
+            objective = throughput_static(topo, scaled)
         iter_values.append(scale)
+        bounds.append(bound)
         objectives.append(objective)
         seeds.append(iter_seed)
-        if objective >= OBJECTIVE_REACHED:
-            trace = HeuristicTrace(tuple(iter_values), tuple(objectives), scale, step, tuple(seeds))
+        if objective is not None and objective >= OBJECTIVE_REACHED:
+            trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), scale,
+                                   step, tuple(seeds))
             return Cell(scale, trace, topo, schedule)
-    trace = HeuristicTrace(tuple(iter_values), tuple(objectives), 0.0, step, tuple(seeds))
+    trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), 0.0, step,
+                           tuple(seeds))
     return Cell(0.0, trace, topo, schedule)
 
 

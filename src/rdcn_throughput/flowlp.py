@@ -27,7 +27,8 @@ does not meet its row.
 
 `_assemble_lp` builds the sparse LP once per call; `solve_max_throughput`
 hands it to the solver, `verify_solution` checks a flow against its arcs and
-rows, and `export_lp` renders its rows as text.
+rows, and `export_lp` renders its rows as text. `throughput_upper_bound`
+bounds the LP's optimum from the topology alone, without solving it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import shortest_path
 
 from .demand import DemandMatrix
 from .topology import Topology
@@ -180,6 +182,42 @@ def solve_max_throughput(t: Topology, m: DemandMatrix,
     keys = zip(lp.sources[k].tolist(), *lp.arcs[a].T.tolist())
     theta = float(x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
     return ThroughputResult(theta, dict(zip(keys, x[1 + idx].tolist())))
+
+
+def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
+    """Upper bound on the LP optimum of m on t, as `throughput_static` solves it
+    (m in bits/s, normalized here by t.link_capacity), without an LP.
+
+    A pair's flow beyond its own direct links takes a path of at least
+    h = max(2, hop) arcs, hop being its BFS distance in the routable graph, so
+    delivering theta*x needs sum(theta*x + (h - 1) * max(0, theta*x - L)) link
+    units, and the network has sum(L). The left side is convex and piecewise
+    linear in theta with breakpoints L/x; the largest theta that fits is read
+    off the sorted breakpoints. 0.0 when some positive demand has no path.
+    """
+    if t.n != m.n:
+        raise ValueError(f"dimension mismatch: topology n={t.n}, demand n={m.n}")
+    links = t.routable_counts().astype(float)
+    demand = m.entries / t.link_capacity
+    pair = demand > 0  # off the diagonal: a DemandMatrix has none there
+    if not pair.any():
+        raise ValueError("demand matrix has no positive entries; throughput is unbounded")
+    hop = shortest_path(links > 0, unweighted=True)[pair]
+    if not np.isfinite(hop).all():
+        return 0.0
+    x, cap = demand[pair], links[pair]
+    weight = np.maximum(hop, 2.0) - 1.0
+    breaks = cap / x
+    order = np.argsort(breaks, kind="stable")
+    x, cap, weight, breaks = x[order], cap[order], weight[order], breaks[order]
+    # Past breaks[j - 1] and up to breaks[j], the j pairs sorted first have used
+    # up their direct links: units(theta) = (sum(x) + slope[j]) * theta - offset[j].
+    slope = np.concatenate(([0.0], np.cumsum(weight * x)))
+    offset = np.concatenate(([0.0], np.cumsum(weight * cap)))
+    budget = links.sum()
+    over = (x.sum() + slope[1:]) * breaks - offset[1:] > budget
+    j = int(np.argmax(over)) if over.any() else x.size
+    return float((budget + offset[j]) / (x.sum() + slope[j]))
 
 
 def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,

@@ -145,6 +145,9 @@ class TestEval:
         trace = json.loads(result.output[result.output.index("{"):result.output.rindex("}") + 1])
         theta = trace["chosen_theta"]
         assert theta > 0 and len(trace["seeds"]) == len(trace["iter_values"])
+        # 16 steps rejected on their bounds, the accepted one solved
+        assert trace["objectives"] == [None] * 16 + [trace["objectives"][-1]]
+        assert all(bound < OBJECTIVE_REACHED for bound in trace["bounds"][:-1])
         data = json.loads((tmp_path / "topology.json").read_text())
         n = data["n"]
         topo = Topology(np.array(data["link_count"]).reshape(n, n), data["link_capacity"],
@@ -248,11 +251,17 @@ class TestReproduce:
             assert line.startswith("[FAIL] criterion 6:") and "NaN cells hot da-periodic u=4" in line
         assert lines[2].startswith("[PASS] criterion 7:")  # it reads u=8 only
         assert "[FAIL] 2 sweep cells errored" in result.stdout
-        worst = {(e["class"], e["degree"]): e
-                 for e in json.loads((tmp_path / "fig4.json").read_text())["worst_case"]}
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads((tmp_path / "fig4.json").read_text(), parse_constant=reject)
+        worst = {(e["class"], e["degree"]): e for e in payload["worst_case"]}
         for cls in ("da-static", "da-periodic"):
-            assert np.isnan(worst[cls, 4]["theta"]) and worst[cls, 4]["matrix"] == "hot"
-            assert not np.isnan(worst[cls, 8]["theta"])
+            assert worst[cls, 4]["theta"] is None and worst[cls, 4]["matrix"] == "hot"
+            assert worst[cls, 8]["theta"] > 0
+        failed = [(r["class"], r["degree"]) for r in payload["rows"] if r["theta"] is None]
+        assert failed == [("da-static", 4), ("da-periodic", 4)]
 
     def test_config_file_provides_defaults(self, runner, tmp_path):
         config = tmp_path / "run.conf"

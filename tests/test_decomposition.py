@@ -145,6 +145,22 @@ class TestBvnDecompose:
         assert dec.coefficient_sum == pytest.approx(4.0, abs=5e-9)
         np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-8)
 
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.tuples(st.floats(0.01, 10.0), st.permutations(range(n))), min_size=1, max_size=12)))
+    def test_reconstructs_random_doubly_stochastic(self, weighted):
+        # a positive combination of permutations is doubly stochastic, row sums sum(w)
+        n = len(weighted[0][1])
+        m = np.zeros((n, n))
+        for w, perm in weighted:
+            m[np.arange(n), perm] += w
+        total = sum(w for w, _ in weighted)
+        dec = bvn_decompose(m)
+        np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-9 * max(total, 1.0))
+        assert dec.coefficient_sum == pytest.approx(total, abs=n * 1e-9 * max(total, 1.0))
+        assert len(dec.terms) <= max(1, n * n - 2 * n + 2)
+        assert all(lam > 0 for lam, _ in dec.terms)
+
     def test_rejects_non_doubly_stochastic(self):
         with pytest.raises(ValueError, match="doubly stochastic"):
             bvn_decompose(np.array([[0.9, 0.1], [0.5, 0.5]]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdcn_throughput import (
     DemandMatrix,
@@ -14,7 +16,7 @@ from rdcn_throughput import (
     save_csv,
     validate_hose,
 )
-from rdcn_throughput.demand import IntegerResidualDecomposition
+from rdcn_throughput.demand import GENERATOR_KINDS, IntegerResidualDecomposition
 
 from conftest import sinkhorn_doubly_stochastic
 
@@ -265,6 +267,17 @@ class TestGenerate:
         p = NetworkParams(8, 4, 2.5e9)
         dec = decompose_integer_residual(normalize(generate("permutation", p), p.c))
         assert classify_uniform_residual(dec) is UniformResidualClass.INTERVAL_LOW
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.sampled_from(GENERATOR_KINDS), st.integers(2, 24), st.data())
+    def test_every_kind_is_hose_feasible(self, kind, n, data):
+        assume(kind != "chessboard" or n % 2 == 0)
+        p = NetworkParams(n, data.draw(st.integers(1, n)), data.draw(st.floats(1e-3, 1e12)))
+        m = generate(kind, p, alpha=data.draw(st.floats(0.0, 1.0)),
+                     shift=data.draw(st.integers(1, n - 1)),
+                     seed=data.draw(st.integers(0, 2**32 - 1)))
+        assert validate_hose(m, p).ok
+        assert (m.entries >= 0).all() and not np.diagonal(m.entries).any()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):

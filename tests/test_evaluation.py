@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from rdcn_throughput import (
     throughput_demand_aware,
     throughput_static,
 )
+from rdcn_throughput import evaluation
 from rdcn_throughput.evaluation import (
     NETWORK_CLASSES,
     OBJECTIVE_REACHED,
+    SKIP_MARGIN,
     SweepResult,
     SweepRow,
 )
@@ -53,6 +56,7 @@ class TestDemandAwareHeuristic:
         assert theta == 1.0
         assert trace.iter_values == (1.0,)
         assert trace.objectives[0] >= 1.0 - 1e-9
+        assert trace.bounds[0] >= trace.objectives[0] - 1e-9
         assert trace.chosen_theta == 1.0
 
     def test_trace_records_descending_multiples_of_step(self):
@@ -69,9 +73,12 @@ class TestDemandAwareHeuristic:
         assert np.allclose(np.diff(values), -0.25)
         assert all(round(v / 0.25, 9) == int(round(v / 0.25)) for v in values)
         assert theta == trace.chosen_theta
-        # stopping rule: chosen iter is the first whose objective reached 1
-        assert trace.objectives[-1] >= 1.0 - 1e-9
-        assert all(obj < 1.0 - 1e-9 for obj in trace.objectives[:-1])
+        # stopping rule: chosen iter is the first whose objective reached 1;
+        # every earlier step was solved below it or skipped on its bound
+        assert trace.objectives[-1] >= OBJECTIVE_REACHED
+        assert all(obj < OBJECTIVE_REACHED if obj is not None
+                   else bound < OBJECTIVE_REACHED - SKIP_MARGIN
+                   for obj, bound in zip(trace.objectives[:-1], trace.bounds[:-1]))
 
     def test_static_and_periodic_agree_when_u_equals_n(self):
         # Exact equality whenever the floor matrix is degree-symmetric (all
@@ -102,9 +109,68 @@ class TestDemandAwareHeuristic:
     def test_trace_json(self):
         trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "da-periodic").trace
         payload = trace.to_json_dict()
-        assert set(payload) == {"step", "iter_values", "objectives", "seeds", "chosen_theta"}
-        assert len(payload["seeds"]) == len(payload["iter_values"])
+        assert set(payload) == {"step", "iter_values", "bounds", "objectives", "seeds",
+                                "chosen_theta"}
+        assert len(payload["seeds"]) == len(payload["bounds"]) == len(payload["iter_values"])
         json.dumps(payload)
+
+
+class TestBoundGuidedScan:
+    """A step is skipped only when its topology's bound proves the LP objective
+    short of OBJECTIVE_REACHED, so the scan reports what solving every step would."""
+
+    P8 = NetworkParams(8, 4, 25e9)
+
+    def _scans(self):
+        p16 = NetworkParams(16, 4, 25e9)
+        yield throughput_demand_aware(generate("chessboard", p16), p16, "da-periodic").trace
+        for label, m in build_suite(self.P8):
+            for net_class in ("da-static", "da-periodic"):
+                yield throughput_demand_aware(m, self.P8, net_class, seed=3).trace
+
+    def test_skips_only_what_the_bound_rules_out(self):
+        skipped = 0
+        for trace in self._scans():
+            assert trace.chosen_theta > 0
+            assert len(trace.bounds) == len(trace.objectives) == len(trace.iter_values)
+            assert trace.objectives[-1] is not None  # the accepted step is solved
+            for objective, bound in zip(trace.objectives, trace.bounds):
+                if objective is None:
+                    skipped += 1
+                    assert bound < OBJECTIVE_REACHED - SKIP_MARGIN
+                else:
+                    assert objective <= bound + 1e-9
+        assert skipped > 0
+
+    def test_same_scan_as_solving_every_step(self, monkeypatch):
+        suite = build_suite(self.P8)[:6]
+        scans = {(label, cls): throughput_demand_aware(m, self.P8, cls, seed=3)
+                 for label, m in suite for cls in ("da-static", "da-periodic")}
+        monkeypatch.setattr(evaluation, "throughput_upper_bound", lambda t, m: float("inf"))
+        for (label, cls), cell in scans.items():
+            full = throughput_demand_aware(dict(suite)[label], self.P8, cls, seed=3)
+            assert (cell.theta, cell.trace.iter_values, cell.trace.seeds) == (
+                full.theta, full.trace.iter_values, full.trace.seeds), (label, cls)
+            assert np.array_equal(cell.topology.link_count, full.topology.link_count)
+            for objective, solved in zip(cell.trace.objectives, full.trace.objectives):
+                assert objective is None or objective == solved
+
+
+class TestReferenceThetas:
+    """sweep-n8 at seed 0 against the thetas recorded in bench/reference.json:
+    demand-aware cells bit for bit, LP cells to 1e-9."""
+
+    def test_sweep_n8_seed0_matches_reference(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))["thetas"]["sweep-n8"]["0"]
+        result = sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
+        thetas = {f"{r.matrix}|{r.net_class}|{r.degree}": r.theta for r in result.rows}
+        assert set(thetas) == set(reference)
+        for key, expected in reference.items():
+            if key.split("|")[1] in ("da-static", "da-periodic"):
+                assert thetas[key] == expected, key
+            else:
+                assert thetas[key] == pytest.approx(expected, abs=1e-9), key
 
 
 class TestEvaluateCell:
@@ -193,7 +259,7 @@ class TestSweeps:
 
 
 class TestSweepResultSerialization:
-    TRACE = HeuristicTrace((1.0,), (1.25,), 1.0, 0.01, (42,))
+    TRACE = HeuristicTrace((1.0,), (1.25,), (1.25,), 1.0, 0.01, (42,))
 
     def _result(self):
         rows = (
@@ -215,8 +281,8 @@ class TestSweepResultSerialization:
     def test_json_rows_carry_demand_aware_traces_only(self):
         rows = self._result().to_json_dict()["rows"]
         assert rows[0] == {"matrix": "uniform", "class": "oblivious", "degree": 4, "theta": 1.0}
-        assert rows[1]["trace"] == {"step": 0.01, "iter_values": [1.0], "objectives": [1.25],
-                                    "seeds": [42], "chosen_theta": 1.0}
+        assert rows[1]["trace"] == {"step": 0.01, "iter_values": [1.0], "bounds": [1.25],
+                                    "objectives": [1.25], "seeds": [42], "chosen_theta": 1.0}
         assert [("trace" in r) for r in rows] == [False, True, False, True]
 
     def test_sweep_json_trace_certifies_theta(self):
@@ -246,7 +312,10 @@ class TestSweepResultSerialization:
         assert result.errors == (("hot", "da-periodic", 4, "hose violated"),)
         payload = result.to_json_dict()
         wc = {(e["class"], e["degree"]): e for e in payload["worst_case"]}
-        assert np.isnan(wc[("da-periodic", 4)]["theta"]) and wc[("da-periodic", 4)]["matrix"] == "hot"
+        assert wc[("da-periodic", 4)] == {"class": "da-periodic", "degree": 4, "theta": None,
+                                          "matrix": "hot"}
+        assert payload["rows"][-1]["theta"] is None
+        json.dumps(payload, allow_nan=False)
         assert payload["errors"] == [{"matrix": "hot", "class": "da-periodic", "degree": 4,
                                       "error": "hose violated"}]
         assert "errors" not in self._result().to_json_dict()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rdcn_throughput import (
 )
 
 from rdcn_throughput import flowlp
-from rdcn_throughput.flowlp import _assemble_lp
+from rdcn_throughput.flowlp import _assemble_lp, throughput_upper_bound
 
 from lp_oracle import path_lp_throughput
 
@@ -178,6 +179,72 @@ class TestRandomInstances:
         assert result.theta == pytest.approx(
             path_lp_throughput(t.routable_counts(), m.entries), abs=1e-6)
         assert verify_solution(t, m, result).ok
+
+
+def hop_volume_bisection(t, m):
+    """The largest theta with sum(theta*x + (h - 1) * max(0, theta*x - L)) <=
+    sum(L), h = max(2, BFS hops), found by bisection over a plain loop."""
+    links = t.routable_counts().astype(float)
+    x = m.entries / t.link_capacity
+    n = t.n
+    hop = np.full((n, n), np.inf)
+    for s in range(n):
+        hop[s, s], frontier, k = 0, [s], 0
+        while frontier:
+            k += 1
+            frontier = [v for u in frontier for v in range(n)
+                        if links[u, v] > 0 and hop[s, v] == np.inf]
+            for v in frontier:
+                hop[s, v] = k
+    pair = x > 0
+    if np.isinf(hop[pair]).any():
+        return 0.0
+    weight = np.maximum(hop[pair], 2) - 1
+    lo, hi = 0.0, links.sum() / x[pair].sum()
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        units = (mid * x[pair] + weight * np.maximum(mid * x[pair] - links[pair], 0)).sum()
+        lo, hi = (mid, hi) if units <= links.sum() else (lo, mid)
+    return lo
+
+
+class TestThroughputUpperBound:
+    """The hop-volume bound the heuristic uses to skip LPs: never below the LP
+    optimum, and the exact solution of its own inequality."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(random_instances())
+    def test_never_below_the_lp(self, instance):
+        t, m = instance
+        bound = throughput_upper_bound(t, m)
+        assert bound >= solve_max_throughput(t, m).theta - 1e-9
+        assert bound == pytest.approx(hop_volume_bisection(t, m), rel=1e-12, abs=1e-12)
+
+    def test_tight_on_the_all_heavy_chessboard_graph(self):
+        # criterion 2's 4/5: 2 links on every opposite-parity pair at n=16, u=4
+        p = NetworkParams(16, 4, 25e9)
+        heavy = np.add.outer(np.arange(p.n), np.arange(p.n)) % 2
+        t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy", degree_budget=p.n)
+        m = generate("chessboard", p)
+        lp = solve_max_throughput(t, normalize(m, t.link_capacity)).theta
+        assert throughput_upper_bound(t, m) == pytest.approx(0.80, abs=1e-9)
+        assert lp == pytest.approx(0.80, abs=1e-6)
+
+    def test_unreachable_demand_gives_zero_without_warnings(self):
+        counts = np.zeros((3, 3), dtype=int)
+        counts[1, 2] = 1
+        t = Topology(counts, 1.0, "test", degree_budget=1)
+        entries = np.zeros((3, 3))
+        entries[0, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert throughput_upper_bound(t, DemandMatrix(entries)) == 0.0
+
+    def test_zero_demand_and_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="no positive entries"):
+            throughput_upper_bound(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
+        with pytest.raises(ValueError, match="mismatch"):
+            throughput_upper_bound(complete_topology(3), unit_uniform_demand(4))
 
 
 class TestVerifySolution:
