@@ -35,6 +35,8 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
 
+_STEP = click.FloatRange(0, 1, min_open=True, max_open=True)
+
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
@@ -62,27 +64,23 @@ def read_config(path) -> dict:
     return values
 
 
-def _merge_config(config_path, flags: dict, casts: dict) -> dict:
-    """Precedence: explicit CLI flags > config file entries > defaults already in flags."""
-    if not config_path:
-        return flags
+CONFIG_KEYS = ("n", "u", "c", "seed", "step", "jobs", "out")
+
+
+def _apply_config(ctx, param, path):
+    """Eager --config callback: the file's values become the command's defaults
+    (ctx.default_map), so explicit flags still win and every value is parsed and
+    range-checked by its own option."""
+    if path is None:
+        return
     try:
-        file_values = read_config(config_path)
+        values = read_config(path)
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
-    merged = dict(flags)
-    source = click.get_current_context().get_parameter_source
-    for key, raw in file_values.items():
-        if key not in casts:
+    for key in values:
+        if key not in CONFIG_KEYS:
             _fail(EXIT_INPUT, f"unknown config key {key!r}")
-        param_source = source(key)
-        if param_source is not None and param_source.name != "DEFAULT":
-            continue  # explicit flag wins
-        try:
-            merged[key] = casts[key](raw)
-        except ValueError:
-            _fail(EXIT_INPUT, f"config key {key!r} has invalid value {raw!r}")
-    return merged
+    ctx.default_map = values
 
 
 def _load_matrix(path, capacity, normalized) -> DemandMatrix:
@@ -150,12 +148,8 @@ def decompose(matrix_path, c, normalized, out):
     outdir = _outdir(out)
     int_path = outdir / f"{stem}_int.csv"
     res_path = outdir / f"{stem}_res.csv"
-    with open(int_path, "w", encoding="utf-8") as fh:
-        for row in dec.int_part:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-    with open(res_path, "w", encoding="utf-8") as fh:
-        for row in dec.res_part:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    save_csv(DemandMatrix(dec.int_part), int_path)
+    save_csv(DemandMatrix(dec.res_part), res_path)
     click.echo(f"wrote {int_path} and {res_path}")
     click.echo(f"uniform-residual class: {cls.value}")
     click.echo("row ratios: " + " ".join(f"{r:.4f}" for r in dec.row_ratios))
@@ -170,7 +164,7 @@ def decompose(matrix_path, c, normalized, out):
 @click.option("--c", type=float, default=25e9, show_default=True)
 @click.option("--normalized", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step", type=float, default=0.01, show_default=True)
+@click.option("--step", type=_STEP, default=0.01, show_default=True)
 @click.option("--trace", is_flag=True, help="Print the heuristic trace as JSON.")
 @click.option("--emit-topo", is_flag=True, help="Write topology (and schedule) JSON.")
 @click.option("--out", type=click.Path(), default=None)
@@ -215,21 +209,17 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
 @click.option("--u", type=int, default=4, show_default=True, help="Degree for fig3.")
 @click.option("--c", type=float, default=25e9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step", type=float, default=0.01, show_default=True)
+@click.option("--step", type=_STEP, default=0.01, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Concurrent solver instances.")
 @click.option("--matrix-csv", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="Extra demand matrices to include in the suite (repeatable).")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
+              is_eager=True, expose_value=False, callback=_apply_config,
               help="Flat key=value config file (flags take precedence).")
-def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out, config):
+def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
-    casts = {"n": int, "u": int, "c": float, "seed": int, "step": float, "jobs": int, "out": str}
-    merged = _merge_config(config, {"n": n, "u": u, "c": c, "seed": seed, "step": step,
-                                    "jobs": jobs, "out": out}, casts)
-    n, u, c = merged["n"], merged["u"], merged["c"]
-    seed, step, jobs, out = merged["seed"], merged["step"], merged["jobs"], merged["out"]
     outdir = _outdir(out)
     try:
         if figure == "fig3":

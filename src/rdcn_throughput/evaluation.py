@@ -11,6 +11,7 @@ the objective below 1 (`throughput_upper_bound`) is rejected without its LP.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -198,9 +199,8 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     Every returned optimum is independently re-checked against the flow
     constraints before being reported; a failed check raises SolverError.
     """
-    normalized = normalize(m, t.link_capacity)
-    result = solve_max_throughput(t, normalized)
-    report = verify_solution(t, normalized, result, eps=1e-6)
+    result = solve_max_throughput(t, m)
+    report = verify_solution(t, m, result, eps=1e-6)
     if not report.ok:
         worst = report.violations[0]
         raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
@@ -225,18 +225,14 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         raise ValueError(f"unknown demand-aware class {net_class!r}")
     if not 0 < step < 1:
         raise ValueError(f"step must lie in (0, 1), got {step}")
-    iter_values = []
-    bounds = []
-    objectives = []
-    seeds = []
-    k = 0
-    while True:
+    iter_values, bounds, objectives, seeds = [], [], [], []
+    theta = 0.0
+    for k in itertools.count():
         scale = round(1.0 - k * step, 12)
         if scale <= 0:
             break
-        k += 1
         scaled = m.scaled(scale)
-        iter_seed = _seed_int(seed, "iter", k - 1)
+        iter_seed = _seed_int(seed, "iter", k)
         if net_class == "da-static":
             topo, schedule = build_demand_aware_static(scaled, p, seed=iter_seed), None
         else:
@@ -250,17 +246,17 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         objectives.append(objective)
         seeds.append(iter_seed)
         if objective is not None and objective >= OBJECTIVE_REACHED:
-            trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), scale,
-                                   step, tuple(seeds))
-            return Cell(scale, trace, topo, schedule)
-    trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), 0.0, step,
+            theta = scale
+            break
+    trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta, step,
                            tuple(seeds))
-    return Cell(0.0, trace, topo, schedule)
+    return Cell(theta, trace, topo, schedule)
 
 
 def build_suite(p: NetworkParams, csv_paths=()) -> list:
     """The evaluation suite: chessboard, uniform, permutation, the nine U+P
-    mixes, plus any user-supplied CSV matrices. Returns (label, matrix) pairs."""
+    mixes, plus any user-supplied p.n x p.n CSV matrices. Returns (label,
+    matrix) pairs."""
     suite = [
         ("chessboard", generate("chessboard", p)),
         ("uniform", generate("uniform", p)),
@@ -269,7 +265,10 @@ def build_suite(p: NetworkParams, csv_paths=()) -> list:
     for alpha in _MIX_ALPHAS:
         suite.append((f"U+P {alpha}", generate("mix", p, alpha=alpha)))
     for path in csv_paths:
-        suite.append((Path(path).stem, load_csv(path)))
+        m = load_csv(path)
+        if m.n != p.n:
+            raise ValueError(f"{path}: {m.n}x{m.n} matrix, but the network has n={p.n}")
+        suite.append((Path(path).stem, m))
     return suite
 
 

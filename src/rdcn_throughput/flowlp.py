@@ -3,9 +3,10 @@
 Source-aggregated edge formulation (as in Jyothi et al., "Measuring and
 Understanding Throughput of Network Topologies", SC'16): one flow per source
 with positive demand, on each routable arc. Parallel links between a pair
-aggregate into a single arc whose capacity is the link count (unit link
-capacities; demand must be normalized to the same unit). Padding self-loops
-never enter the variable set.
+aggregate into a single arc whose capacity is the link count. Demand enters
+in bits/s; `_link_units` divides it by t.link_capacity, so the rows below,
+the flows and `eps` are in link units. Padding self-loops never enter the
+variable set.
 
     maximize theta subject to
       bal_s_v:  sum_i f[s,i,v] - sum_j f[s,v,j] = theta * m[s,v]
@@ -98,6 +99,7 @@ class _FlowLP:
 
     arcs: np.ndarray  # (A, 2) routable arcs (i, j), row-major
     capacity: np.ndarray  # (A,) link count of each arc: the cap rows' bounds
+    demand: np.ndarray  # (n, n) demand in link units: -theta's coefficient in each bal row
     sources: np.ndarray  # (S,) nodes with positive demand
     balance: np.ndarray  # (R, 2) the (s, v) of each bal row
     c: np.ndarray
@@ -110,16 +112,23 @@ class _FlowLP:
         return ["theta"] + [f"f_{s}_{a}_{b}" for s in self.sources.tolist() for a, b in zip(i, j)]
 
 
-def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
+def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
+    """m's entries (bits/s) in units of t's link capacity, once m is checked to
+    fit t and to hold some positive demand."""
     if t.n != m.n:
         raise ValueError(f"dimension mismatch: topology n={t.n}, demand n={m.n}")
+    demand = m.entries / t.link_capacity
+    if not (demand > 0).any():
+        raise ValueError("demand matrix has no positive entries; throughput is unbounded")
+    return demand
+
+
+def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     n = t.n
-    demand = m.entries
+    demand = _link_units(t, m)
     counts = t.routable_counts()
     tail, head = np.nonzero(counts > 0)
     sources = np.flatnonzero((demand > 0).any(axis=1))
-    if not sources.size:
-        raise ValueError("demand matrix has no positive entries; throughput is unbounded")
     n_arcs, n_src = tail.size, sources.size
     nvar = 1 + n_src * n_arcs
 
@@ -147,6 +156,7 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     return _FlowLP(
         arcs=np.column_stack((tail, head)),
         capacity=counts[tail, head].astype(float),
+        demand=demand,
         sources=sources,
         balance=np.column_stack((sources[src_idx[kept]], node[kept])),
         c=c,
@@ -160,7 +170,7 @@ def solve_max_throughput(t: Topology, m: DemandMatrix,
                          method: str = DEFAULT_METHOD) -> ThroughputResult:
     """Maximize theta such that theta*m admits a feasible flow on t.
 
-    `m` must already be normalized to t.link_capacity units. `method` names the
+    `m` is in bits/s; the flows come back in link units. `method` names the
     scipy.optimize.linprog backend, run at feasibility tolerances of
     DEFAULT_TOL. If the chosen method fails, the dual simplex is tried once;
     if that fails too, SolverError names the solver's status and message.
@@ -185,8 +195,8 @@ def solve_max_throughput(t: Topology, m: DemandMatrix,
 
 
 def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
-    """Upper bound on the LP optimum of m on t, as `throughput_static` solves it
-    (m in bits/s, normalized here by t.link_capacity), without an LP.
+    """Upper bound on `solve_max_throughput(t, m).theta` (m in bits/s), without
+    an LP.
 
     A pair's flow beyond its own direct links takes a path of at least
     h = max(2, hop) arcs, hop being its BFS distance in the routable graph, so
@@ -195,13 +205,9 @@ def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
     linear in theta with breakpoints L/x; the largest theta that fits is read
     off the sorted breakpoints. 0.0 when some positive demand has no path.
     """
-    if t.n != m.n:
-        raise ValueError(f"dimension mismatch: topology n={t.n}, demand n={m.n}")
+    demand = _link_units(t, m)
     links = t.routable_counts().astype(float)
-    demand = m.entries / t.link_capacity
     pair = demand > 0  # off the diagonal: a DemandMatrix has none there
-    if not pair.any():
-        raise ValueError("demand matrix has no positive entries; throughput is unbounded")
     hop = shortest_path(links > 0, unweighted=True)[pair]
     if not np.isfinite(hop).all():
         return 0.0
@@ -226,8 +232,9 @@ def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,
 
     The arcs, sources and rows come from the assembled LP; arc loads and
     per-(s, v) net inflows are summed here from `r.flows`, not read off the
-    constraint matrices. Returns a report of violations exceeding eps (in
-    link-capacity units); an empty report means the flows certify theta.
+    constraint matrices. `m` is in bits/s, as given to `solve_max_throughput`.
+    Returns a report of violations exceeding eps (in link units); an empty
+    report means the flows certify theta.
     """
     lp = _assemble_lp(t, m)
     n = t.n
@@ -267,11 +274,11 @@ def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,
     np.add.at(net_in, (s, j), flow)
     np.add.at(net_in, (s, i), -flow)
     src, node = lp.balance.T
-    need = r.theta * m.entries[src, node]
+    need = r.theta * lp.demand[src, node]
     gap = net_in[src, node] - need
     for q in np.flatnonzero(np.abs(gap) > eps):
         s_q, v_q = int(src[q]), int(node[q])
-        if m.entries[s_q, v_q] > 0:
+        if lp.demand[s_q, v_q] > 0:
             violations.append(FlowViolation(
                 "demand", f"source {s_q} nets {net_in[s_q, v_q]:.9g} at node {v_q}, "
                           f"needs {need[q]:.9g}", abs(float(gap[q]))))
@@ -292,8 +299,9 @@ def _lp_expr(cols, coefs, names) -> str:
 
 
 def export_lp(t: Topology, m: DemandMatrix) -> str:
-    """Render the assembled LP as text: columns theta and f_<s>_<i>_<j>, rows
-    bal_<s>_<v> and cap_<i>_<j>, in the order the solver receives them."""
+    """Render the assembled LP of m (bits/s) on t as text: columns theta and
+    f_<s>_<i>_<j>, rows bal_<s>_<v> and cap_<i>_<j> in link units, in the order
+    the solver receives them."""
     lp = _assemble_lp(t, m)
     names = lp.column_names()
     objective = np.flatnonzero(lp.c)

@@ -113,7 +113,7 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     # demand takes 12*theta of the node's 16 link units in one hop and the light
     # demand 2*4*theta over two hops, so 12*theta + 2*4*theta = 16.
     all_heavy = _all_heavy_topology(p)
-    heavy_lp = solve_max_throughput(all_heavy, demand).theta
+    heavy_lp = solve_max_throughput(all_heavy, chess).theta
 
     # The documented construction gives every heavy pair one floor link and
     # each node 8 residual arcs, a = 8*8/15 of them on heavy pairs on average.
@@ -130,15 +130,15 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     # The landscape cell, certified by the topology the heuristic built at its
     # last step with that step's seed.
     trace, scaled_chess, topo, _ = certifying_build(landscape, "chessboard", p)
-    scaled = normalize(scaled_chess, topo.link_capacity)
-    cert = solve_max_throughput(topo, scaled)
-    certified = cert.theta >= OBJECTIVE_REACHED and verify_solution(topo, scaled, cert, eps=1e-6).ok
+    cert = solve_max_throughput(topo, scaled_chess)
+    certified = (cert.theta >= OBJECTIVE_REACHED
+                 and verify_solution(topo, scaled_chess, cert, eps=1e-6).ok)
 
     # Every residual draw lands where its own two-hop count puts it.
     per_seed = []
     for seed in range(10):
         topo, _ = build_demand_aware_periodic(chess.scaled(expected), p, seed=seed)
-        lp = solve_max_throughput(topo, demand).theta
+        lp = solve_max_throughput(topo, chess).theta
         per_seed.append((lp, _two_hop_theta(topo, demand)))
     lps = [lp for lp, _ in per_seed]
     hop_gap = max(abs(lp - hop) for lp, hop in per_seed)
@@ -193,9 +193,8 @@ def test_criterion_08_integer_one_shot():
         p = NetworkParams(n, n, CAPACITY)
         m = DemandMatrix(counts * CAPACITY)
         topo = build_one_shot_integer(m, p)
-        normalized = normalize(m, CAPACITY)
-        result = solve_max_throughput(topo, normalized)
-        assert verify_solution(topo, normalized, result).ok
+        result = solve_max_throughput(topo, m)
+        assert verify_solution(topo, m, result).ok
         worst = min(worst, result.theta)
         assert abs(result.theta - 1.0) <= 1e-6, (trial, n, result.theta)
     report(8, True,
@@ -309,10 +308,10 @@ def test_criterion_12_solution_verification(landscape):
     p4 = NetworkParams(N, 4, CAPACITY)
     oblivious = build_oblivious_equivalent(p4)
     for kind in ("uniform", "permutation", "chessboard"):
-        cases.append((oblivious, normalize(generate(kind, p4), oblivious.link_capacity)))
+        cases.append((oblivious, generate(kind, p4)))
     # The chessboard's certifying da-periodic build, taken from its trace.
     _, scaled_chess, topo, _ = certifying_build(landscape, "chessboard", p4)
-    cases.append((topo, normalize(scaled_chess, topo.link_capacity)))
+    cases.append((topo, scaled_chess))
     objectives = []
     for topo, demand in cases:
         result = solve_max_throughput(topo, demand)

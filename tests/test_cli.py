@@ -13,7 +13,6 @@ from rdcn_throughput import (
     build_suite,
     generate,
     load_csv,
-    normalize,
     save_csv,
     solve_max_throughput,
     verify_solution,
@@ -92,6 +91,16 @@ class TestDecompose:
         assert result.exit_code == 0, result.output
         assert "not-uniform" in result.output
 
+    def test_parts_are_written_with_round_trip_digits(self, runner, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1.5,0\n0.2,0,1.0\n1.0,0.2,0\n")
+        result = runner.invoke(main, ["decompose", str(path), "--normalized",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "m_int.csv").read_bytes() == b"0,1,0\n0,0,1\n1,0,0\n"
+        assert (tmp_path / "m_res.csv").read_bytes() == (
+            b"0,0.5,0\n0.20000000000000001,0,0\n0,0.20000000000000001,0\n")
+
     def test_parse_error_exits_two(self, runner, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2\n1,0\n")
@@ -152,7 +161,7 @@ class TestEval:
         n = data["n"]
         topo = Topology(np.array(data["link_count"]).reshape(n, n), data["link_capacity"],
                         data["class"], degree_budget=n)
-        scaled = normalize(chess.scaled(theta), topo.link_capacity)
+        scaled = chess.scaled(theta)
         cert = solve_max_throughput(topo, scaled)
         assert cert.theta >= OBJECTIVE_REACHED
         assert verify_solution(topo, scaled, cert).ok
@@ -290,6 +299,39 @@ class TestReproduce:
         result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("n = x", "Invalid value for '--n': 'x' is not a valid integer"),
+        ("step = 0", "Invalid value for '--step': 0.0 is not in the range 0<x<1"),
+    ])
+    def test_config_values_are_checked_like_flags(self, runner, tmp_path, line, message):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{line}\n")
+        result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not (tmp_path / "fig3.csv").exists()
+
+    @pytest.mark.parametrize("step", ["0", "1", "-0.5"])
+    def test_step_outside_the_unit_interval_exits_two_before_solving(self, runner, tmp_path,
+                                                                     step):
+        result = runner.invoke(main, ["reproduce", "fig3", "--n", "4", "--u", "2",
+                                      "--step", step, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--step'" in result.output
+        assert not (tmp_path / "fig3.csv").exists()
+
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_matrix_csv_of_another_size_exits_two_before_solving(self, runner, tmp_path,
+                                                                 figure):
+        small = tmp_path / "small.csv"
+        save_csv(generate("uniform", NetworkParams(3, 2, 1e9)), small)
+        result = runner.invoke(main, ["reproduce", figure, "--n", "4", "--u", "2",
+                                      "--matrix-csv", str(small), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {small}: 3x3 matrix, but the network has n=4\n"
+        assert not (tmp_path / f"{figure}.csv").exists()
 
 
 class TestFig3Checks:

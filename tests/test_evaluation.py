@@ -11,7 +11,6 @@ from rdcn_throughput import (
     build_suite,
     evaluate_cell,
     generate,
-    normalize,
     save_csv,
     solve_max_throughput,
     sweep_degree,
@@ -189,7 +188,7 @@ class TestEvaluateCell:
         m = generate("chessboard", p)
         cell = evaluate_cell(m, p, "da-periodic", seed=0, label="chessboard")
         assert 0 < cell.theta < 1
-        scaled = normalize(m.scaled(cell.theta), cell.topology.link_capacity)
+        scaled = m.scaled(cell.theta)
         assert solve_max_throughput(cell.topology, scaled).theta >= OBJECTIVE_REACHED
         assert np.array_equal(cell.schedule.union_counts(), cell.topology.link_count)
 

@@ -16,7 +16,6 @@ from rdcn_throughput import (
     build_oblivious_equivalent,
     export_lp,
     generate,
-    normalize,
     solve_max_throughput,
     verify_solution,
 )
@@ -66,9 +65,10 @@ class TestSolveMaxThroughput:
     def test_oblivious_lp_at_least_two_hop_oracle(self):
         p = NetworkParams(8, 2, 1.0)
         t = build_oblivious_equivalent(p)
-        m = normalize(generate("permutation", p), t.link_capacity)
+        m = generate("permutation", p)
         full = solve_max_throughput(t, m).theta
-        restricted = path_lp_throughput(t.routable_counts(), m.entries, max_len=2)
+        restricted = path_lp_throughput(t.routable_counts(), m.entries / t.link_capacity,
+                                        max_len=2)
         assert full >= restricted - 1e-9
 
     def test_theta_can_exceed_one_for_slack_demand(self):
@@ -83,7 +83,7 @@ class TestSolveMaxThroughput:
     def test_scaling_duality(self):
         p = NetworkParams(6, 2, 1.0)
         t = build_oblivious_equivalent(p)
-        m = normalize(generate("random-saturated", p, seed=4), t.link_capacity)
+        m = generate("random-saturated", p, seed=4)
         base = solve_max_throughput(t, m).theta
         for k in (0.5, 2.0, 3.0):
             scaled = solve_max_throughput(t, m.scaled(k)).theta
@@ -113,10 +113,20 @@ class TestSolveMaxThroughput:
     def test_methods_agree(self):
         p = NetworkParams(6, 3, 1.0)
         t = build_oblivious_equivalent(p)
-        m = normalize(generate("random-saturated", p, seed=9), t.link_capacity)
+        m = generate("random-saturated", p, seed=9)
         a = solve_max_throughput(t, m, method="highs-ipm").theta
         b = solve_max_throughput(t, m, method="highs-ds").theta
         assert a == pytest.approx(b, abs=1e-7)
+
+    def test_demand_in_bits_per_second(self, desk_params):
+        # 25 Gb/s links at u=4 of 16 ports: the oblivious graph's links carry
+        # 6.25 Gb/s each, and the uniform hose matrix fits it exactly.
+        t = build_oblivious_equivalent(desk_params)
+        m = generate("uniform", desk_params)
+        result = solve_max_throughput(t, m)
+        assert result.theta == pytest.approx(1.0, abs=1e-9)
+        assert verify_solution(t, m, result).ok
+        assert throughput_upper_bound(t, m) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_demand_rejected(self):
         with pytest.raises(ValueError, match="no positive entries"):
@@ -226,7 +236,7 @@ class TestThroughputUpperBound:
         heavy = np.add.outer(np.arange(p.n), np.arange(p.n)) % 2
         t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy", degree_budget=p.n)
         m = generate("chessboard", p)
-        lp = solve_max_throughput(t, normalize(m, t.link_capacity)).theta
+        lp = solve_max_throughput(t, m).theta
         assert throughput_upper_bound(t, m) == pytest.approx(0.80, abs=1e-9)
         assert lp == pytest.approx(0.80, abs=1e-6)
 
