@@ -69,17 +69,22 @@ CONFIG_KEYS = ("n", "u", "c", "seed", "step", "jobs", "out")
 
 def _apply_config(ctx, param, path):
     """Eager --config callback: the file's values become the command's defaults
-    (ctx.default_map), so explicit flags still win and every value is parsed and
-    range-checked by its own option."""
+    (ctx.default_map), so explicit flags still win. Each value is parsed and
+    range-checked by its own option here, so an error names the file."""
     if path is None:
         return
     try:
         values = read_config(path)
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
-    for key in values:
+    options = {opt.name: opt for opt in ctx.command.params}
+    for key, raw in values.items():
         if key not in CONFIG_KEYS:
-            _fail(EXIT_INPUT, f"unknown config key {key!r}")
+            _fail(EXIT_INPUT, f"{path}: unknown config key {key!r}")
+        try:
+            values[key] = options[key].type_cast_value(ctx, raw)
+        except click.BadParameter as exc:
+            _fail(EXIT_INPUT, f"{path}: {exc.format_message()}")
     ctx.default_map = values
 
 

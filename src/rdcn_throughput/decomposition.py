@@ -118,37 +118,37 @@ def perfect_matching(support) -> PermutationMatching | None:
     return PermutationMatching(tuple(mapping.tolist()))
 
 
-def bvn_decompose(m, tol: float = BVN_DEFAULT_TOL) -> BvnDecomposition:
+def bvn_decompose(m) -> BvnDecomposition:
     """Decompose a doubly stochastic matrix into weighted permutation matchings.
 
     Repeatedly finds a perfect matching on the strictly-positive support, peels
     off the minimum matched entry, and stops once the residual mass drops below
-    n*tol. Reconstruction error is bounded by tol and the number of terms by
-    n^2 - 2n + 2.
+    n*BVN_DEFAULT_TOL. Reconstruction error is bounded by BVN_DEFAULT_TOL and
+    the number of terms by n^2 - 2n + 2.
 
     Raises DecompositionError if the positive support loses its perfect
     matching while significant mass remains (the input was not doubly
-    stochastic to within tol).
+    stochastic to within BVN_DEFAULT_TOL).
     """
     work = np.array(m, dtype=float)
     n = work.shape[0]
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {work.shape}")
-    if np.any(work < -tol):
+    if np.any(work < -BVN_DEFAULT_TOL):
         raise ValueError("matrix entries must be nonnegative")
     work = np.maximum(work, 0.0)
     row_sums = work.sum(axis=1)
     col_sums = work.sum(axis=0)
     scale = row_sums.mean()
-    allowed = tol * max(scale, 1.0)
+    allowed = BVN_DEFAULT_TOL * max(scale, 1.0)
     if np.abs(row_sums - scale).max() > allowed or np.abs(col_sums - scale).max() > allowed:
         raise ValueError(
             "matrix is not doubly stochastic: row/column sums differ by more than tolerance"
         )
 
     terms = []
-    while work.sum() >= n * tol:
-        pm = perfect_matching(work > tol)
+    while work.sum() >= n * BVN_DEFAULT_TOL:
+        pm = perfect_matching(work > BVN_DEFAULT_TOL)
         if pm is None:
             raise DecompositionError(
                 "no perfect matching on positive support with residual mass remaining"

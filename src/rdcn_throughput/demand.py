@@ -51,13 +51,6 @@ class NetworkParams:
             raise ValueError(f"link capacity must be positive, got c={self.c}")
 
     @property
-    def period(self) -> int:
-        """Schedule period in slots: one full rotation of n matchings over u switches."""
-        if self.n % self.u != 0:
-            raise ValueError(f"period n/u is not integral for n={self.n}, u={self.u}")
-        return self.n // self.u
-
-    @property
     def node_capacity(self) -> float:
         return self.c * self.u
 

@@ -197,12 +197,13 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     """Raw LP optimum of m on a fixed topology (may exceed 1 for slack demand).
 
     Every returned optimum is independently re-checked against the flow
-    constraints before being reported; a failed check raises SolverError.
+    constraints before being reported; a failed check raises SolverError
+    naming its largest violation.
     """
     result = solve_max_throughput(t, m)
-    report = verify_solution(t, m, result, eps=1e-6)
+    report = verify_solution(t, m, result)
     if not report.ok:
-        worst = report.violations[0]
+        worst = max(report.violations, key=lambda v: v.magnitude)
         raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
     return result.theta
 

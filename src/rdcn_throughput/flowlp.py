@@ -5,8 +5,8 @@ Understanding Throughput of Network Topologies", SC'16): one flow per source
 with positive demand, on each routable arc. Parallel links between a pair
 aggregate into a single arc whose capacity is the link count. Demand enters
 in bits/s; `_link_units` divides it by t.link_capacity, so the rows below,
-the flows and `eps` are in link units. Padding self-loops never enter the
-variable set.
+the flows and VERIFY_EPS are in link units. Padding self-loops never enter
+the variable set.
 
     maximize theta subject to
       bal_s_v:  sum_i f[s,i,v] - sum_j f[s,v,j] = theta * m[s,v]
@@ -27,13 +27,15 @@ an endpoint delivers nothing, and a flow that over-delivers at a destination
 does not meet its row.
 
 `_assemble_lp` builds the sparse LP once per call; `solve_max_throughput`
-hands it to the solver, `verify_solution` checks a flow against its arcs and
-rows, and `export_lp` renders its rows as text. `throughput_upper_bound`
+hands it to the solver and returns its flow columns as a sources x arcs block,
+`verify_solution` checks such a block against the LP's arcs and rows, and
+`export_lp` renders its rows as text. `throughput_upper_bound`
 bounds the LP's optimum from the topology alone, without solving it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +56,8 @@ _HIGHS_OPTIONS = {
 # dual simplex stays available as the fallback.
 DEFAULT_METHOD = "highs-ipm"
 FALLBACK_METHOD = "highs-ds"
-FLOW_EPS = 1e-12
+# Largest violation (link units) that verify_solution lets pass.
+VERIFY_EPS = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -64,7 +67,7 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class FlowViolation:
     # capacity | demand (balance row with m[s, v] > 0) | conservation (m[s, v] = 0)
-    # | negative-flow | unknown-arc (no LP variable for this source and arc)
+    # | negative-flow | layout (flows is not the LP's sources x arcs block)
     kind: str
     detail: str
     magnitude: float
@@ -79,17 +82,19 @@ class VerificationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on an array field would raise; compare fields
 class ThroughputResult:
     """Optimal scaling factor plus the flow assignment that certifies it.
 
-    flows maps (s, i, j) to the flow that source s sends over arc (i, j), in
-    link-capacity units, summed over all of s's destinations; entries at or
-    below FLOW_EPS are left out.
+    flows[k, a] is the flow that the LP's k-th source sends over its a-th arc,
+    in link-capacity units, summed over all of the source's destinations: the
+    solver's flow columns in their own order (`_FlowLP`). The sources are the
+    nodes with positive demand, ascending; the arcs are the routable (i, j),
+    row-major. `solve_max_throughput` returns the block read-only.
     """
 
     theta: float
-    flows: dict
+    flows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,12 +191,10 @@ def solve_max_throughput(t: Topology, m: DemandMatrix,
         status = {2: "infeasible", 3: "unbounded"}.get(res.status, "numerical-trouble")
         raise SolverError(f"solver returned {status}: {res.message}")
 
-    x = res.x
-    idx = np.flatnonzero(x[1:] > FLOW_EPS)
-    k, a = np.divmod(idx, len(lp.arcs))
-    keys = zip(lp.sources[k].tolist(), *lp.arcs[a].T.tolist())
-    theta = float(x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
-    return ThroughputResult(theta, dict(zip(keys, x[1 + idx].tolist())))
+    flows = res.x[1:].reshape(len(lp.sources), len(lp.arcs))
+    flows.setflags(write=False)
+    theta = float(res.x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
+    return ThroughputResult(theta, flows)
 
 
 def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
@@ -226,61 +229,50 @@ def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
     return float((budget + offset[j]) / (x.sum() + slope[j]))
 
 
-def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult,
-                    eps: float = 1e-6) -> VerificationReport:
+def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult) -> VerificationReport:
     """Re-check every LP constraint from the raw flows with fresh arithmetic.
 
     The arcs, sources and rows come from the assembled LP; arc loads and
     per-(s, v) net inflows are summed here from `r.flows`, not read off the
     constraint matrices. `m` is in bits/s, as given to `solve_max_throughput`.
-    Returns a report of violations exceeding eps (in link units); an empty
-    report means the flows certify theta.
+    Returns a report of violations exceeding VERIFY_EPS (in link units); an
+    empty report means the flows certify theta. A block whose shape is not the
+    LP's sources x arcs gets one layout violation and no further check.
     """
     lp = _assemble_lp(t, m)
-    n = t.n
-    keys = np.array(list(r.flows), dtype=np.int64).reshape(-1, 3)
-    vals = np.fromiter(r.flows.values(), dtype=float, count=len(r.flows))
+    flows = np.asarray(r.flows, dtype=float)
+    shape = (len(lp.sources), len(lp.arcs))
+    if flows.shape != shape:
+        return VerificationReport((FlowViolation(
+            "layout", f"flows have shape {flows.shape}, the LP has {shape} (sources x arcs)",
+            math.inf),))
     violations = []
 
-    for q in np.flatnonzero(vals < -eps):
-        violations.append(FlowViolation("negative-flow", f"f{tuple(keys[q].tolist())} = {vals[q]}",
-                                        -float(vals[q])))
-
-    # Variable index per (source, arc); -1 where the LP has no such variable.
-    arc_id = np.full((n, n), -1)
-    arc_id[lp.arcs[:, 0], lp.arcs[:, 1]] = np.arange(len(lp.arcs))
-    is_source = np.zeros(n, dtype=bool)
-    is_source[lp.sources] = True
-    arc = np.full(len(vals), -1)
-    in_range = ((keys >= 0) & (keys < n)).all(axis=1)
-    s, i, j = keys[in_range].T
-    arc[in_range] = np.where(is_source[s], arc_id[i, j], -1)
-    for q in np.flatnonzero(arc < 0):
+    for k, a in zip(*np.nonzero(flows < -VERIFY_EPS)):
+        (i, j), f = lp.arcs[a].tolist(), float(flows[k, a])
         violations.append(FlowViolation(
-            "unknown-arc", f"flow f{tuple(keys[q].tolist())} on a nonexistent arc or source",
-            float(vals[q])))
+            "negative-flow", f"f({lp.sources[k]}, {i}, {j}) = {f}", -f))
 
-    known = arc >= 0
-    s, i, j = keys[known].T
-    flow = vals[known]
-    load = np.bincount(arc[known], weights=flow, minlength=len(lp.arcs))
-    for a in np.flatnonzero(load - lp.capacity > eps):
-        (i_a, j_a), cap = lp.arcs[a].tolist(), lp.capacity[a]
+    load = flows.sum(axis=0)
+    for a in np.flatnonzero(load - lp.capacity > VERIFY_EPS):
+        (i, j), cap = lp.arcs[a].tolist(), lp.capacity[a]
         violations.append(FlowViolation(
-            "capacity", f"arc ({i_a},{j_a}) carries {load[a]:.9g} > {cap:.9g}",
+            "capacity", f"arc ({i},{j}) carries {load[a]:.9g} > {cap:.9g}",
             float(load[a] - cap)))
 
-    net_in = np.zeros((n, n))  # net_in[s, v]: inflow minus outflow of s's flow at v
-    np.add.at(net_in, (s, j), flow)
-    np.add.at(net_in, (s, i), -flow)
+    tail, head = lp.arcs.T
+    net_in = np.zeros((t.n, len(lp.sources)))  # [v, k]: inflow minus outflow of source k at v
+    np.add.at(net_in, head, flows.T)
+    np.add.at(net_in, tail, -flows.T)
     src, node = lp.balance.T
+    got = net_in[node, np.searchsorted(lp.sources, src)]
     need = r.theta * lp.demand[src, node]
-    gap = net_in[src, node] - need
-    for q in np.flatnonzero(np.abs(gap) > eps):
+    gap = got - need
+    for q in np.flatnonzero(np.abs(gap) > VERIFY_EPS):
         s_q, v_q = int(src[q]), int(node[q])
         if lp.demand[s_q, v_q] > 0:
             violations.append(FlowViolation(
-                "demand", f"source {s_q} nets {net_in[s_q, v_q]:.9g} at node {v_q}, "
+                "demand", f"source {s_q} nets {got[q]:.9g} at node {v_q}, "
                           f"needs {need[q]:.9g}", abs(float(gap[q]))))
         else:
             violations.append(FlowViolation(

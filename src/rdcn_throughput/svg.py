@@ -12,7 +12,6 @@ CLASS_COLORS = {
     "da-static": "#e0a431",
     "da-periodic": "#3d9948",
 }
-_FALLBACK_COLORS = ("#7a52a1", "#50b8b0", "#8a8a8a")
 
 Y_SCALE = 300.0  # pixels per unit of theta
 GRIDLINES = (0.5, 2.0 / 3.0, 0.8)
@@ -22,8 +21,8 @@ def grouped_bar_chart(groups, series, title="") -> str:
     """Render one bar per (group, series) pair.
 
     groups: ordered group labels (matrices or degrees).
-    series: ordered dict-like mapping series label -> list of theta values, one
-            per group; values may be NaN to leave a gap.
+    series: ordered dict-like mapping network class (a CLASS_COLORS key) -> list
+            of theta values, one per group; values may be NaN to leave a gap.
     """
     series = dict(series)
     n_series = max(len(series), 1)
@@ -54,20 +53,17 @@ def grouped_bar_chart(groups, series, title="") -> str:
             f'font-family="sans-serif">{level:.3g}</text>'
         )
 
-    palette = dict(CLASS_COLORS)
-    extra = iter(_FALLBACK_COLORS)
     for g_idx, group in enumerate(groups):
         x0 = margin_left + g_idx * group_w + 2 * gap
         for s_idx, (name, values) in enumerate(series.items()):
             theta = values[g_idx]
             if theta != theta:  # NaN: leave a gap
                 continue
-            color = palette.setdefault(name, next(extra, "#444444"))
             x = x0 + s_idx * bar_w
             h = theta * Y_SCALE
             parts.append(
                 f'<rect x="{x:.3f}" y="{base_y - h:.17g}" width="{bar_w - 2}" height="{h:.17g}" '
-                f'fill="{color}" data-series="{escape(str(name))}" '
+                f'fill="{CLASS_COLORS[name]}" data-series="{escape(str(name))}" '
                 f'data-group="{escape(str(group))}" data-theta="{theta:.17g}"/>'
             )
         label_x = x0 + (n_series * bar_w) / 2
@@ -80,8 +76,8 @@ def grouped_bar_chart(groups, series, title="") -> str:
     legend_y = height - 24
     lx = margin_left
     for name in series:
-        color = palette.get(name, "#444444")
-        parts.append(f'<rect x="{lx}" y="{legend_y}" width="12" height="12" fill="{color}"/>')
+        parts.append(f'<rect x="{lx}" y="{legend_y}" width="12" height="12" '
+                     f'fill="{CLASS_COLORS[name]}"/>')
         parts.append(
             f'<text x="{lx + 16}" y="{legend_y + 10}" font-size="11" font-family="sans-serif">'
             f"{escape(str(name))}</text>"

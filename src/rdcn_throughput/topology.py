@@ -20,6 +20,8 @@ from .decomposition import (
 )
 from .demand import DemandMatrix, NetworkParams, decompose_integer_residual, normalize, validate_hose
 
+# The slot and reconfiguration times every schedule.json states; no schedule
+# carries its own.
 DEFAULT_SLOT_DURATION_S = 1e-6
 # RotorNet-style reconfiguration dead time: a tenth of a slot.
 DEFAULT_RECONFIG_DURATION_S = 0.1 * DEFAULT_SLOT_DURATION_S
@@ -84,8 +86,6 @@ class PeriodicSchedule:
 
     switches: tuple  # u tuples of Gamma PermutationMatchings each
     period: int
-    slot_duration_s: float = DEFAULT_SLOT_DURATION_S
-    reconfig_duration_s: float = DEFAULT_RECONFIG_DURATION_S
 
     def __post_init__(self):
         switches = tuple(tuple(slots) for slots in self.switches)
@@ -114,8 +114,8 @@ class PeriodicSchedule:
         return {
             "u": self.u,
             "gamma": self.period,
-            "slot_duration_s": self.slot_duration_s,
-            "reconfig_duration_s": self.reconfig_duration_s,
+            "slot_duration_s": DEFAULT_SLOT_DURATION_S,
+            "reconfig_duration_s": DEFAULT_RECONFIG_DURATION_S,
             "switches": [[list(pm.mapping) for pm in slots] for slots in self.switches],
         }
 

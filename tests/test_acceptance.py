@@ -31,6 +31,7 @@ from rdcn_throughput import (
     verify_solution,
 )
 from rdcn_throughput.evaluation import DEFAULT_STEP, OBJECTIVE_REACHED, check_landscape
+from rdcn_throughput.flowlp import VERIFY_EPS
 
 from conftest import sinkhorn_doubly_stochastic
 from lp_oracle import path_lp_throughput
@@ -132,7 +133,7 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     trace, scaled_chess, topo, _ = certifying_build(landscape, "chessboard", p)
     cert = solve_max_throughput(topo, scaled_chess)
     certified = (cert.theta >= OBJECTIVE_REACHED
-                 and verify_solution(topo, scaled_chess, cert, eps=1e-6).ok)
+                 and verify_solution(topo, scaled_chess, cert).ok)
 
     # Every residual draw lands where its own two-hop count puts it.
     per_seed = []
@@ -315,12 +316,12 @@ def test_criterion_12_solution_verification(landscape):
     objectives = []
     for topo, demand in cases:
         result = solve_max_throughput(topo, demand)
-        rep = verify_solution(topo, demand, result, eps=1e-6)
+        rep = verify_solution(topo, demand, result)
         assert rep.ok, rep.violations[:3]
         objectives.append(result.theta)
     chess_objective = objectives[-1]
     report(12, chess_objective >= OBJECTIVE_REACHED,
-           f"verify_solution reports zero violations (eps 1e-6) on {len(objectives)} fresh "
-           f"optima; the chessboard's certifying build reaches objective "
+           f"verify_solution reports zero violations (eps {VERIFY_EPS:g}) on "
+           f"{len(objectives)} fresh optima; the chessboard's certifying build reaches objective "
            f"{chess_objective:.4f} at its reported theta (want >= {OBJECTIVE_REACHED}); "
            f"all sweep results were verified at solve time")

@@ -299,6 +299,8 @@ class TestReproduce:
         result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
+        assert f"{config}: unknown config key 'bogus'" in result.output
+        assert not (tmp_path / "fig3.csv").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("n = x", "Invalid value for '--n': 'x' is not a valid integer"),
@@ -310,7 +312,7 @@ class TestReproduce:
         result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert message in result.output
+        assert f"{config}: {message}" in result.output
         assert not (tmp_path / "fig3.csv").exists()
 
     @pytest.mark.parametrize("step", ["0", "1", "-0.5"])

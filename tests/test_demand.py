@@ -24,7 +24,6 @@ from conftest import sinkhorn_doubly_stochastic
 class TestNetworkParams:
     def test_accepts_desk_scale(self):
         p = NetworkParams(16, 4, 25e9)
-        assert p.period == 4
         assert p.node_capacity == 100e9
 
     @pytest.mark.parametrize("n,u,c", [
@@ -37,11 +36,9 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(n, u, c)
 
-    def test_non_dividing_degree_allowed_but_period_is_not(self):
+    def test_non_dividing_degree_allowed(self):
         p = NetworkParams(16, 12, 1.0)
         assert p.node_capacity == 12.0
-        with pytest.raises(ValueError, match="period"):
-            p.period
 
 
 class TestDemandMatrix:

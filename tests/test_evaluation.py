@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from rdcn_throughput import (
+    DemandMatrix,
     HeuristicTrace,
     NetworkParams,
+    SolverError,
+    ThroughputResult,
+    Topology,
     build_oblivious_equivalent,
     build_suite,
     evaluate_cell,
@@ -39,6 +43,25 @@ class TestThroughputFunctions:
         # direct share 1/n plus (n-2) two-hop relays at half weight: (1 + (n-2)/2)/n
         theta = throughput_static(build_oblivious_equivalent(SMALL), generate("permutation", SMALL))
         assert theta == pytest.approx((1 + (4 - 2) / 2) / 4, abs=1e-8)
+
+    def test_failed_verification_names_the_largest_violation(self, monkeypatch):
+        # Arcs 0->1, 1->0, 1->2 (row-major), one source (0) sending 1 to node 2.
+        counts = np.zeros((3, 3), dtype=int)
+        counts[0, 1] = counts[1, 0] = counts[1, 2] = 1
+        t = Topology(counts, 1.0, "test", degree_budget=2)
+        entries = np.zeros((3, 3))
+        entries[0, 2] = 1.0
+        m = DemandMatrix(entries)
+        # 0.1 less on 0->1 and -0.1 on 1->0 keep node 1 balanced: one negative
+        # flow of 0.1, reported first; theta 1.5 leaves node 2 short by 0.5.
+        tampered = ThroughputResult(1.5, np.array([[0.9, -0.1, 1.0]]))
+        monkeypatch.setattr(evaluation, "solve_max_throughput", lambda t, m: tampered)
+        report = evaluation.verify_solution(t, m, tampered)
+        assert [(v.kind, round(v.magnitude, 9)) for v in report.violations] == [
+            ("negative-flow", 0.1), ("demand", 0.5)]
+        with pytest.raises(SolverError, match="failed verification: demand: source 0 nets 1 "
+                                              "at node 2, needs 1.5"):
+            throughput_static(t, m)
 
     def test_static_expander_below_oblivious_on_permutation(self):
         from rdcn_throughput import build_static_expander

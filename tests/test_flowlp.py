@@ -267,11 +267,26 @@ class TestVerifySolution:
         t, m, result = self._solved()
         assert verify_solution(t, m, result).ok
 
+    def test_flows_are_the_solvers_read_only_block(self, monkeypatch):
+        solved = []
+        real = flowlp.linprog
+
+        def linprog(*args, **kwargs):
+            solved.append(real(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(flowlp, "linprog", linprog)
+        t, m, result = self._solved()
+        lp = _assemble_lp(t, m)
+        assert result.flows.shape == (len(lp.sources), len(lp.arcs))
+        assert np.array_equal(result.flows.ravel(), solved[-1].x[1:])
+        with pytest.raises(ValueError, match="read-only"):
+            result.flows[0, 0] = 1.0
+
     def test_capacity_violation_detected(self):
         t, m, result = self._solved()
-        flows = dict(result.flows)
-        key = next(iter(flows))
-        flows[key] += 1.0
+        flows = result.flows.copy()
+        flows[0, 0] += 1.0
         report = verify_solution(t, m, ThroughputResult(result.theta, flows))
         assert any(v.kind == "capacity" for v in report.violations)
 
@@ -287,12 +302,21 @@ class TestVerifySolution:
         assert {v.kind for v in report.violations} == {"demand"}
         assert len(report.violations) == 12  # every (s, v) pair of the 4-node uniform demand
 
-    def test_flow_on_missing_arc_detected(self):
+    def test_negative_flow_detected(self):
         t, m, result = self._solved()
-        flows = dict(result.flows)
-        flows[(0, 2, 2)] = 0.5
+        flows = result.flows.copy()
+        flows[1, 2] = -0.5
         report = verify_solution(t, m, ThroughputResult(result.theta, flows))
-        assert any(v.kind == "unknown-arc" for v in report.violations)
+        [negative] = [v for v in report.violations if v.kind == "negative-flow"]
+        assert negative.magnitude == 0.5
+
+    @pytest.mark.parametrize("shape", [(4, 11), (3, 12), (12, 4), (48,)])
+    def test_wrong_shape_is_one_layout_violation(self, shape):
+        # The complete 4-node LP has 4 sources and 12 arcs.
+        t, m, result = self._solved()
+        flows = np.zeros(shape)
+        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
+        assert [v.kind for v in report.violations] == ["layout"]
 
     def test_conservation_violation_detected(self):
         counts = np.zeros((3, 3), dtype=int)
@@ -302,8 +326,11 @@ class TestVerifySolution:
         entries[0, 2] = 1.0
         m = DemandMatrix(entries)
         result = solve_max_throughput(t, m)
-        flows = dict(result.flows)
-        flows[(0, 1, 2)] = flows.get((0, 1, 2), 0.0) + 0.25
+        lp = _assemble_lp(t, m)
+        arc = lp.arcs.tolist().index([1, 2])
+        assert lp.sources.tolist() == [0]
+        flows = result.flows.copy()
+        flows[0, arc] += 0.25
         report = verify_solution(t, m, ThroughputResult(result.theta, flows))
         assert any(v.kind == "conservation" for v in report.violations)
 
