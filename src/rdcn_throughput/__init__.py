@@ -48,6 +48,7 @@ from .flowlp import (
 from .topology import (
     PeriodicSchedule,
     Topology,
+    build_demand_aware_emulated,
     build_demand_aware_periodic,
     build_demand_aware_static,
     build_oblivious_equivalent,

@@ -35,6 +35,9 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
 
+# The physical degrees fig4 sweeps, those up to n; fig3 runs at --u.
+FIG4_DEGREES = (4, 8, 12, 16)
+
 _STEP = click.FloatRange(0, 1, min_open=True, max_open=True)
 
 
@@ -211,7 +214,8 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
 @main.command()
 @click.argument("figure", type=click.Choice(("fig3", "fig4")))
 @click.option("--n", type=int, default=16, show_default=True)
-@click.option("--u", type=int, default=4, show_default=True, help="Degree for fig3.")
+@click.option("--u", type=int, default=4, show_default=True,
+              help="Degree for fig3 (fig4 sweeps 4, 8, 12, 16 up to n).")
 @click.option("--c", type=float, default=25e9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--step", type=_STEP, default=0.01, show_default=True)
@@ -232,7 +236,10 @@ def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out):
             suite = evaluation.build_suite(p, csv_paths=matrix_csv)
             result = evaluation.sweep_matrices(p, suite, seed=seed, step=step, jobs=jobs)
         else:
-            degrees = [d for d in (4, 8, 12, 16) if d <= n] or [u]
+            degrees = [d for d in FIG4_DEGREES if d <= n]
+            if not degrees:
+                raise ValueError(f"fig4 sweeps the degrees {', '.join(map(str, FIG4_DEGREES))} "
+                                 f"up to n, and n={n} is below all of them")
             p = NetworkParams(n, degrees[0], c)
             result = evaluation.sweep_degree(p, degrees, seed=seed, step=step, jobs=jobs,
                                              csv_paths=matrix_csv)

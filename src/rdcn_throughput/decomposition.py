@@ -111,11 +111,14 @@ def perfect_matching(support) -> PermutationMatching | None:
     capped by the recursion limit; the result is deterministic for a given
     scipy. Returns None when no perfect matching exists.
     """
-    sup = csr_array(np.asarray(support, dtype=bool))
-    mapping = maximum_bipartite_matching(sup, perm_type="column")
-    if np.any(mapping < 0):
-        return None
-    return PermutationMatching(tuple(mapping.tolist()))
+    mapping = _match(csr_array(np.asarray(support, dtype=bool)))
+    return None if mapping is None else PermutationMatching(tuple(mapping.tolist()))
+
+
+def _match(support: csr_array) -> np.ndarray | None:
+    """Column matched to each row of a CSR support, or None if some row stays unmatched."""
+    mapping = maximum_bipartite_matching(support, perm_type="column")
+    return None if np.any(mapping < 0) else mapping
 
 
 def bvn_decompose(m) -> BvnDecomposition:
@@ -166,36 +169,57 @@ def edge_color_regular(g: RegularMultigraph) -> list:
 
     Peels one matching at a time; regularity is preserved after each peel, so a
     perfect matching always exists. The multiset union of the returned
-    matchings' edges equals the input's edge multiset exactly.
+    matchings' edges equals the input's edge multiset exactly. Each peel's
+    support goes to `perfect_matching`'s solver as the CSR of the remaining
+    multigraph's nonzeros, the structure `csr_array(work > 0)` has, so the
+    matchings are the ones that call would give.
     """
+    n = g.n
     work = np.array(g.edge_multiplicity)
+    row_starts = np.arange(n + 1) * n
     matchings = []
     for _ in range(g.degree):
-        pm = perfect_matching(work > 0)
-        if pm is None:  # unreachable for a regular input
+        cells = np.flatnonzero(work)  # row-major, so each row's columns come sorted
+        support = csr_array((np.ones(cells.size, dtype=bool), (cells % n).astype(np.int32),
+                             np.searchsorted(cells, row_starts).astype(np.int32)), shape=(n, n))
+        mapping = _match(support)
+        if mapping is None:  # unreachable for a regular input
             raise DecompositionError("regular multigraph lost its perfect matching")
-        work[np.arange(g.n), pm.mapping] -= 1
-        matchings.append(pm)
+        work[np.arange(n), mapping] -= 1
+        matchings.append(PermutationMatching(tuple(mapping.tolist())))
     return matchings
 
 
 def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
     """Random perfect matching on the allowed cells (Kuhn with rng-shuffled orders),
-    searching each augmenting path depth first on an explicit stack, not by recursion."""
+    searching each augmenting path depth first on an explicit stack, not by recursion.
+
+    Row i's preference order is rng.shuffle of its allowed columns in place,
+    the draws rng.permutation of that row would make (a copy, then a shuffle).
+    """
     n = allowed.shape[0]
-    prefs = [rng.permutation(np.nonzero(allowed[i])[0]).tolist() for i in range(n)]
+    rows, cols = np.nonzero(allowed)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    for i in range(n):
+        rng.shuffle(cols[starts[i]:starts[i + 1]])
+    flat = cols.tolist()
+    prefs = [flat[starts[i]:starts[i + 1]] for i in range(n)]
     col_owner, row_col = [-1] * n, [-1] * n
+    banned_by = [-1] * n  # the root whose search last tried each column
 
     for root in rng.permutation(n).tolist():
-        banned, stack = set(), [(root, iter(prefs[root]))]  # (row, its untried columns)
+        if prefs[root] and col_owner[prefs[root][0]] < 0:  # first choice free: take it
+            col_owner[prefs[root][0]], row_col[root] = root, prefs[root][0]
+            continue
+        stack = [(root, iter(prefs[root]))]  # (row, its untried columns)
         while stack:
             for col in stack[-1][1]:
-                if col not in banned:
+                if banned_by[col] != root:
                     break
             else:  # the top row cannot be rematched: back up
                 stack.pop()
                 continue
-            banned.add(col)
+            banned_by[col] = root
             if col_owner[col] < 0:  # free: each row on the stack takes the next row's column
                 for row, _ in reversed(stack):
                     col_owner[col] = row
@@ -212,12 +236,15 @@ def random_regular_digraph(n: int, d: int, seed) -> RegularMultigraph:
 
     Every node gets exactly d distinct out-neighbors and d distinct in-neighbors
     (no parallel arcs, no self-loops), which maximizes pair coverage for a given
-    degree budget. Deterministic per seed.
+    degree budget. Deterministic per seed. At d = n - 1 the only such graph is
+    the complete one, returned without drawing.
     """
     if n < 2:
         raise ValueError(f"a self-loop-free digraph needs at least 2 nodes, got n={n}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"degree d={d} must satisfy 1 <= d <= {n - 1} for n={n}")
+    if d == n - 1:
+        return RegularMultigraph(1 - np.eye(n, dtype=np.int64))
     rng = np.random.default_rng(seed)
     allowed = ~np.eye(n, dtype=bool)
     mult = np.zeros((n, n), dtype=np.int64)

@@ -31,13 +31,18 @@ from .demand import (
     normalize,
 )
 from .flowlp import SolverError, solve_max_throughput, throughput_upper_bound, verify_solution
-from .topology import (
+# Nothing here calls build_demand_aware_periodic; the benchmark traces it as
+# evaluation.build_demand_aware_periodic (bench/rdcn_bench/layers.py), so the
+# name stays importable from this module.
+from .topology import (  # noqa: F401
     PeriodicSchedule,
     Topology,
+    build_demand_aware_emulated,
     build_demand_aware_periodic,
     build_demand_aware_static,
     build_oblivious_equivalent,
     build_static_expander,
+    synthesize_schedule,
 )
 
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
@@ -220,7 +225,10 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     uncertainty one step, and the last step's build certifies it; 0.0 with a
     full trace if no scan value succeeds. Every step builds its topology from
     its own seed, but solves its LP only if the topology's upper bound leaves
-    the objective room to reach 1, so skipping changes no theta.
+    the objective room to reach 1, so skipping changes no theta. A schedule
+    takes no part in theta, so da-periodic steps build only the emulated
+    graph, and the switch schedule is synthesized once, for the last step's,
+    as `build_demand_aware_periodic` with that step's seed would make it.
     """
     if net_class not in ("da-static", "da-periodic"):
         raise ValueError(f"unknown demand-aware class {net_class!r}")
@@ -235,9 +243,9 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         scaled = m.scaled(scale)
         iter_seed = _seed_int(seed, "iter", k)
         if net_class == "da-static":
-            topo, schedule = build_demand_aware_static(scaled, p, seed=iter_seed), None
+            topo = build_demand_aware_static(scaled, p, seed=iter_seed)
         else:
-            topo, schedule = build_demand_aware_periodic(scaled, p, seed=iter_seed)
+            topo = build_demand_aware_emulated(scaled, p, seed=iter_seed)
         bound = throughput_upper_bound(topo, scaled)
         objective = None
         if bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
@@ -251,6 +259,9 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
             break
     trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta, step,
                            tuple(seeds))
+    schedule = None
+    if net_class == "da-periodic" and p.n % p.u == 0:
+        schedule = synthesize_schedule(topo, p.u, seed=seeds[-1])
     return Cell(theta, trace, topo, schedule)
 
 

@@ -26,10 +26,11 @@ The balance rows are equalities, so net flow is what counts: a cycle through
 an endpoint delivers nothing, and a flow that over-delivers at a destination
 does not meet its row.
 
-`_assemble_lp` builds the sparse LP once per call; `solve_max_throughput`
-hands it to the solver and returns its flow columns as a sources x arcs block,
-`verify_solution` checks such a block against the LP's arcs and rows, and
-`export_lp` renders its rows as text. `throughput_upper_bound`
+`_assemble_lp` builds the sparse LP once per call on the index sets of
+`_layout`; `solve_max_throughput` hands it to the solver and returns its flow
+columns as a sources x arcs block, `verify_solution` checks such a block
+against the layout's arcs and rows without building the matrices, and
+`export_lp` renders the rows as text. `throughput_upper_bound`
 bounds the LP's optimum from the topology alone, without solving it.
 """
 
@@ -41,7 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.sparse.csgraph import shortest_path
 
 from .demand import DemandMatrix
 from .topology import Topology
@@ -98,23 +98,30 @@ class ThroughputResult:
 
 
 @dataclass(frozen=True)
-class _FlowLP:
-    """The assembled LP. Column 0 is theta; column 1 + k*len(arcs) + a is the
-    flow of sources[k] on arcs[a]."""
+class _Layout:
+    """The LP's index sets, without its matrices: what `verify_solution` checks
+    a flow block against and `_assemble_lp` builds the rows on."""
 
     arcs: np.ndarray  # (A, 2) routable arcs (i, j), row-major
     capacity: np.ndarray  # (A,) link count of each arc: the cap rows' bounds
     demand: np.ndarray  # (n, n) demand in link units: -theta's coefficient in each bal row
     sources: np.ndarray  # (S,) nodes with positive demand
     balance: np.ndarray  # (R, 2) the (s, v) of each bal row
-    c: np.ndarray
-    A_ub: sp.csr_matrix  # one cap row per arc
-    A_eq: sp.csr_matrix
-    b_eq: np.ndarray
 
     def column_names(self) -> list:
         i, j = self.arcs.T.tolist()
         return ["theta"] + [f"f_{s}_{a}_{b}" for s in self.sources.tolist() for a, b in zip(i, j)]
+
+
+@dataclass(frozen=True)
+class _FlowLP(_Layout):
+    """The assembled LP. Column 0 is theta; column 1 + k*len(arcs) + a is the
+    flow of sources[k] on arcs[a]."""
+
+    c: np.ndarray
+    A_ub: sp.csr_matrix  # one cap row per arc
+    A_eq: sp.csr_matrix
+    b_eq: np.ndarray
 
 
 def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
@@ -128,20 +135,39 @@ def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
     return demand
 
 
-def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
+def _layout(t: Topology, m: DemandMatrix) -> _Layout:
+    """Arcs, sources and balance rows of m's LP on t. A bal row (s, v), v != s,
+    exists where it has a term: s demands at v, or v touches a routable arc."""
     n = t.n
     demand = _link_units(t, m)
     counts = t.routable_counts()
     tail, head = np.nonzero(counts > 0)
     sources = np.flatnonzero((demand > 0).any(axis=1))
-    n_arcs, n_src = tail.size, sources.size
+    touched = np.zeros(n, dtype=bool)
+    touched[tail] = touched[head] = True
+    has_row = (demand[sources] > 0) | touched
+    has_row[np.arange(sources.size), sources] = False
+    src_idx, node = np.nonzero(has_row)
+    return _Layout(
+        arcs=np.column_stack((tail, head)),
+        capacity=counts[tail, head].astype(float),
+        demand=demand,
+        sources=sources,
+        balance=np.column_stack((sources[src_idx], node)),
+    )
+
+
+def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
+    layout = _layout(t, m)
+    tail, head = layout.arcs.T
+    src, node = layout.balance.T
+    n_arcs, n_src, n_rows = tail.size, layout.sources.size, src.size
     nvar = 1 + n_src * n_arcs
 
-    # Balance rows, one per (source, node != source); row_of maps them back.
-    src_idx, node = np.nonzero(np.arange(n)[None, :] != sources[:, None])
-    row_of = np.full((n_src, n), -1)
-    row_of[src_idx, node] = np.arange(src_idx.size)
-    need = demand[sources[src_idx], node]
+    # row_of maps (source index, node) to its bal row; -1 where there is none.
+    row_of = np.full((n_src, t.n), -1)
+    row_of[np.searchsorted(layout.sources, src), node] = np.arange(n_rows)
+    need = layout.demand[src, node]
     has_need = need > 0
     var = 1 + np.arange(n_src * n_arcs)
     k, a = np.divmod(var - 1, n_arcs)
@@ -151,24 +177,11 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     rows = np.concatenate((np.flatnonzero(has_need), into[enters], out_of[leaves]))
     cols = np.concatenate((np.zeros(has_need.sum(), dtype=np.int64), var[enters], var[leaves]))
     data = np.concatenate((-need[has_need], np.ones(enters.sum()), -np.ones(leaves.sum())))
-    A_eq = sp.csr_matrix((data, (rows, cols)), shape=(src_idx.size, nvar))
-    # A node no arc touches and no demand reaches has an empty row; drop it.
-    kept = np.flatnonzero(np.diff(A_eq.indptr))
-    A_eq = A_eq[kept]
+    A_eq = sp.csr_matrix((data, (rows, cols)), shape=(n_rows, nvar))
     A_ub = sp.csr_matrix((np.ones(var.size), (a, var)), shape=(n_arcs, nvar))
     c = np.zeros(nvar)
     c[0] = -1.0
-    return _FlowLP(
-        arcs=np.column_stack((tail, head)),
-        capacity=counts[tail, head].astype(float),
-        demand=demand,
-        sources=sources,
-        balance=np.column_stack((sources[src_idx[kept]], node[kept])),
-        c=c,
-        A_ub=A_ub,
-        A_eq=A_eq,
-        b_eq=np.zeros(kept.size),
-    )
+    return _FlowLP(**vars(layout), c=c, A_ub=A_ub, A_eq=A_eq, b_eq=np.zeros(n_rows))
 
 
 def solve_max_throughput(t: Topology, m: DemandMatrix,
@@ -197,6 +210,26 @@ def solve_max_throughput(t: Topology, m: DemandMatrix,
     return ThroughputResult(theta, flows)
 
 
+def _hops(adjacent: np.ndarray) -> np.ndarray:
+    """Directed BFS distances: hop[i, j] is the fewest arcs from i to j, inf
+    where j is unreachable, 0 on the diagonal. Each round extends the
+    frontier of every source at once by one float (BLAS) matrix product; the
+    counts it sums are at most n, so the test `> 0` is exact."""
+    n = adjacent.shape[0]
+    step = adjacent.astype(float)
+    hop = np.full((n, n), np.inf)
+    np.fill_diagonal(hop, 0.0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    for d in range(1, n):
+        frontier = (frontier.astype(float) @ step > 0) & ~reached
+        if not frontier.any():
+            break
+        hop[frontier] = d
+        reached |= frontier
+    return hop
+
+
 def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
     """Upper bound on `solve_max_throughput(t, m).theta` (m in bits/s), without
     an LP.
@@ -211,7 +244,7 @@ def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
     demand = _link_units(t, m)
     links = t.routable_counts().astype(float)
     pair = demand > 0  # off the diagonal: a DemandMatrix has none there
-    hop = shortest_path(links > 0, unweighted=True)[pair]
+    hop = _hops(links > 0)[pair]
     if not np.isfinite(hop).all():
         return 0.0
     x, cap = demand[pair], links[pair]
@@ -232,14 +265,14 @@ def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
 def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult) -> VerificationReport:
     """Re-check every LP constraint from the raw flows with fresh arithmetic.
 
-    The arcs, sources and rows come from the assembled LP; arc loads and
+    The arcs, sources and rows come from the LP's `_layout`; arc loads and
     per-(s, v) net inflows are summed here from `r.flows`, not read off the
     constraint matrices. `m` is in bits/s, as given to `solve_max_throughput`.
     Returns a report of violations exceeding VERIFY_EPS (in link units); an
     empty report means the flows certify theta. A block whose shape is not the
     LP's sources x arcs gets one layout violation and no further check.
     """
-    lp = _assemble_lp(t, m)
+    lp = _layout(t, m)
     flows = np.asarray(r.flows, dtype=float)
     shape = (len(lp.sources), len(lp.arcs))
     if flows.shape != shape:

@@ -212,34 +212,40 @@ def _pad_to_regular(counts: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def build_demand_aware_periodic(m: DemandMatrix, p: NetworkParams, seed=0):
-    """Demand-aware periodic network: emulated degree-n static graph plus its schedule.
+def build_demand_aware_emulated(m: DemandMatrix, p: NetworkParams, seed=0) -> Topology:
+    """Emulated degree-n static graph of the demand-aware periodic network.
 
-    The emulated graph carries capacity c*u/n = c/Gamma per link, so throughput
-    computed on the returned Topology equals the periodic network's throughput.
-
-    Returns (Topology, PeriodicSchedule). When u does not divide n the uniform
-    n/u-slot schedule cannot be laid out and the schedule slot is None; the
-    emulated topology is still valid for throughput evaluation.
+    Floor links for the bulk demand plus a random regular graph on the
+    leftover degree, padded to exactly n-regular, at capacity c*u/n = c/Gamma
+    per link: the throughput of the periodic network is this graph's. The
+    switch schedule that realizes it is `synthesize_schedule(topo, p.u, seed)`.
     """
     _require_hose(m, p)
     unit = p.c * p.u / p.n
     counts = _demand_aware_counts(m, p, unit, p.n, seed)
-    padded = _pad_to_regular(counts, p.n)
-    topo = Topology(padded, unit, "da-periodic", p.n)
+    return Topology(_pad_to_regular(counts, p.n), unit, "da-periodic", p.n)
+
+
+def build_demand_aware_periodic(m: DemandMatrix, p: NetworkParams, seed=0):
+    """Demand-aware periodic network: emulated degree-n static graph plus its schedule.
+
+    Returns (Topology, PeriodicSchedule): `build_demand_aware_emulated` and
+    the schedule synthesized from it with the same seed. When u does not
+    divide n the uniform n/u-slot schedule cannot be laid out and the schedule
+    slot is None; the emulated topology is still valid for throughput
+    evaluation.
+    """
+    topo = build_demand_aware_emulated(m, p, seed=seed)
     if p.n % p.u != 0:
         return topo, None
-    schedule = synthesize_schedule(topo, p.u, seed=seed)
-    if not np.array_equal(schedule.union_counts(), topo.link_count):
-        raise AssertionError("schedule union does not reconstruct the emulated topology")
-    return topo, schedule
+    return topo, synthesize_schedule(topo, p.u, seed=seed)
 
 
 def synthesize_schedule(t: Topology, u: int, seed=0) -> PeriodicSchedule:
     """Color an n-regular topology into n matchings and deal them out to u switches.
 
     Each switch receives Gamma = n/u consecutive matchings of a seeded shuffle;
-    their union reconstructs the topology's link multiset exactly.
+    their union is checked to reconstruct the topology's link multiset exactly.
     """
     n = t.n
     if n % u != 0:
@@ -258,7 +264,10 @@ def synthesize_schedule(t: Topology, u: int, seed=0) -> PeriodicSchedule:
         tuple(matchings[int(order[k * gamma + s])] for s in range(gamma))
         for k in range(u)
     )
-    return PeriodicSchedule(switches, period=gamma)
+    schedule = PeriodicSchedule(switches, period=gamma)
+    if not np.array_equal(schedule.union_counts(), t.link_count):
+        raise AssertionError("schedule union does not reconstruct the topology")
+    return schedule
 
 
 def build_one_shot_integer(m: DemandMatrix, p: NetworkParams) -> Topology:

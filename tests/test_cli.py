@@ -241,6 +241,14 @@ class TestReproduce:
         assert (tmp_path / "fig4.svg").exists()
         assert "[PASS]" in result.output or "[FAIL]" in result.output
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_fig4_below_its_lowest_degree_exits_two(self, runner, tmp_path, n):
+        result = runner.invoke(main, ["reproduce", "fig4", "--n", n, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == (f"error: fig4 sweeps the degrees 4, 8, 12, 16 up to n, "
+                                 f"and n={n} is below all of them\n")
+        assert not (tmp_path / "fig4.csv").exists()
+
     def test_fig4_failed_cells_are_worst_cases(self, runner, tmp_path):
         # a permutation at 6c per row: over the hose bound c*u at u=4, within it at u=8
         hot = tmp_path / "hot.csv"

@@ -48,6 +48,18 @@ def recursive_disjoint_matching(allowed, rng):
     return PermutationMatching(tuple(mapping))
 
 
+def peeling_edge_colouring(g):
+    """The peel loop `edge_color_regular` replaces, kept as its reference: one
+    `perfect_matching` on the dense support of what is left per matching."""
+    work = np.array(g.edge_multiplicity)
+    matchings = []
+    for _ in range(g.degree):
+        pm = perfect_matching(work > 0)
+        work[np.arange(g.n), pm.mapping] -= 1
+        matchings.append(pm)
+    return matchings
+
+
 def brute_force_matching(support):
     """Exhaustive permutation search; the oracle perfect_matching must agree with."""
     n = support.shape[0]
@@ -238,6 +250,14 @@ class TestColouringProperties:
         np.testing.assert_array_equal(_union(matchings, g.n), counts)
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(regular_multigraphs())
+    def test_edge_coloring_matches_the_peeling_reference(self, counts):
+        # the sampled permutations' fixed points are self-loops
+        g = RegularMultigraph(counts)
+        assert ([pm.mapping for pm in edge_color_regular(g)]
+                == [pm.mapping for pm in peeling_edge_colouring(g)])
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(regular_multigraphs(full_degree=True), st.data())
     def test_schedule_union_reconstructs_topology(self, counts, data):
         n = counts.shape[0]
@@ -285,6 +305,11 @@ class TestRandomRegularDigraph:
         for (seed, d), mult in samples.items():
             reference = random_regular_digraph(n, d, seed=seed).edge_multiplicity
             assert mult.tobytes() == reference.tobytes(), (seed, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_full_degree_is_the_complete_digraph(self, n):
+        np.testing.assert_array_equal(random_regular_digraph(n, n - 1, seed=4).edge_multiplicity,
+                                      1 - np.eye(n, dtype=int))
 
     def test_large_n_needs_no_recursion(self):
         mult = random_regular_digraph(1200, 3, seed=0).edge_multiplicity

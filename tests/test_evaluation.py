@@ -11,8 +11,10 @@ from rdcn_throughput import (
     SolverError,
     ThroughputResult,
     Topology,
+    build_demand_aware_periodic,
     build_oblivious_equivalent,
     build_suite,
+    edge_color_regular,
     evaluate_cell,
     generate,
     save_csv,
@@ -22,7 +24,7 @@ from rdcn_throughput import (
     throughput_demand_aware,
     throughput_static,
 )
-from rdcn_throughput import evaluation
+from rdcn_throughput import evaluation, topology
 from rdcn_throughput.evaluation import (
     NETWORK_CLASSES,
     OBJECTIVE_REACHED,
@@ -214,6 +216,34 @@ class TestEvaluateCell:
         scaled = m.scaled(cell.theta)
         assert solve_max_throughput(cell.topology, scaled).theta >= OBJECTIVE_REACHED
         assert np.array_equal(cell.schedule.union_counts(), cell.topology.link_count)
+
+    @pytest.mark.parametrize("u", [4, 8, 3])
+    def test_periodic_cell_is_the_full_build_of_its_last_step(self, u):
+        # Steps build only the emulated graph; the one schedule, colored for the
+        # last step, is what build_demand_aware_periodic makes from its seed.
+        p = NetworkParams(16, u, 25e9)
+        m = generate("chessboard", p)
+        cell = throughput_demand_aware(m, p, "da-periodic")
+        topo, schedule = build_demand_aware_periodic(m.scaled(cell.theta), p,
+                                                     seed=cell.trace.seeds[-1])
+        assert np.array_equal(cell.topology.link_count, topo.link_count)
+        if u == 3:  # 3 does not divide 16: no schedule
+            assert cell.schedule is None and schedule is None
+        else:
+            assert [[pm.mapping for pm in slots] for slots in cell.schedule.switches] == [
+                [pm.mapping for pm in slots] for slots in schedule.switches]
+
+    def test_a_periodic_cell_colors_one_schedule(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return edge_color_regular(g)
+
+        monkeypatch.setattr(topology, "edge_color_regular", counted)
+        p = NetworkParams(16, 4, 25e9)
+        cell = throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
+        assert len(cell.trace.iter_values) == 17 and calls == [16]
 
     def test_lp_cell_topology_is_the_solved_one(self):
         m = generate("permutation", SMALL)

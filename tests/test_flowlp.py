@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
+from scipy.sparse.csgraph import shortest_path
 
 from rdcn_throughput import (
     DemandMatrix,
@@ -21,7 +22,7 @@ from rdcn_throughput import (
 )
 
 from rdcn_throughput import flowlp
-from rdcn_throughput.flowlp import _assemble_lp, throughput_upper_bound
+from rdcn_throughput.flowlp import _assemble_lp, _hops, _layout, throughput_upper_bound
 
 from lp_oracle import path_lp_throughput
 
@@ -250,6 +251,17 @@ class TestThroughputUpperBound:
             warnings.simplefilter("error")
             assert throughput_upper_bound(t, DemandMatrix(entries)) == 0.0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hops_are_the_bfs_distances(self, seed):
+        # sparse random digraphs, often disconnected, and one of two components
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 5, 16, 40):
+            adjacent = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+            assert _hops(adjacent).tobytes() == shortest_path(adjacent, unweighted=True).tobytes()
+        two = np.zeros((8, 8), dtype=bool)
+        two[:4, :4] = two[4:, 4:] = ~np.eye(4, dtype=bool)
+        assert _hops(two).tobytes() == shortest_path(two, unweighted=True).tobytes()
+
     def test_zero_demand_and_mismatch_rejected(self):
         with pytest.raises(ValueError, match="no positive entries"):
             throughput_upper_bound(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
@@ -393,6 +405,26 @@ def _parse_lp_rows(text):
                 sign, scale = 1.0, 1.0
         rows[name] = (coefs, sense, float(rhs))
     return rows
+
+
+class TestLayout:
+    """verify_solution reads `_layout` instead of the assembled LP, so the two
+    must agree on the arcs and on which balance rows exist."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(random_instances())
+    def test_matches_the_assembled_lp(self, instance):
+        t, m = instance
+        layout, lp = _layout(t, m), _assemble_lp(t, m)
+        for name in ("arcs", "capacity", "demand", "sources", "balance"):
+            assert np.array_equal(getattr(layout, name), getattr(lp, name)), name
+        # a row exists exactly where it has a term: no empty row is kept, none dropped
+        assert np.all(np.diff(lp.A_eq.indptr) > 0)
+        touched = set(lp.arcs.reshape(-1).tolist())
+        demand = m.entries / t.link_capacity
+        expected = [(s, v) for s in lp.sources.tolist() for v in range(t.n)
+                    if v != s and (demand[s, v] > 0 or v in touched)]
+        assert lp.balance.tolist() == [list(row) for row in expected]
 
 
 class TestExportLp:
