@@ -194,16 +194,14 @@ def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
     """Random perfect matching on the allowed cells (Kuhn with rng-shuffled orders),
     searching each augmenting path depth first on an explicit stack, not by recursion.
 
-    Row i's preference order is rng.shuffle of its allowed columns in place,
-    the draws rng.permutation of that row would make (a copy, then a shuffle).
+    Every row of `allowed` holds the same number of cells, as in
+    `random_regular_digraph`. Row i's preference order is its allowed columns
+    shuffled by one `rng.permuted` call over all rows, the draws a
+    rng.permutation of each row in turn would make.
     """
     n = allowed.shape[0]
-    rows, cols = np.nonzero(allowed)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    for i in range(n):
-        rng.shuffle(cols[starts[i]:starts[i + 1]])
-    flat = cols.tolist()
-    prefs = [flat[starts[i]:starts[i + 1]] for i in range(n)]
+    cols = np.nonzero(allowed)[1].reshape(n, -1)
+    prefs = rng.permuted(cols, axis=1, out=cols).tolist()
     col_owner, row_col = [-1] * n, [-1] * n
     banned_by = [-1] * n  # the root whose search last tried each column
 

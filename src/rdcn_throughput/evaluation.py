@@ -5,8 +5,10 @@ criteria they are checked against.
 The demand-aware heuristic scales the demand matrix by `iter` descending from
 1 in fixed steps, rebuilds the demand-aware topology for each scaled matrix,
 and stops at the first iter whose LP objective reaches 1; that iter is the
-reported throughput (granularity = one step). A step whose topology bounds
-the objective below 1 (`throughput_upper_bound`) is rejected without its LP.
+reported throughput (granularity = one step). The scan starts at the first
+step that the demand alone (`demand_upper_bound`) leaves room to reach 1, and
+a step whose topology bounds the objective below 1 (`throughput_upper_bound`)
+is rejected without its LP.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from .demand import (
     load_csv,
     normalize,
 )
-from .flowlp import SolverError, solve_max_throughput, throughput_upper_bound, verify_solution
+from .flowlp import (
+    SolverError,
+    demand_upper_bound,
+    solve_max_throughput,
+    throughput_upper_bound,
+    verify_solution,
+)
 # Nothing here calls build_demand_aware_periodic; the benchmark traces it as
 # evaluation.build_demand_aware_periodic (bench/rdcn_bench/layers.py), so the
 # name stays importable from this module.
@@ -42,6 +50,7 @@ from .topology import (  # noqa: F401
     build_demand_aware_static,
     build_oblivious_equivalent,
     build_static_expander,
+    require_hose,
     synthesize_schedule,
 )
 
@@ -50,7 +59,10 @@ DEFAULT_STEP = 0.01
 OBJECTIVE_REACHED = 1.0 - 1e-9
 # A step's LP is skipped when its upper bound lies below OBJECTIVE_REACHED by
 # more than this: ten times the solver's feasibility tolerance, so a step the
-# LP could accept is always solved.
+# LP could accept is always solved. The scan starts at the first step whose
+# demand-only bound reaches OBJECTIVE_REACHED - 2 * SKIP_MARGIN: that bound is
+# computed by other arithmetic than the per-step one, and the second margin
+# covers the difference.
 SKIP_MARGIN = 1e-6
 
 _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -60,11 +72,15 @@ _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 class HeuristicTrace:
     """Record of one descending heuristic scan.
 
-    Step k scanned iter_values[k] on a topology built with seeds[k], whose
-    upper bound on the LP objective is bounds[k]. objectives[k] is the LP
-    optimum, or None where the bound fell below OBJECTIVE_REACHED - SKIP_MARGIN
-    and the LP was skipped. When chosen_theta > 0, the last step was solved
-    and its topology certifies it.
+    demand_bound is the demand-only bound B on the throughput of every
+    topology of the class, so the cell's theta lies in [chosen_theta, B]. The
+    scan starts at the first step whose scale B leaves room to reach an
+    objective of 1; every earlier step is one whose own bound rules it out.
+    Scanned step k scaled the demand by iter_values[k], on a topology built
+    with seeds[k] whose upper bound on the LP objective is bounds[k].
+    objectives[k] is the LP optimum, or None where the bound fell below
+    OBJECTIVE_REACHED - SKIP_MARGIN and the LP was skipped. When chosen_theta
+    > 0, the last step was solved and its topology certifies it.
     """
 
     iter_values: tuple
@@ -73,6 +89,7 @@ class HeuristicTrace:
     chosen_theta: float
     step: float
     seeds: tuple
+    demand_bound: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,6 +99,7 @@ class HeuristicTrace:
             "objectives": list(self.objectives),
             "seeds": list(self.seeds),
             "chosen_theta": self.chosen_theta,
+            "demand_bound": self.demand_bound,
         }
 
 
@@ -222,24 +240,35 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     net_class is "da-static" (one-shot topology, degree u) or "da-periodic"
     (emulated degree-n graph at capacity c*u/n). The reported theta is the first scan
     value whose LP objective reaches 1, hence a multiple of `step` with
-    uncertainty one step, and the last step's build certifies it; 0.0 with a
-    full trace if no scan value succeeds. Every step builds its topology from
-    its own seed, but solves its LP only if the topology's upper bound leaves
-    the objective room to reach 1, so skipping changes no theta. A schedule
-    takes no part in theta, so da-periodic steps build only the emulated
-    graph, and the switch schedule is synthesized once, for the last step's,
-    as `build_demand_aware_periodic` with that step's seed would make it.
+    uncertainty one step, and the last step's build certifies it; 0.0 if no
+    scan value succeeds. m must meet the hose bound at full scale.
+
+    The scan starts at the first step whose scale the demand-only bound B
+    (`demand_upper_bound`, once per cell) leaves room to reach 1: B bounds
+    each step's own topology bound, so every step before is one that bound
+    rejects, and B >= 1/2 on a hose-feasible m keeps some step. Every
+    scanned step builds its topology from its own seed, `_seed_int(seed,
+    "iter", k)` with k counted from scale 1, but solves its LP only if the
+    topology's upper bound leaves the objective room to reach 1; so neither
+    skip changes a theta or a certifying build. A schedule takes no part in
+    theta, so da-periodic steps build only the emulated graph, and the switch
+    schedule is synthesized once, for the last step's, as
+    `build_demand_aware_periodic` with that step's seed would make it.
     """
     if net_class not in ("da-static", "da-periodic"):
         raise ValueError(f"unknown demand-aware class {net_class!r}")
     if not 0 < step < 1:
         raise ValueError(f"step must lie in (0, 1), got {step}")
+    require_hose(m, p)  # at full scale: a scaled-down step would pass it
+    demand_bound = demand_upper_bound(m, *_link_budget(net_class, p))
     iter_values, bounds, objectives, seeds = [], [], [], []
     theta = 0.0
     for k in itertools.count():
         scale = round(1.0 - k * step, 12)
         if scale <= 0:
             break
+        if demand_bound < (OBJECTIVE_REACHED - 2 * SKIP_MARGIN) * scale:
+            continue
         scaled = m.scaled(scale)
         iter_seed = _seed_int(seed, "iter", k)
         if net_class == "da-static":
@@ -258,7 +287,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
             theta = scale
             break
     trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta, step,
-                           tuple(seeds))
+                           tuple(seeds), demand_bound)
     schedule = None
     if net_class == "da-periodic" and p.n % p.u == 0:
         schedule = synthesize_schedule(topo, p.u, seed=seeds[-1])
@@ -303,6 +332,15 @@ def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: in
     return Cell(throughput_static(topo, m), None, topo, None)
 
 
+def _link_budget(net_class: str, p: NetworkParams):
+    """(link capacity, degree budget) of the class's topology: the emulated
+    degree-n graph at c*u/n for oblivious and da-periodic, degree u at c for
+    the rest."""
+    if net_class in ("oblivious", "da-periodic"):
+        return p.c * p.u / p.n, p.n
+    return p.c, p.u
+
+
 def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, label: str,
               step: float):
     """Key for a sweep cell: its label, master seed and content.
@@ -311,12 +349,7 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, 
     m/(c*u/n) with a fixed degree budget of n, so a label's suite matrices
     regenerated for different physical degrees collapse onto one key.
     """
-    if net_class in ("oblivious", "da-periodic"):
-        unit = p.c * p.u / p.n
-        budget = p.n
-    else:
-        unit = p.c
-        budget = p.u
+    unit, budget = _link_budget(net_class, p)
     normalized = np.asarray(entries, dtype=float) / unit
     return (net_class, p.n, budget, seed, label, step, normalized.tobytes())
 
@@ -458,11 +491,15 @@ def _worst_case_separation(result, suite, p):
 
 
 def _static_convergence(result, suite, p):
-    top = max(result.degrees())
-    ((das,), (dap,)), nan = _worst_cases(result, ("da-static", "da-periodic"), (top,))
+    """At u = n a da-static node has the emulated graph's n links, so the two
+    demand-aware classes meet there; a sweep without u = n fails."""
+    claim = f"da-static converges at u={p.n}"
+    if p.n not in result.degrees():
+        return False, (f"{claim}: the sweep has no u={p.n} "
+                       f"(degrees {', '.join(map(str, result.degrees()))})")
+    ((das,), (dap,)), nan = _worst_cases(result, ("da-static", "da-periodic"), (p.n,))
     gap = abs(das - dap)
-    return bool(gap <= 0.02 + 1e-12), (
-        f"da-static converges at u={top}: |gap| = {gap:.4f} <= 0.02{nan}")
+    return bool(gap <= 0.02 + 1e-12), f"{claim}: |gap| = {gap:.4f} <= 0.02{nan}"
 
 
 LANDSCAPE_CRITERIA = (

@@ -262,6 +262,70 @@ def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
     return float((budget + offset[j]) / (x.sum() + slope[j]))
 
 
+# demand_upper_bound stops once |g(theta)| is within this share of the link
+# budget, well above g's rounding error, then takes one last Newton step.
+_BOUND_RTOL = 1e-13
+_BOUND_ROUNDS = 200
+
+
+def _cut_excess(x: np.ndarray, theta: float, degree: int):
+    """g(theta) of `demand_upper_bound` and its slope just right of theta."""
+    y = theta * x
+    whole = np.floor(y)
+    frac = y - whole
+    whole_cuts = whole.sum(axis=1)
+    order = np.argsort(-frac, axis=1)  # each row's largest fractional parts first
+    take = np.arange(x.shape[1]) < (degree - whole_cuts)[:, None]  # links left for them
+    cuts = (np.minimum(whole_cuts, degree).sum()
+            + (np.take_along_axis(frac, order, 1) * take).sum())
+    value = 2.0 * y.sum() - cuts - x.shape[0] * degree
+    slope = 2.0 * x.sum() - (np.take_along_axis(x, order, 1) * take).sum()
+    return value, slope
+
+
+def demand_upper_bound(m: DemandMatrix, link_capacity: float, degree: int) -> float:
+    """Upper bound B on `solve_max_throughput(t, m).theta` (m in bits/s) over
+    every topology t of `link_capacity` links whose routable out-degree is at
+    most `degree`, from the demand alone.
+
+    It relaxes `throughput_upper_bound` over the topology: every excess is
+    weighted 1, not h - 1 >= 1, and the links are chosen for the bound. A link
+    count L_ij cuts pair (i, j)'s 2*theta*x_ij link units by min(theta*x_ij,
+    L_ij), its k-th link by min(1, max(0, theta*x_ij - (k - 1))); row i's
+    `degree` links cut at most its top `degree` single-link cuts, top_i(theta):
+    the whole ones, floor(theta*x_ij) per pair, then the largest fractional
+    parts. So theta fits a topology only if
+    g(theta) = sum_i [2*sum_j theta*x_ij - top_i(theta) - degree] <= 0, and B
+    is the root of g. g is piecewise linear with slopes in [X, 2X], X = sum(x),
+    so B lies in [n*degree/(2X), n*degree/X]. It is found by Newton steps on
+    g's pieces, kept in that bracket by bisection, and is exact up to
+    rounding. B(s*m) = B(m)/s, and B >= 1/2 when m meets the hose bound
+    degree*link_capacity.
+    """
+    x = np.asarray(m.entries, dtype=float) / link_capacity
+    total = x.sum()
+    if not total > 0:
+        raise ValueError("demand matrix has no positive entries; throughput is unbounded")
+    budget = x.shape[0] * degree
+    lo, hi = budget / (2.0 * total), budget / total
+    theta, last_move = hi, hi - lo
+    for _ in range(_BOUND_ROUNDS):
+        value, slope = _cut_excess(x, theta, degree)
+        if abs(value) <= _BOUND_RTOL * budget:
+            return float(theta - value / slope)
+        if value < 0:
+            lo = theta
+        else:
+            hi = theta
+        newton = theta - value / slope
+        # bisect when Newton leaves the bracket or halves no earlier move
+        if lo < newton < hi and 2.0 * abs(newton - theta) < last_move:
+            last_move, theta = abs(newton - theta), newton
+        else:
+            last_move, theta = hi - lo, 0.5 * (lo + hi)
+    return float(hi)
+
+
 def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult) -> VerificationReport:
     """Re-check every LP constraint from the raw flows with fresh arithmetic.
 

@@ -124,7 +124,8 @@ def _subseed(seed, salt):
     return np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFF, salt])
 
 
-def _require_hose(m: DemandMatrix, p: NetworkParams):
+def require_hose(m: DemandMatrix, p: NetworkParams):
+    """Raise ValueError naming m's first row or column over the hose bound c*u."""
     report = validate_hose(m, p)
     if not report.ok:
         worst = report.violations[0]
@@ -178,7 +179,7 @@ def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
 
 def build_demand_aware_static(m: DemandMatrix, p: NetworkParams, seed=0) -> Topology:
     """One-shot demand-optimized topology: direct links per floor entry, random regular rest."""
-    _require_hose(m, p)
+    require_hose(m, p)
     counts = _demand_aware_counts(m, p, p.c, p.u, seed)
     return Topology(counts, p.c, "da-static", p.u)
 
@@ -220,7 +221,7 @@ def build_demand_aware_emulated(m: DemandMatrix, p: NetworkParams, seed=0) -> To
     per link: the throughput of the periodic network is this graph's. The
     switch schedule that realizes it is `synthesize_schedule(topo, p.u, seed)`.
     """
-    _require_hose(m, p)
+    require_hose(m, p)
     unit = p.c * p.u / p.n
     counts = _demand_aware_counts(m, p, unit, p.n, seed)
     return Topology(_pad_to_regular(counts, p.n), unit, "da-periodic", p.n)
@@ -276,7 +277,7 @@ def build_one_shot_integer(m: DemandMatrix, p: NetworkParams) -> Topology:
     Every demand is routable in one hop at full throughput. Raises ValueError
     when the normalized matrix has fractional entries.
     """
-    _require_hose(m, p)
+    require_hose(m, p)
     dec = decompose_integer_residual(normalize(m, p.c))
     if np.any(dec.res_part > 0):
         i, j = np.argwhere(dec.res_part > 0)[0]

@@ -17,7 +17,8 @@ from rdcn_throughput import (
     solve_max_throughput,
     verify_solution,
 )
-from rdcn_throughput.cli import main
+from rdcn_throughput import evaluation
+from rdcn_throughput.cli import fig4_degrees, main
 from rdcn_throughput.evaluation import OBJECTIVE_REACHED, check_landscape
 from rdcn_throughput.svg import grouped_bar_chart
 
@@ -142,7 +143,8 @@ class TestEval:
 
     def test_emitted_topology_certifies_theta(self, runner, tmp_path):
         # The chessboard at seed 0: the emitted topology is the heuristic's
-        # last step, which reaches the reported theta.
+        # last step, which reaches the reported theta. The scan starts at 0.86,
+        # the first step the demand-only bound 46/53 leaves room to reach 1.
         p = NetworkParams(16, 4, 25e9)
         chess = generate("chessboard", p)
         path = tmp_path / "chessboard.csv"
@@ -154,9 +156,14 @@ class TestEval:
         trace = json.loads(result.output[result.output.index("{"):result.output.rindex("}") + 1])
         theta = trace["chosen_theta"]
         assert theta > 0 and len(trace["seeds"]) == len(trace["iter_values"])
-        # 16 steps rejected on their bounds, the accepted one solved
-        assert trace["objectives"] == [None] * 16 + [trace["objectives"][-1]]
+        assert trace["iter_values"] == [0.86, 0.85, 0.84]
+        assert trace["demand_bound"] == pytest.approx(46 / 53, rel=1e-12)
+        # 2 steps rejected on their bounds, the accepted one solved, with the
+        # seed of step 16 counted from scale 1
+        assert trace["objectives"] == [None] * 2 + [trace["objectives"][-1]]
         assert all(bound < OBJECTIVE_REACHED for bound in trace["bounds"][:-1])
+        assert trace["seeds"][-1] == evaluation._seed_int(
+            evaluation._seed_int(0, "chessboard"), "iter", 16)
         data = json.loads((tmp_path / "topology.json").read_text())
         n = data["n"]
         topo = Topology(np.array(data["link_count"]).reshape(n, n), data["link_capacity"],
@@ -386,7 +393,7 @@ class TestFig4Checks:
 
     @staticmethod
     def fig4_checks(failed):
-        """A passing sweep but for the (matrix, class, degree) cell `failed`."""
+        """A passing n=8 sweep but for the (matrix, class, degree) cell `failed`."""
         worst = {"oblivious": 0.5, "da-static": 0.83, "da-periodic": 0.84}
         rows = []
         for u in (4, 8):
@@ -395,7 +402,7 @@ class TestFig4Checks:
                 rows.append(SweepRow("uniform", cls, u, 1.0))
         rows = [SweepRow(r.matrix, r.net_class, r.degree, float("nan"), error="forced")
                 if (r.matrix, r.net_class, r.degree) == failed else r for r in rows]
-        p = NetworkParams(16, 4, 25e9)
+        p = NetworkParams(8, 4, 25e9)
         return check_landscape(SweepResult(tuple(rows)), (), p, figure="fig4")
 
     @pytest.mark.parametrize("label", ["chessboard", "uniform"])
@@ -412,3 +419,36 @@ class TestFig4Checks:
         checks = self.fig4_checks(("uniform", "oblivious", 4))
         assert [passed for _, passed, _ in checks] == [True, False, True]
         assert "NaN cells uniform oblivious u=4" in checks[1][2]
+
+    @staticmethod
+    def convergence(n, static_worst):
+        """Criterion 7 on a sweep at n whose da-static worst case at each degree
+        is static_worst[degree], against da-periodic at 0.84 throughout."""
+        rows = []
+        for u, theta in static_worst.items():
+            rows += [SweepRow("chessboard", "da-static", u, theta),
+                     SweepRow("chessboard", "da-periodic", u, 0.84)]
+        p = NetworkParams(n, min(static_worst), 25e9)
+        [(_, passed, detail)] = check_landscape(SweepResult(tuple(rows)), (), p, number=7)
+        return passed, detail
+
+    def test_convergence_reads_u_equal_n(self):
+        # n=32: da-static trails by 0.16 at u=16, the top degree of FIG4_DEGREES,
+        # and meets da-periodic at u=32
+        passed, detail = self.convergence(32, {4: 0.5, 16: 0.68, 32: 0.84})
+        assert passed and detail == "da-static converges at u=32: |gap| = 0.0000 <= 0.02"
+        passed, detail = self.convergence(32, {4: 0.5, 16: 0.84, 32: 0.68})
+        assert not passed and detail == "da-static converges at u=32: |gap| = 0.1600 <= 0.02"
+
+    def test_convergence_fails_without_u_equal_n(self):
+        passed, detail = self.convergence(32, {4: 0.84, 8: 0.84, 12: 0.84, 16: 0.84})
+        assert not passed
+        assert detail == ("da-static converges at u=32: the sweep has no u=32 "
+                          "(degrees 4, 8, 12, 16)")
+
+    @pytest.mark.parametrize("n, degrees", [
+        (4, [4]), (8, [4, 8]), (10, [4, 8, 10]), (16, [4, 8, 12, 16]),
+        (32, [4, 8, 12, 16, 32]),
+    ])
+    def test_fig4_sweeps_n_as_its_top_degree(self, n, degrees):
+        assert fig4_degrees(n) == degrees

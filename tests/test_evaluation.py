@@ -134,7 +134,7 @@ class TestDemandAwareHeuristic:
         trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "da-periodic").trace
         payload = trace.to_json_dict()
         assert set(payload) == {"step", "iter_values", "bounds", "objectives", "seeds",
-                                "chosen_theta"}
+                                "chosen_theta", "demand_bound"}
         assert len(payload["seeds"]) == len(payload["bounds"]) == len(payload["iter_values"])
         json.dumps(payload)
 
@@ -179,14 +179,49 @@ class TestBoundGuidedScan:
             for objective, solved in zip(cell.trace.objectives, full.trace.objectives):
                 assert objective is None or objective == solved
 
+    def test_demand_bound_start_drops_only_rejected_steps(self, monkeypatch):
+        # Every step before the start, scanned from scale 1 with its own seed,
+        # is rejected on its topology's bound; the scan from the start is the
+        # tail of that full scan, step for step.
+        suite = dict(build_suite(self.P8))
+        scans = {(label, cls): throughput_demand_aware(m, self.P8, cls, seed=3)
+                 for label, m in suite.items() for cls in ("da-static", "da-periodic")}
+        monkeypatch.setattr(evaluation, "demand_upper_bound", lambda *args: float("inf"))
+        dropped = 0
+        for (label, cls), cell in scans.items():
+            trace = cell.trace
+            assert trace.chosen_theta <= trace.demand_bound
+            full = throughput_demand_aware(suite[label], self.P8, cls, seed=3)
+            start = len(full.trace.iter_values) - len(trace.iter_values)
+            dropped += start
+            assert full.theta == cell.theta
+            assert np.array_equal(full.topology.link_count, cell.topology.link_count)
+            for field in ("iter_values", "bounds", "objectives", "seeds"):
+                assert getattr(full.trace, field)[start:] == getattr(trace, field), field
+            assert full.trace.objectives[:start] == (None,) * start
+            assert max(full.trace.bounds[:start], default=0) < OBJECTIVE_REACHED - SKIP_MARGIN
+        assert dropped > 0
+
+    def test_hose_check_reads_the_unscaled_matrix(self):
+        # 1.5x the hose bound: the scan would start below 2/3, where it fits
+        p = NetworkParams(8, 4, 25e9)
+        hot = generate("permutation", NetworkParams(8, 6, 25e9))
+        for net_class in ("da-static", "da-periodic"):
+            with pytest.raises(ValueError, match=r"violates hose model: row 0 sums to 1\.5e\+11"):
+                throughput_demand_aware(hot, p, net_class)
+
+
+def reference_thetas(workload: str, seed: int) -> dict:
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    return json.loads(path.read_text(encoding="utf-8"))["thetas"][workload][str(seed)]
+
 
 class TestReferenceThetas:
-    """sweep-n8 at seed 0 against the thetas recorded in bench/reference.json:
-    demand-aware cells bit for bit, LP cells to 1e-9."""
+    """Cells against the thetas recorded in bench/reference.json: demand-aware
+    cells bit for bit, LP cells to 1e-9."""
 
     def test_sweep_n8_seed0_matches_reference(self):
-        path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
-        reference = json.loads(path.read_text(encoding="utf-8"))["thetas"]["sweep-n8"]["0"]
+        reference = reference_thetas("sweep-n8", 0)
         result = sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
         thetas = {f"{r.matrix}|{r.net_class}|{r.degree}": r.theta for r in result.rows}
         assert set(thetas) == set(reference)
@@ -195,6 +230,20 @@ class TestReferenceThetas:
                 assert thetas[key] == expected, key
             else:
                 assert thetas[key] == pytest.approx(expected, abs=1e-9), key
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scan_chessboard_n16_matches_reference(self, seed):
+        p = NetworkParams(16, 4, 25e9)
+        result = sweep_matrices(p, [("chessboard", generate("chessboard", p))],
+                                classes=("da-periodic",), seed=seed)
+        [row] = result.rows
+        assert reference_thetas("scan-chessboard-n16", seed) == {
+            f"{row.matrix}|{row.net_class}|{row.degree}": row.theta}
+        # the scan starts at 0.86, the first step B = 46/53 leaves room to reach 1
+        steps = round((0.86 - row.theta) / 0.01) + 1
+        assert row.trace.iter_values == tuple(round(0.86 - 0.01 * k, 12) for k in range(steps))
+        assert row.trace.seeds[-1] == evaluation._seed_int(
+            evaluation._seed_int(seed, "chessboard"), "iter", round((1 - row.theta) / 0.01))
 
 
 class TestEvaluateCell:
@@ -243,7 +292,9 @@ class TestEvaluateCell:
         monkeypatch.setattr(topology, "edge_color_regular", counted)
         p = NetworkParams(16, 4, 25e9)
         cell = throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
-        assert len(cell.trace.iter_values) == 17 and calls == [16]
+        # three steps from the scan's start at 0.86 to the certifying 0.84, one colouring
+        assert cell.trace.iter_values == (0.86, 0.85, 0.84) and calls == [16]
+        assert cell.trace.seeds[-1] == evaluation._seed_int(0, "iter", 16)
 
     def test_lp_cell_topology_is_the_solved_one(self):
         m = generate("permutation", SMALL)
@@ -311,7 +362,7 @@ class TestSweeps:
 
 
 class TestSweepResultSerialization:
-    TRACE = HeuristicTrace((1.0,), (1.25,), (1.25,), 1.0, 0.01, (42,))
+    TRACE = HeuristicTrace((1.0,), (1.25,), (1.25,), 1.0, 0.01, (42,), 1.25)
 
     def _result(self):
         rows = (
@@ -334,7 +385,8 @@ class TestSweepResultSerialization:
         rows = self._result().to_json_dict()["rows"]
         assert rows[0] == {"matrix": "uniform", "class": "oblivious", "degree": 4, "theta": 1.0}
         assert rows[1]["trace"] == {"step": 0.01, "iter_values": [1.0], "bounds": [1.25],
-                                    "objectives": [1.25], "seeds": [42], "chosen_theta": 1.0}
+                                    "objectives": [1.25], "seeds": [42], "chosen_theta": 1.0,
+                                    "demand_bound": 1.25}
         assert [("trace" in r) for r in rows] == [False, True, False, True]
 
     def test_sweep_json_trace_certifies_theta(self):

@@ -22,8 +22,16 @@ from rdcn_throughput import (
 )
 
 from rdcn_throughput import flowlp
-from rdcn_throughput.flowlp import _assemble_lp, _hops, _layout, throughput_upper_bound
+from rdcn_throughput.evaluation import _link_budget, build_suite
+from rdcn_throughput.flowlp import (
+    _assemble_lp,
+    _hops,
+    _layout,
+    demand_upper_bound,
+    throughput_upper_bound,
+)
 
+from conftest import sinkhorn_doubly_stochastic
 from lp_oracle import path_lp_throughput
 
 
@@ -267,6 +275,81 @@ class TestThroughputUpperBound:
             throughput_upper_bound(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="mismatch"):
             throughput_upper_bound(complete_topology(3), unit_uniform_demand(4))
+
+
+def greedy_cut_bisection(x, degree):
+    """B(x, degree) by a plain loop: each row lists every link's cut
+    min(1, max(0, theta*x - (k - 1))), keeps its top `degree`, and theta is
+    found by bisection."""
+    n = x.shape[0]
+
+    def excess(theta):
+        total = 0.0
+        for i in range(n):
+            cuts = sorted((min(1.0, max(0.0, theta * x[i, j] - (k - 1)))
+                           for j in range(n) for k in range(1, degree + 1)), reverse=True)
+            total += 2 * theta * x[i].sum() - sum(cuts[:degree]) - degree
+        return total
+
+    lo, hi = 0.0, 2.0 * n * degree / x.sum()
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) <= 0 else (lo, mid)
+    return lo
+
+
+class TestDemandUpperBound:
+    """The demand-only bound B(M, d) the heuristic starts its scan at: above
+    the hop-volume bound of every topology of routable out-degree <= d, and
+    so above its LP optimum."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(random_instances())
+    def test_above_every_topology_bound_and_its_lp(self, instance):
+        t, m = instance
+        degree = max(int(t.routable_counts().sum(axis=1).max()), 1)
+        bound = demand_upper_bound(m, t.link_capacity, degree)
+        per_topology = throughput_upper_bound(t, m)
+        assert bound >= per_topology - 1e-9
+        assert per_topology >= solve_max_throughput(t, m).theta - 1e-9
+        assert bound == pytest.approx(greedy_cut_bisection(m.entries / t.link_capacity, degree),
+                                      rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(random_instances(), st.floats(1e-3, 1e3), st.integers(1, 6))
+    def test_scales_inversely_with_the_demand(self, instance, scale, degree):
+        _, m = instance
+        bound = demand_upper_bound(m, 1.0, degree)
+        assert demand_upper_bound(m.scaled(scale), 1.0, degree) == pytest.approx(
+            bound / scale, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 64])
+    def test_at_least_half_within_the_hose_bound(self, n):
+        rng = np.random.default_rng(n)
+        for degree in sorted({1, max(1, n // 4), n}):
+            for seed in range(4):
+                # hose-tight: every row and column sums to `degree` links
+                tight = sinkhorn_doubly_stochastic(n, seed, target=degree, zero_diagonal=True)
+                assert demand_upper_bound(DemandMatrix(tight), 1.0, degree) >= 0.5 - 1e-12
+                sparse = tight * (rng.random((n, n)) < 0.3)
+                if sparse.any():
+                    assert demand_upper_bound(DemandMatrix(sparse), 1.0, degree) >= 0.5 - 1e-12
+
+    @pytest.mark.parametrize("label, net_class, expected", [
+        ("chessboard", "da-periodic", 46 / 53),
+        ("U+P 0.2", "da-periodic", 20 / 21),
+        ("permutation", "da-periodic", 1.0),
+        ("chessboard", "da-static", 8 / 13),
+    ])
+    def test_n16_suite_values(self, desk_params, label, net_class, expected):
+        # da-periodic: the emulated graph, degree n at c*u/n; da-static: degree u at c
+        m = dict(build_suite(desk_params))[label]
+        bound = demand_upper_bound(m, *_link_budget(net_class, desk_params))
+        assert bound == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_demand_rejected(self):
+        with pytest.raises(ValueError, match="no positive entries"):
+            demand_upper_bound(DemandMatrix(np.zeros((3, 3))), 1.0, 2)
 
 
 class TestVerifySolution:
