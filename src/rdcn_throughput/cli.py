@@ -229,7 +229,7 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
 @click.option("--c", type=float, default=25e9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--step", type=_STEP, default=0.01, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Concurrent solver instances.")
 @click.option("--matrix-csv", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="Extra demand matrices to include in the suite (repeatable).")

@@ -347,9 +347,15 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, 
 
     The oblivious and da-periodic results depend on the demand only through
     m/(c*u/n) with a fixed degree budget of n, so a label's suite matrices
-    regenerated for different physical degrees collapse onto one key.
+    regenerated for different physical degrees collapse onto one key. A
+    static cell of degree min(u, n-1) = n-1 runs on the complete digraph, the
+    oblivious graph, so it is keyed as an oblivious cell at link capacity c:
+    the two share an LP wherever their demands in link units are equal, as at
+    u = n.
     """
     unit, budget = _link_budget(net_class, p)
+    if net_class == "static" and min(p.u, p.n - 1) == p.n - 1:
+        net_class, budget = "oblivious", p.n
     normalized = np.asarray(entries, dtype=float) / unit
     return (net_class, p.n, budget, seed, label, step, normalized.tobytes())
 
@@ -369,7 +375,8 @@ def _evaluate_cell(task):
 
 def _run_cells(tasks, jobs: int):
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at once, however few the tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_evaluate_cell, tasks, chunksize=1))
     return [_evaluate_cell(task) for task in tasks]
 

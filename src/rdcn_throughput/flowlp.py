@@ -51,11 +51,13 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": DEFAULT_TOL,
     "dual_feasibility_tolerance": DEFAULT_TOL,
 }
-# Interior point with crossover is markedly faster than simplex on the
-# degenerate demand-aware instances and returns the same vertex optima;
-# dual simplex stays available as the fallback.
-DEFAULT_METHOD = "highs-ipm"
-FALLBACK_METHOD = "highs-ds"
+# The HiGHS method follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
+# (every sweep cell at n=8) dual simplex takes about two thirds of the
+# interior point time; above it interior point with crossover is the faster
+# (the n=16 chessboard scan LP, 3,105 columns). Both return the same vertex
+# optima to rounding. A method that fails is retried once with the other.
+SIMPLEX_MAX_COLUMNS = 1500
+_OTHER_METHOD = {"highs-ds": "highs-ipm", "highs-ipm": "highs-ds"}
 # Largest violation (link units) that verify_solution lets pass.
 VERIFY_EPS = 1e-6
 
@@ -185,16 +187,22 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
 
 
 def solve_max_throughput(t: Topology, m: DemandMatrix,
-                         method: str = DEFAULT_METHOD) -> ThroughputResult:
+                         method: str | None = None) -> ThroughputResult:
     """Maximize theta such that theta*m admits a feasible flow on t.
 
-    `m` is in bits/s; the flows come back in link units. `method` names the
-    scipy.optimize.linprog backend, run at feasibility tolerances of
-    DEFAULT_TOL. If the chosen method fails, the dual simplex is tried once;
-    if that fails too, SolverError names the solver's status and message.
+    `m` is in bits/s; the flows come back in link units. `method` is
+    "highs-ds" or "highs-ipm", the scipy.optimize.linprog backend, run at
+    feasibility tolerances of DEFAULT_TOL; None picks dual simplex below
+    SIMPLEX_MAX_COLUMNS columns and interior point from there. If the method
+    fails, the other is tried once; if that fails too, SolverError names the
+    solver's status and message.
     """
+    if method is not None and method not in _OTHER_METHOD:
+        raise ValueError(f"unknown LP method {method!r}; expected one of {sorted(_OTHER_METHOD)}")
     lp = _assemble_lp(t, m)
-    for attempt in dict.fromkeys((method, FALLBACK_METHOD)):
+    if method is None:
+        method = "highs-ds" if lp.c.size < SIMPLEX_MAX_COLUMNS else "highs-ipm"
+    for attempt in (method, _OTHER_METHOD[method]):
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
                       bounds=(0, None), method=attempt, options=_HIGHS_OPTIONS)
         if res.status in (0, 3):

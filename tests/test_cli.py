@@ -320,6 +320,7 @@ class TestReproduce:
     @pytest.mark.parametrize("line, message", [
         ("n = x", "Invalid value for '--n': 'x' is not a valid integer"),
         ("step = 0", "Invalid value for '--step': 0.0 is not in the range 0<x<1"),
+        ("jobs = 0", "Invalid value for '--jobs': 0 is not in the range x>=1"),
     ])
     def test_config_values_are_checked_like_flags(self, runner, tmp_path, line, message):
         config = tmp_path / "run.conf"
@@ -328,6 +329,14 @@ class TestReproduce:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert f"{config}: {message}" in result.output
+        assert not (tmp_path / "fig3.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two_before_solving(self, runner, tmp_path, jobs):
+        result = runner.invoke(main, ["reproduce", "fig3", "--n", "4", "--u", "2",
+                                      "--jobs", jobs, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
         assert not (tmp_path / "fig3.csv").exists()
 
     @pytest.mark.parametrize("step", ["0", "1", "-0.5"])

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -220,9 +221,10 @@ class TestReferenceThetas:
     """Cells against the thetas recorded in bench/reference.json: demand-aware
     cells bit for bit, LP cells to 1e-9."""
 
-    def test_sweep_n8_seed0_matches_reference(self):
-        reference = reference_thetas("sweep-n8", 0)
-        result = sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sweep_n8_matches_reference(self, seed):
+        reference = reference_thetas("sweep-n8", seed)
+        result = sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=seed)
         thetas = {f"{r.matrix}|{r.net_class}|{r.degree}": r.theta for r in result.rows}
         assert set(thetas) == set(reference)
         for key, expected in reference.items():
@@ -347,6 +349,60 @@ class TestSweeps:
         for label in ("chessboard", "uniform", "permutation"):
             assert result.theta(label, "da-periodic", 2) == result.theta(label, "da-periodic", 4)
             assert result.theta(label, "oblivious", 2) == result.theta(label, "oblivious", 4)
+
+    def test_complete_static_graph_shares_the_oblivious_cell(self, monkeypatch):
+        # At u = n the static expander is the complete digraph at capacity c,
+        # the oblivious graph with the same demand in link units: one LP.
+        p = NetworkParams(8, 4, 25e9)
+        real_evaluate, real_key = evaluation._evaluate_cell, evaluation._cell_key
+        tasks = []
+
+        def record(task):
+            tasks.append((task[1], task[3]))  # (class, degree)
+            return real_evaluate(task)
+
+        def static_apart(entries, net_class, *rest):
+            return real_key(entries, net_class, *rest) + (net_class,)
+
+        monkeypatch.setattr(evaluation, "_evaluate_cell", record)
+        result = sweep_degree(p, [4, 7, 8], seed=0, jobs=1)
+        merged = Counter(tasks)
+        tasks.clear()
+        monkeypatch.setattr(evaluation, "_cell_key", static_apart)
+        apart = sweep_degree(p, [4, 7, 8], seed=0, jobs=1)
+        assert apart == result  # solved on its own, each static cell gets the same theta
+        assert Counter(tasks) - merged == {("static", 8): 12} and not merged - Counter(tasks)
+
+        p8 = NetworkParams(8, 8, 25e9)
+        for label, m in build_suite(p8):
+            oblivious = result.theta(label, "oblivious", 8)
+            assert result.theta(label, "static", 8) == oblivious, label
+            assert evaluate_cell(m, p8, "static", seed=0, label=label).theta == oblivious, label
+            # at u = n-1 the graph is complete too, but its links carry c, not
+            # c(n-1)/n: its own LP, whose optimum is n/(n-1) times the oblivious one
+            assert result.theta(label, "static", 7) == pytest.approx(oblivious * 8 / 7,
+                                                                     rel=1e-9), label
+
+    def test_pool_never_outnumbers_the_cells(self, monkeypatch):
+        sizes = []
+
+        class Pool:  # records the size it was asked for; starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Pool)
+        suite = build_suite(SMALL)[:1]
+        result = sweep_matrices(SMALL, suite, classes=("static", "oblivious"), seed=0, jobs=64)
+        assert sizes == [2] and len(result.rows) == 2 and not result.errors
 
     def test_non_dividing_degree_still_sweeps(self):
         # no uniform schedule exists at u=3, but the emulated graph does

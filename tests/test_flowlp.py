@@ -21,8 +21,8 @@ from rdcn_throughput import (
     verify_solution,
 )
 
-from rdcn_throughput import flowlp
-from rdcn_throughput.evaluation import _link_budget, build_suite
+from rdcn_throughput import evaluation, flowlp
+from rdcn_throughput.evaluation import _link_budget, build_suite, sweep_degree
 from rdcn_throughput.flowlp import (
     _assemble_lp,
     _hops,
@@ -119,13 +119,21 @@ class TestSolveMaxThroughput:
         t2 = Topology(bumped, 1.0, "test", degree_budget=n + 1)
         assert solve_max_throughput(t2, DemandMatrix(entries)).theta >= base - 1e-7
 
-    def test_methods_agree(self):
-        p = NetworkParams(6, 3, 1.0)
-        t = build_oblivious_equivalent(p)
-        m = generate("random-saturated", p, seed=9)
-        a = solve_max_throughput(t, m, method="highs-ipm").theta
-        b = solve_max_throughput(t, m, method="highs-ds").theta
-        assert a == pytest.approx(b, abs=1e-7)
+    def test_methods_agree(self, monkeypatch):
+        # every LP that the n=8 sweep of all four classes solves, by both methods
+        solve = evaluation.solve_max_throughput
+        gaps = []
+
+        def both(t, m):
+            a = solve(t, m, method="highs-ipm").theta
+            b = solve(t, m, method="highs-ds").theta
+            gaps.append(abs(a - b))
+            return solve(t, m)
+
+        monkeypatch.setattr(evaluation, "solve_max_throughput", both)
+        sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
+        assert len(gaps) > 100
+        assert max(gaps) <= 1e-9
 
     def test_demand_in_bits_per_second(self, desk_params):
         # 25 Gb/s links at u=4 of 16 ports: the oblivious graph's links carry
@@ -431,8 +439,9 @@ class TestVerifySolution:
 
 
 class TestSolverFallback:
-    """A failed solve is retried once with dual simplex; a failure of that
-    raises SolverError with the solver's status and message."""
+    """Dual simplex solves an LP below SIMPLEX_MAX_COLUMNS columns, interior
+    point one from there. A failed solve is retried once with the other
+    method; a failure of that raises SolverError with its status and message."""
 
     @staticmethod
     def _failing(monkeypatch, failing, status=4):
@@ -448,10 +457,33 @@ class TestSolverFallback:
         monkeypatch.setattr(flowlp, "linprog", linprog)
         return calls
 
+    @staticmethod
+    def _large():
+        """The n=16 oblivious graph under uniform demand: 16 sources x 240 arcs
+        plus theta, 3,841 columns."""
+        p = NetworkParams(16, 4, 1.0)
+        t, m = build_oblivious_equivalent(p), generate("uniform", p)
+        assert _assemble_lp(t, m).c.size == 3841 > flowlp.SIMPLEX_MAX_COLUMNS
+        return t, m
+
+    def test_method_follows_the_lp_size(self, monkeypatch):
+        calls = self._failing(monkeypatch, set())
+        solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert calls == ["highs-ds"]
+        calls.clear()
+        solve_max_throughput(*self._large())
+        assert calls == ["highs-ipm"]
+
     def test_failed_interior_point_falls_back_to_dual_simplex(self, monkeypatch):
         calls = self._failing(monkeypatch, {"highs-ipm"})
-        result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        result = solve_max_throughput(*self._large())
         assert calls == ["highs-ipm", "highs-ds"]
+        assert result.theta == pytest.approx(1.0, abs=1e-9)
+
+    def test_failed_dual_simplex_falls_back_to_interior_point(self, monkeypatch):
+        calls = self._failing(monkeypatch, {"highs-ds"})
+        result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert calls == ["highs-ds", "highs-ipm"]
         assert result.theta == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("status,name", [(2, "infeasible"), (4, "numerical-trouble")])
@@ -459,14 +491,12 @@ class TestSolverFallback:
         calls = self._failing(monkeypatch, {"highs-ipm", "highs-ds"}, status)
         with pytest.raises(SolverError) as err:
             solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert str(err.value) == f"solver returned {name}: forced failure of highs-ds"
-        assert calls == ["highs-ipm", "highs-ds"]
+        assert str(err.value) == f"solver returned {name}: forced failure of highs-ipm"
+        assert calls == ["highs-ds", "highs-ipm"]
 
-    def test_failed_dual_simplex_is_not_retried(self, monkeypatch):
-        calls = self._failing(monkeypatch, {"highs-ds"})
-        with pytest.raises(SolverError, match="solver returned numerical-trouble"):
-            solve_max_throughput(complete_topology(4), unit_uniform_demand(4), method="highs-ds")
-        assert calls == ["highs-ds"]
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown LP method 'highs'"):
+            solve_max_throughput(complete_topology(4), unit_uniform_demand(4), method="highs")
 
 
 def _parse_lp_rows(text):
