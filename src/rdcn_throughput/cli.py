@@ -41,6 +41,14 @@ FIG4_DEGREES = (4, 8, 12, 16)
 _STEP = click.FloatRange(0, 1, min_open=True, max_open=True)
 
 
+class _Capacity(click.types.FloatParamType):
+    def convert(self, value, param, ctx):
+        c = super().convert(value, param, ctx)
+        if not 0 < c < float("inf"):
+            self.fail(f"link capacity must be finite and positive, got {c}", param, ctx)
+        return c
+
+
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -117,7 +125,8 @@ def main():
 @click.option("--kind", type=click.Choice(GENERATOR_KINDS), required=True)
 @click.option("--n", type=int, default=16, show_default=True, help="ToR count.")
 @click.option("--u", type=int, default=None, help="Links per ToR [default: n].")
-@click.option("--c", type=float, default=25e9, show_default=True, help="Link capacity (bits/s).")
+@click.option("--c", type=_Capacity(), default=25e9, show_default=True,
+              help="Link capacity (bits/s).")
 @click.option("--alpha", type=float, default=None, help="Permutation share for --kind mix.")
 @click.option("--shift", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -149,7 +158,7 @@ def gen(kind, n, u, c, alpha, shift, seed, out, name):
 
 @main.command()
 @click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--c", type=float, default=25e9, show_default=True,
+@click.option("--c", type=_Capacity(), default=25e9, show_default=True,
               help="Capacity used to normalize raw bits/s entries.")
 @click.option("--normalized", is_flag=True, help="Entries are already capacity-normalized.")
 @click.option("--out", type=click.Path(), default=None)
@@ -179,10 +188,10 @@ def decompose(matrix_path, c, normalized, out):
 @click.option("--class", "net_class", required=True,
               type=click.Choice(evaluation.NETWORK_CLASSES))
 @click.option("--u", type=int, default=4, show_default=True)
-@click.option("--c", type=float, default=25e9, show_default=True)
+@click.option("--c", type=_Capacity(), default=25e9, show_default=True)
 @click.option("--normalized", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step", type=_STEP, default=0.01, show_default=True)
+@click.option("--step", type=_STEP, default=evaluation.DEFAULT_STEP, show_default=True)
 @click.option("--trace", is_flag=True, help="Print the heuristic trace as JSON.")
 @click.option("--emit-topo", is_flag=True, help="Write topology (and schedule) JSON.")
 @click.option("--out", type=click.Path(), default=None)
@@ -226,9 +235,9 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
 @click.option("--n", type=int, default=16, show_default=True)
 @click.option("--u", type=int, default=4, show_default=True,
               help="Degree for fig3 (fig4 sweeps 4, 8, 12, 16 up to n, and n).")
-@click.option("--c", type=float, default=25e9, show_default=True)
+@click.option("--c", type=_Capacity(), default=25e9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step", type=_STEP, default=0.01, show_default=True)
+@click.option("--step", type=_STEP, default=evaluation.DEFAULT_STEP, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Concurrent solver instances.")
 @click.option("--matrix-csv", multiple=True, type=click.Path(exists=True, dir_okay=False),

@@ -109,16 +109,16 @@ def perfect_matching(support) -> PermutationMatching | None:
 
     Hopcroft-Karp (scipy's maximum_bipartite_matching), iterative, so n is not
     capped by the recursion limit; the result is deterministic for a given
-    scipy. Returns None when no perfect matching exists.
+    scipy. The support goes to it as the CSR `csr_array(support)` builds, made
+    from the support's nonzeros. Returns None when no perfect matching exists.
     """
-    mapping = _match(csr_array(np.asarray(support, dtype=bool)))
-    return None if mapping is None else PermutationMatching(tuple(mapping.tolist()))
-
-
-def _match(support: csr_array) -> np.ndarray | None:
-    """Column matched to each row of a CSR support, or None if some row stays unmatched."""
-    mapping = maximum_bipartite_matching(support, perm_type="column")
-    return None if np.any(mapping < 0) else mapping
+    support = np.asarray(support, dtype=bool)
+    n = support.shape[0]
+    cells = np.flatnonzero(support)  # row-major, so each row's columns come sorted
+    csr = csr_array((np.ones(cells.size, dtype=bool), (cells % n).astype(np.int32),
+                     np.searchsorted(cells, np.arange(n + 1) * n).astype(np.int32)), shape=(n, n))
+    mapping = maximum_bipartite_matching(csr, perm_type="column")
+    return None if np.any(mapping < 0) else PermutationMatching(tuple(mapping.tolist()))
 
 
 def bvn_decompose(m) -> BvnDecomposition:
@@ -169,24 +169,16 @@ def edge_color_regular(g: RegularMultigraph) -> list:
 
     Peels one matching at a time; regularity is preserved after each peel, so a
     perfect matching always exists. The multiset union of the returned
-    matchings' edges equals the input's edge multiset exactly. Each peel's
-    support goes to `perfect_matching`'s solver as the CSR of the remaining
-    multigraph's nonzeros, the structure `csr_array(work > 0)` has, so the
-    matchings are the ones that call would give.
+    matchings' edges equals the input's edge multiset exactly.
     """
-    n = g.n
     work = np.array(g.edge_multiplicity)
-    row_starts = np.arange(n + 1) * n
     matchings = []
     for _ in range(g.degree):
-        cells = np.flatnonzero(work)  # row-major, so each row's columns come sorted
-        support = csr_array((np.ones(cells.size, dtype=bool), (cells % n).astype(np.int32),
-                             np.searchsorted(cells, row_starts).astype(np.int32)), shape=(n, n))
-        mapping = _match(support)
-        if mapping is None:  # unreachable for a regular input
+        pm = perfect_matching(work > 0)
+        if pm is None:  # unreachable for a regular input
             raise DecompositionError("regular multigraph lost its perfect matching")
-        work[np.arange(n), mapping] -= 1
-        matchings.append(PermutationMatching(tuple(mapping.tolist())))
+        work[np.arange(g.n), pm.mapping] -= 1
+        matchings.append(pm)
     return matchings
 
 

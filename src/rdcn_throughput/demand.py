@@ -47,8 +47,8 @@ class NetworkParams:
             raise ValueError(f"need at least 2 ToRs, got n={self.n}")
         if not 1 <= self.u <= self.n:
             raise ValueError(f"degree u={self.u} must satisfy 1 <= u <= n={self.n}")
-        if not self.c > 0:
-            raise ValueError(f"link capacity must be positive, got c={self.c}")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"link capacity must be finite and positive, got c={self.c}")
 
     @property
     def node_capacity(self) -> float:
@@ -165,8 +165,8 @@ def validate_hose(m: DemandMatrix, p: NetworkParams) -> ValidationReport:
 
 def normalize(m: DemandMatrix, unit: float) -> DemandMatrix:
     """Divide every entry by `unit` (e.g. link capacity), making the matrix dimensionless."""
-    if not unit > 0:
-        raise ValueError(f"normalization unit must be positive, got {unit}")
+    if not 0 < unit < np.inf:
+        raise ValueError(f"normalization unit must be finite and positive, got {unit}")
     return DemandMatrix(m.entries / unit)
 
 

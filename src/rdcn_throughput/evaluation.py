@@ -50,6 +50,7 @@ from .topology import (  # noqa: F401
     build_demand_aware_static,
     build_oblivious_equivalent,
     build_static_expander,
+    link_budget,
     require_hose,
     synthesize_schedule,
 )
@@ -260,7 +261,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     if not 0 < step < 1:
         raise ValueError(f"step must lie in (0, 1), got {step}")
     require_hose(m, p)  # at full scale: a scaled-down step would pass it
-    demand_bound = demand_upper_bound(m, *_link_budget(net_class, p))
+    demand_bound = demand_upper_bound(m, *link_budget(net_class, p))
     iter_values, bounds, objectives, seeds = [], [], [], []
     theta = 0.0
     for k in itertools.count():
@@ -296,8 +297,8 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
 
 def build_suite(p: NetworkParams, csv_paths=()) -> list:
     """The evaluation suite: chessboard, uniform, permutation, the nine U+P
-    mixes, plus any user-supplied p.n x p.n CSV matrices. Returns (label,
-    matrix) pairs."""
+    mixes, plus any user-supplied p.n x p.n CSV matrices labelled by file
+    stem. Returns (label, matrix) pairs; a repeated label is a ValueError."""
     suite = [
         ("chessboard", generate("chessboard", p)),
         ("uniform", generate("uniform", p)),
@@ -309,7 +310,10 @@ def build_suite(p: NetworkParams, csv_paths=()) -> list:
         m = load_csv(path)
         if m.n != p.n:
             raise ValueError(f"{path}: {m.n}x{m.n} matrix, but the network has n={p.n}")
-        suite.append((Path(path).stem, m))
+        label = Path(path).stem
+        if label in dict(suite):
+            raise ValueError(f"{path}: the suite already has a matrix labelled {label!r}")
+        suite.append((label, m))
     return suite
 
 
@@ -332,31 +336,23 @@ def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: in
     return Cell(throughput_static(topo, m), None, topo, None)
 
 
-def _link_budget(net_class: str, p: NetworkParams):
-    """(link capacity, degree budget) of the class's topology: the emulated
-    degree-n graph at c*u/n for oblivious and da-periodic, degree u at c for
-    the rest."""
-    if net_class in ("oblivious", "da-periodic"):
-        return p.c * p.u / p.n, p.n
-    return p.c, p.u
-
-
 def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, label: str,
               step: float):
     """Key for a sweep cell: its label, master seed and content.
 
     The oblivious and da-periodic results depend on the demand only through
     m/(c*u/n) with a fixed degree budget of n, so a label's suite matrices
-    regenerated for different physical degrees collapse onto one key. A
+    regenerated for different physical degrees collapse onto one key, rounded
+    to 12 decimals in link units as rounding can part them in the last bits. A
     static cell of degree min(u, n-1) = n-1 runs on the complete digraph, the
     oblivious graph, so it is keyed as an oblivious cell at link capacity c:
     the two share an LP wherever their demands in link units are equal, as at
     u = n.
     """
-    unit, budget = _link_budget(net_class, p)
+    unit, budget = link_budget(net_class, p)
     if net_class == "static" and min(p.u, p.n - 1) == p.n - 1:
         net_class, budget = "oblivious", p.n
-    normalized = np.asarray(entries, dtype=float) / unit
+    normalized = np.round(np.asarray(entries, dtype=float) / unit, 12)
     return (net_class, p.n, budget, seed, label, step, normalized.tobytes())
 
 
@@ -523,10 +519,6 @@ LANDSCAPE_CRITERIA = (
 )
 
 
-def check_landscape(result: SweepResult, suite, p: NetworkParams, *, figure=None,
-                    number=None) -> list:
-    """(criterion, ok, detail) for every table entry of one figure or number."""
-    return [
-        (c, *c.check(result, suite, p)) for c in LANDSCAPE_CRITERIA
-        if figure in (None, c.figure) and number in (None, c.number)
-    ]
+def check_landscape(result: SweepResult, suite, p: NetworkParams, *, figure: str) -> list:
+    """(criterion, ok, detail) for every table entry of one figure."""
+    return [(c, *c.check(result, suite, p)) for c in LANDSCAPE_CRITERIA if c.figure == figure]

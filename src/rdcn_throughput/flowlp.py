@@ -186,22 +186,17 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     return _FlowLP(**vars(layout), c=c, A_ub=A_ub, A_eq=A_eq, b_eq=np.zeros(n_rows))
 
 
-def solve_max_throughput(t: Topology, m: DemandMatrix,
-                         method: str | None = None) -> ThroughputResult:
+def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
     """Maximize theta such that theta*m admits a feasible flow on t.
 
-    `m` is in bits/s; the flows come back in link units. `method` is
-    "highs-ds" or "highs-ipm", the scipy.optimize.linprog backend, run at
-    feasibility tolerances of DEFAULT_TOL; None picks dual simplex below
-    SIMPLEX_MAX_COLUMNS columns and interior point from there. If the method
-    fails, the other is tried once; if that fails too, SolverError names the
-    solver's status and message.
+    `m` is in bits/s; the flows come back in link units. The LP goes to
+    scipy.optimize.linprog's HiGHS at feasibility tolerances of DEFAULT_TOL:
+    dual simplex below SIMPLEX_MAX_COLUMNS columns, interior point from there.
+    If that method fails, the other is tried once; if that fails too,
+    SolverError names the solver's status and message.
     """
-    if method is not None and method not in _OTHER_METHOD:
-        raise ValueError(f"unknown LP method {method!r}; expected one of {sorted(_OTHER_METHOD)}")
     lp = _assemble_lp(t, m)
-    if method is None:
-        method = "highs-ds" if lp.c.size < SIMPLEX_MAX_COLUMNS else "highs-ipm"
+    method = "highs-ds" if lp.c.size < SIMPLEX_MAX_COLUMNS else "highs-ipm"
     for attempt in (method, _OTHER_METHOD[method]):
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
                       bounds=(0, None), method=attempt, options=_HIGHS_OPTIONS)

@@ -49,8 +49,8 @@ class Topology:
             raise ValueError(f"link_count must be square, got {counts.shape}")
         if np.any(counts < 0):
             raise ValueError("link counts must be nonnegative")
-        if not self.link_capacity > 0:
-            raise ValueError(f"link capacity must be positive, got {self.link_capacity}")
+        if not 0 < self.link_capacity < np.inf:
+            raise ValueError(f"link capacity must be finite and positive, got {self.link_capacity}")
         out_deg = counts.sum(axis=1)
         in_deg = counts.sum(axis=0)
         if out_deg.max(initial=0) > self.degree_budget or in_deg.max(initial=0) > self.degree_budget:
@@ -135,6 +135,15 @@ def require_hose(m: DemandMatrix, p: NetworkParams):
         )
 
 
+def link_budget(net_class: str, p: NetworkParams):
+    """(link capacity, degree budget) of the class's topology: the emulated
+    degree-n graph at c*u/n = c/Gamma for oblivious and da-periodic, degree u
+    at c for the rest."""
+    if net_class in ("oblivious", "da-periodic"):
+        return p.c * p.u / p.n, p.n
+    return p.c, p.u
+
+
 def build_static_expander(p: NetworkParams, seed=0) -> Topology:
     """Random u-regular digraph with full-capacity links; demand-oblivious and fixed."""
     degree = min(p.u, p.n - 1)  # simple digraph: at most n-1 distinct partners
@@ -148,8 +157,8 @@ def build_oblivious_equivalent(p: NetworkParams) -> Topology:
     One padding self-loop per node brings the row sums to n, matching the union
     of the n matchings a full rotation executes.
     """
-    counts = np.ones((p.n, p.n), dtype=np.int64)
-    return Topology(counts, p.c * p.u / p.n, "oblivious", p.n)
+    unit, budget = link_budget("oblivious", p)
+    return Topology(np.ones((p.n, p.n), dtype=np.int64), unit, "oblivious", budget)
 
 
 def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
@@ -222,9 +231,9 @@ def build_demand_aware_emulated(m: DemandMatrix, p: NetworkParams, seed=0) -> To
     switch schedule that realizes it is `synthesize_schedule(topo, p.u, seed)`.
     """
     require_hose(m, p)
-    unit = p.c * p.u / p.n
-    counts = _demand_aware_counts(m, p, unit, p.n, seed)
-    return Topology(_pad_to_regular(counts, p.n), unit, "da-periodic", p.n)
+    unit, budget = link_budget("da-periodic", p)
+    counts = _demand_aware_counts(m, p, unit, budget, seed)
+    return Topology(_pad_to_regular(counts, budget), unit, "da-periodic", budget)
 
 
 def build_demand_aware_periodic(m: DemandMatrix, p: NetworkParams, seed=0):

@@ -30,7 +30,7 @@ from rdcn_throughput import (
     sweep_degree,
     verify_solution,
 )
-from rdcn_throughput.evaluation import DEFAULT_STEP, OBJECTIVE_REACHED, check_landscape
+from rdcn_throughput.evaluation import DEFAULT_STEP, LANDSCAPE_CRITERIA, OBJECTIVE_REACHED
 from rdcn_throughput.flowlp import VERIFY_EPS
 
 from conftest import sinkhorn_doubly_stochastic
@@ -50,10 +50,15 @@ def report(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
+def check_criterion(number, landscape, suite, p):
+    """(criterion, ok, detail) for each of the criteria table's entries for one criterion."""
+    return [(c, *c.check(landscape, suite, p)) for c in LANDSCAPE_CRITERIA if c.number == number]
+
+
 def report_table(number, landscape):
     """Check and report the criteria table's entries for one criterion at u=4."""
     p = NetworkParams(N, 4, CAPACITY)
-    checks = check_landscape(landscape, build_suite(p), p, number=number)
+    checks = check_criterion(number, landscape, build_suite(p), p)
     assert checks, f"no table entry for criterion {number}"
     report(number, all(ok for _, ok, _ in checks), "; ".join(detail for _, _, detail in checks))
 
@@ -125,8 +130,8 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     predicted = (24 - a) / (16 + 1.5 * (8 - a) + 4 / 7 * (a - 1))
     expected = float(np.floor(predicted / DEFAULT_STEP)) * DEFAULT_STEP
     at_prediction = SweepResult((SweepRow("chessboard", "da-periodic", 4, expected),))
-    [(_, prediction_ok, _)] = check_landscape(at_prediction, (), p, number=2)
-    [(_, cell_ok, cell_detail)] = check_landscape(landscape, (), p, number=2)
+    [(_, prediction_ok, _)] = check_criterion(2, at_prediction, (), p)
+    [(_, cell_ok, cell_detail)] = check_criterion(2, landscape, (), p)
 
     # The landscape cell, certified by the topology the heuristic built at its
     # last step with that step's seed.

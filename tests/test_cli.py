@@ -19,7 +19,7 @@ from rdcn_throughput import (
 )
 from rdcn_throughput import evaluation
 from rdcn_throughput.cli import fig4_degrees, main
-from rdcn_throughput.evaluation import OBJECTIVE_REACHED, check_landscape
+from rdcn_throughput.evaluation import LANDSCAPE_CRITERIA, OBJECTIVE_REACHED, check_landscape
 from rdcn_throughput.svg import grouped_bar_chart
 
 
@@ -32,6 +32,37 @@ def write_small_permutation(tmp_path, n=4, u=2, c=1e9):
     path = tmp_path / "perm.csv"
     save_csv(generate("permutation", NetworkParams(n, u, c)), path)
     return path
+
+
+class TestCapacity:
+    """Every command takes c as a finite positive number; any other exits 2
+    naming --c before it reads, writes or solves anything."""
+
+    @pytest.mark.parametrize("c", ["inf", "-inf", "nan", "0"])
+    @pytest.mark.parametrize("args", [
+        ["gen", "--kind", "uniform", "--n", "4"],
+        ["decompose", "{matrix}"],
+        ["eval", "{matrix}", "--class", "oblivious", "--u", "2"],
+        ["eval", "{matrix}", "--class", "oblivious", "--u", "2", "--normalized"],
+        ["reproduce", "fig3", "--n", "4", "--u", "2"],
+    ], ids=["gen", "decompose", "eval", "eval-normalized", "reproduce"])
+    def test_non_finite_or_non_positive_capacity_exits_two(self, runner, tmp_path, args, c):
+        matrix = str(write_small_permutation(tmp_path))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [a.format(matrix=matrix) for a in args]
+                               + ["--c", c, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--c': link capacity must be finite and positive" in result.output
+        assert "Warning" not in result.output and not out.exists()
+
+    def test_config_capacity_is_checked_too(self, runner, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("n = 4\nu = 2\nc = inf\n")
+        result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == (f"error: {config}: Invalid value for '--c': link capacity "
+                                 f"must be finite and positive, got inf\n")
 
 
 class TestGen:
@@ -287,6 +318,25 @@ class TestReproduce:
         failed = [(r["class"], r["degree"]) for r in payload["rows"] if r["theta"] is None]
         assert failed == [("da-static", 4), ("da-periodic", 4)]
 
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_repeated_matrix_label_exits_two(self, runner, tmp_path, monkeypatch, figure):
+        # a CSV stem that repeats a suite label would share its rows, and
+        # the sweep would read only the first of them
+        (tmp_path / "y").mkdir()
+        path = tmp_path / "y" / "uniform.csv"
+        save_csv(generate("uniform", NetworkParams(8, 4, 25e9)), path)
+
+        def no_solve(task):
+            raise AssertionError("a cell was solved")
+
+        monkeypatch.setattr(evaluation, "_evaluate_cell", no_solve)
+        result = runner.invoke(main, ["reproduce", figure, "--n", "8", "--u", "4",
+                                      "--matrix-csv", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == (f"error: {path}: the suite already has a matrix "
+                                 f"labelled 'uniform'\n")
+        assert not (tmp_path / f"{figure}.csv").exists()
+
     def test_config_file_provides_defaults(self, runner, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("n = 4\nu = 2\nc = 1e9\nseed = 7\n")
@@ -438,8 +488,8 @@ class TestFig4Checks:
             rows += [SweepRow("chessboard", "da-static", u, theta),
                      SweepRow("chessboard", "da-periodic", u, 0.84)]
         p = NetworkParams(n, min(static_worst), 25e9)
-        [(_, passed, detail)] = check_landscape(SweepResult(tuple(rows)), (), p, number=7)
-        return passed, detail
+        [criterion] = [c for c in LANDSCAPE_CRITERIA if c.number == 7]
+        return criterion.check(SweepResult(tuple(rows)), (), p)
 
     def test_convergence_reads_u_equal_n(self):
         # n=32: da-static trails by 0.16 at u=16, the top degree of FIG4_DEGREES,

@@ -1,9 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from rdcn_throughput import (
     BvnDecomposition,
@@ -49,8 +52,8 @@ def recursive_disjoint_matching(allowed, rng):
 
 
 def peeling_edge_colouring(g):
-    """The peel loop `edge_color_regular` replaces, kept as its reference: one
-    `perfect_matching` on the dense support of what is left per matching."""
+    """The plain peel loop, the reference `edge_color_regular` must agree with:
+    one `perfect_matching` on the support of what is left per matching."""
     work = np.array(g.edge_multiplicity)
     matchings = []
     for _ in range(g.degree):
@@ -115,6 +118,30 @@ class TestPerfectMatching:
         n = 1200
         support = np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
         assert perfect_matching(support).mapping == tuple(range(n))
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.data())
+    def test_agrees_with_scipy_on_the_dense_csr(self, data):
+        # the support's CSR is the one csr_array builds from the dense array, and
+        # the matching is scipy's on it, or None when some row stays unmatched
+        n = data.draw(st.integers(1, 12))
+        support = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)),
+                           dtype=bool).reshape(n, n)
+        support[sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=2)))] = False
+        with mock.patch.object(decomposition, "maximum_bipartite_matching",
+                               wraps=maximum_bipartite_matching) as solver:
+            found = perfect_matching(support)
+        [(csr,), _] = solver.call_args
+        dense = csr_array(support)
+        assert csr.shape == dense.shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(csr, part), getattr(dense, part))
+            assert getattr(csr, part).dtype == getattr(dense, part).dtype
+        mapping = maximum_bipartite_matching(dense, perm_type="column")
+        if np.any(mapping < 0):
+            assert found is None
+        else:
+            assert found.mapping == tuple(mapping.tolist())
 
     @pytest.mark.parametrize("n,seed", [(4, s) for s in range(30)] + [(5, s) for s in range(30)])
     def test_agrees_with_brute_force_sampled(self, n, seed):

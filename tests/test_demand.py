@@ -31,6 +31,8 @@ class TestNetworkParams:
         (4, 0, 1.0),        # degree below 1
         (4, 5, 1.0),        # degree above n
         (4, 2, 0.0),        # zero capacity
+        (4, 2, np.inf),     # infinite capacity
+        (4, 2, np.nan),     # no capacity at all
     ])
     def test_rejects_bad_params(self, n, u, c):
         with pytest.raises(ValueError):
@@ -99,6 +101,12 @@ class TestNormalize:
     def test_bad_unit(self):
         with pytest.raises(ValueError):
             normalize(DemandMatrix(np.zeros((2, 2))), 0.0)
+
+    @pytest.mark.parametrize("unit", [np.inf, np.nan])
+    def test_non_finite_unit(self, unit):
+        # dividing by inf would turn every demand into 0 without a word
+        with pytest.raises(ValueError, match="finite and positive"):
+            normalize(DemandMatrix([[0, 1.0], [1.0, 0]]), unit)
 
     def test_chessboard_alternates_half_and_three_halves(self):
         # The opposite-parity cells sit exactly at 1.5; same-parity cells carry

@@ -26,6 +26,7 @@ from rdcn_throughput import (
     throughput_static,
 )
 from rdcn_throughput import evaluation, topology
+from rdcn_throughput.cli import fig4_degrees
 from rdcn_throughput.evaluation import (
     NETWORK_CLASSES,
     OBJECTIVE_REACHED,
@@ -322,6 +323,18 @@ class TestBuildSuite:
         assert suite[-1][0] == "custom"
         assert suite[-1][1].n == 4
 
+    @pytest.mark.parametrize("stems", [("uniform",), ("custom", "custom")])
+    def test_repeated_label_rejected(self, tmp_path, stems):
+        # a sweep reads one matrix per label, so a second one would go unchecked
+        paths = []
+        for k, stem in enumerate(stems):
+            (tmp_path / str(k)).mkdir()
+            paths.append(tmp_path / str(k) / f"{stem}.csv")
+            save_csv(generate("uniform", SMALL), paths[-1])
+        with pytest.raises(ValueError, match=f"{paths[-1]}: the suite already has a matrix "
+                                             f"labelled '{stems[-1]}'"):
+            build_suite(SMALL, csv_paths=paths)
+
 
 class TestSweeps:
     def test_full_cross_product_and_determinism(self):
@@ -350,9 +363,24 @@ class TestSweeps:
             assert result.theta(label, "da-periodic", 2) == result.theta(label, "da-periodic", 4)
             assert result.theta(label, "oblivious", 2) == result.theta(label, "oblivious", 4)
 
+    @pytest.mark.parametrize("n", range(4, 65, 2))  # the chessboard needs an even n
+    def test_fig4_degrees_share_every_invariant_key(self, n):
+        # no LP: each label's oblivious and da-periodic cells key alike at
+        # every degree fig4 sweeps, though the matrices differ in the last bits
+        keys = {}
+        for u in fig4_degrees(n):
+            p = NetworkParams(n, u, 25e9)
+            for label, m in build_suite(p):
+                for cls in ("oblivious", "da-periodic"):
+                    keys.setdefault((label, cls), set()).add(
+                        evaluation._cell_key(m.entries, cls, p, 0, label, evaluation.DEFAULT_STEP))
+        assert len(keys) == 24 and all(len(k) == 1 for k in keys.values())
+
     def test_complete_static_graph_shares_the_oblivious_cell(self, monkeypatch):
         # At u = n the static expander is the complete digraph at capacity c,
-        # the oblivious graph with the same demand in link units: one LP.
+        # the oblivious graph with the same demand in link units: one LP. The
+        # U+P matrices in link units at u=7 differ from u=4's in the last bits;
+        # they are still one oblivious and one da-periodic cell.
         p = NetworkParams(8, 4, 25e9)
         real_evaluate, real_key = evaluation._evaluate_cell, evaluation._cell_key
         tasks = []
@@ -367,6 +395,9 @@ class TestSweeps:
         monkeypatch.setattr(evaluation, "_evaluate_cell", record)
         result = sweep_degree(p, [4, 7, 8], seed=0, jobs=1)
         merged = Counter(tasks)
+        assert merged == {(cls, u): 12 for cls, u in (
+            ("static", 4), ("oblivious", 4), ("da-static", 4), ("da-periodic", 4),
+            ("static", 7), ("da-static", 7), ("da-static", 8))}
         tasks.clear()
         monkeypatch.setattr(evaluation, "_cell_key", static_apart)
         apart = sweep_degree(p, [4, 7, 8], seed=0, jobs=1)
@@ -375,6 +406,8 @@ class TestSweeps:
 
         p8 = NetworkParams(8, 8, 25e9)
         for label, m in build_suite(p8):
+            for net_class in ("oblivious", "da-periodic"):
+                assert len({result.theta(label, net_class, u) for u in (4, 7, 8)}) == 1, label
             oblivious = result.theta(label, "oblivious", 8)
             assert result.theta(label, "static", 8) == oblivious, label
             assert evaluate_cell(m, p8, "static", seed=0, label=label).theta == oblivious, label

@@ -22,7 +22,7 @@ from rdcn_throughput import (
 )
 
 from rdcn_throughput import evaluation, flowlp
-from rdcn_throughput.evaluation import _link_budget, build_suite, sweep_degree
+from rdcn_throughput.evaluation import build_suite, sweep_degree
 from rdcn_throughput.flowlp import (
     _assemble_lp,
     _hops,
@@ -30,6 +30,7 @@ from rdcn_throughput.flowlp import (
     demand_upper_bound,
     throughput_upper_bound,
 )
+from rdcn_throughput.topology import link_budget
 
 from conftest import sinkhorn_doubly_stochastic
 from lp_oracle import path_lp_throughput
@@ -125,8 +126,11 @@ class TestSolveMaxThroughput:
         gaps = []
 
         def both(t, m):
-            a = solve(t, m, method="highs-ipm").theta
-            b = solve(t, m, method="highs-ds").theta
+            with monkeypatch.context() as size_rule:
+                size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", 0)  # interior point
+                a = solve(t, m).theta
+                size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf)  # dual simplex
+                b = solve(t, m).theta
             gaps.append(abs(a - b))
             return solve(t, m)
 
@@ -352,7 +356,7 @@ class TestDemandUpperBound:
     def test_n16_suite_values(self, desk_params, label, net_class, expected):
         # da-periodic: the emulated graph, degree n at c*u/n; da-static: degree u at c
         m = dict(build_suite(desk_params))[label]
-        bound = demand_upper_bound(m, *_link_budget(net_class, desk_params))
+        bound = demand_upper_bound(m, *link_budget(net_class, desk_params))
         assert bound == pytest.approx(expected, rel=1e-12)
 
     def test_zero_demand_rejected(self):
@@ -476,7 +480,8 @@ class TestSolverFallback:
 
     def test_failed_interior_point_falls_back_to_dual_simplex(self, monkeypatch):
         calls = self._failing(monkeypatch, {"highs-ipm"})
-        result = solve_max_throughput(*self._large())
+        monkeypatch.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", 0)  # every LP to interior point
+        result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
         assert calls == ["highs-ipm", "highs-ds"]
         assert result.theta == pytest.approx(1.0, abs=1e-9)
 
@@ -493,10 +498,6 @@ class TestSolverFallback:
             solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
         assert str(err.value) == f"solver returned {name}: forced failure of highs-ipm"
         assert calls == ["highs-ds", "highs-ipm"]
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown LP method 'highs'"):
-            solve_max_throughput(complete_topology(4), unit_uniform_demand(4), method="highs")
 
 
 def _parse_lp_rows(text):

@@ -23,6 +23,11 @@ class TestTopologyType:
         with pytest.raises(ValueError, match="budget"):
             Topology(np.ones((3, 3), dtype=int), 1.0, "x", degree_budget=2)
 
+    @pytest.mark.parametrize("capacity", [0.0, np.inf, np.nan])
+    def test_link_capacity_must_be_finite_and_positive(self, capacity):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Topology(np.eye(2, dtype=int), capacity, "x", degree_budget=1)
+
     def test_routable_counts_drop_diagonal(self):
         t = Topology(np.ones((3, 3), dtype=int), 1.0, "x", degree_budget=3)
         assert t.routable_counts()[1, 1] == 0
