@@ -168,17 +168,22 @@ def edge_color_regular(g: RegularMultigraph) -> list:
     """Split a d-regular multigraph into exactly d perfect matchings.
 
     Peels one matching at a time; regularity is preserved after each peel, so a
-    perfect matching always exists. The multiset union of the returned
-    matchings' edges equals the input's edge multiset exactly.
+    perfect matching always exists. While every matched cell keeps a link the
+    support is unchanged and the matching would come back, so it is peeled as
+    many times as its thinnest cell allows in one step. The multiset union of
+    the returned matchings' edges equals the input's edge multiset exactly.
     """
     work = np.array(g.edge_multiplicity)
+    rows = np.arange(g.n)
     matchings = []
-    for _ in range(g.degree):
+    while len(matchings) < g.degree:
         pm = perfect_matching(work > 0)
         if pm is None:  # unreachable for a regular input
             raise DecompositionError("regular multigraph lost its perfect matching")
-        work[np.arange(g.n), pm.mapping] -= 1
-        matchings.append(pm)
+        cells = (rows, np.array(pm.mapping))
+        times = int(work[cells].min())
+        work[cells] -= times
+        matchings.extend([pm] * times)
     return matchings
 
 

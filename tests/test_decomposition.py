@@ -223,11 +223,20 @@ class TestEdgeColorRegular:
         union = sum(pm.as_matrix() for pm in matchings)
         np.testing.assert_array_equal(union, np.ones((4, 4)))
 
-    def test_three_copies_of_one_permutation(self):
+    def test_three_copies_of_one_permutation(self, monkeypatch):
+        # the support never changes, so one matching search serves all three
+        calls = []
+
+        def counted(support):
+            calls.append(support)
+            return perfect_matching(support)
+
+        monkeypatch.setattr(decomposition, "perfect_matching", counted)
         base = PermutationMatching((1, 2, 0))
         g = RegularMultigraph(3 * base.as_matrix().astype(int))
         matchings = edge_color_regular(g)
         assert [pm.mapping for pm in matchings] == [base.mapping] * 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_union_round_trip_on_random_multigraph(self, seed):

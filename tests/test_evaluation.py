@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -366,13 +368,15 @@ class TestSweeps:
     @pytest.mark.parametrize("n", range(4, 65, 2))  # the chessboard needs an even n
     def test_fig4_degrees_share_every_invariant_key(self, n):
         # no LP: each label's oblivious and da-periodic cells key alike at
-        # every degree fig4 sweeps, though the matrices differ in the last bits
+        # every degree fig4 sweeps, though the matrices differ in the last
+        # bits; at u = n every suite matrix's da-static cell is its da-periodic one
         keys = {}
         for u in fig4_degrees(n):
             p = NetworkParams(n, u, 25e9)
             for label, m in build_suite(p):
-                for cls in ("oblivious", "da-periodic"):
-                    keys.setdefault((label, cls), set()).add(
+                for cls in ("oblivious", "da-periodic") + (("da-static",) if u == n else ()):
+                    shared = "da-periodic" if cls == "da-static" else cls
+                    keys.setdefault((label, shared), set()).add(
                         evaluation._cell_key(m.entries, cls, p, 0, label, evaluation.DEFAULT_STEP))
         assert len(keys) == 24 and all(len(k) == 1 for k in keys.values())
 
@@ -397,12 +401,13 @@ class TestSweeps:
         merged = Counter(tasks)
         assert merged == {(cls, u): 12 for cls, u in (
             ("static", 4), ("oblivious", 4), ("da-static", 4), ("da-periodic", 4),
-            ("static", 7), ("da-static", 7), ("da-static", 8))}
+            ("static", 7), ("da-static", 7))}
         tasks.clear()
         monkeypatch.setattr(evaluation, "_cell_key", static_apart)
         apart = sweep_degree(p, [4, 7, 8], seed=0, jobs=1)
-        assert apart == result  # solved on its own, each static cell gets the same theta
-        assert Counter(tasks) - merged == {("static", 8): 12} and not merged - Counter(tasks)
+        assert apart == result  # solved on its own, each merged cell gets the same row
+        assert Counter(tasks) - merged == {("static", 8): 12, ("da-static", 8): 12}
+        assert not merged - Counter(tasks)
 
         p8 = NetworkParams(8, 8, 25e9)
         for label, m in build_suite(p8):
@@ -415,6 +420,62 @@ class TestSweeps:
             # c(n-1)/n: its own LP, whose optimum is n/(n-1) times the oblivious one
             assert result.theta(label, "static", 7) == pytest.approx(oblivious * 8 / 7,
                                                                      rel=1e-9), label
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_full_degree_da_static_row_is_its_own_cell(self, n):
+        # at n=4 fig4 sweeps u=4 alone, so da-static is planned first and its
+        # task serves both classes; at n=8 the da-periodic task of u=4 does
+        p_n = NetworkParams(n, n, 25e9)
+        result = sweep_degree(p_n, fig4_degrees(n), seed=0)
+        for label, m in build_suite(p_n):
+            row = result.row(label, "da-static", n)
+            cell = evaluate_cell(m, p_n, "da-static", seed=0, label=label)
+            assert (row.theta, row.trace, row.error) == (cell.theta, cell.trace, None), label
+            assert row.trace == result.row(label, "da-periodic", n).trace, label
+
+    def test_full_degree_alone_gives_the_same_rows(self):
+        p = NetworkParams(8, 4, 25e9)
+        both = sweep_degree(p, [4, 8], seed=0)
+        assert sweep_degree(p, [8], seed=0).rows == tuple(r for r in both.rows if r.degree == 8)
+
+    def test_unequal_row_and_column_multisets_keep_their_da_static_cell(self, monkeypatch,
+                                                                        tmp_path):
+        # a symmetric matrix sends what it receives, node by node; the
+        # saturated random one has equal row and column sums but not multisets
+        p = NetworkParams(4, 4, 1e9)
+        lopsided = generate("random-saturated", p, seed=1)
+        entries = lopsided.entries
+        assert not np.array_equal(np.sort(entries, axis=1), np.sort(entries.T, axis=1))
+        save_csv(lopsided, tmp_path / "lopsided.csv")
+        save_csv(DemandMatrix((entries + entries.T) / 2), tmp_path / "mirrored.csv")
+        solved = []
+
+        def no_lp(tasks, jobs):
+            solved.extend((task[6], task[1]) for task in tasks)
+            return [(float("nan"), None, None)] * len(tasks)
+
+        monkeypatch.setattr(evaluation, "_run_cells", no_lp)
+        sweep_degree(p, [4], seed=0, csv_paths=[tmp_path / "lopsided.csv",
+                                                tmp_path / "mirrored.csv"])
+        # one oblivious cell (static at u = n shares it) and one demand-aware
+        # cell per matrix, but two demand-aware cells for the lopsided one
+        per_label = Counter(label for label, _ in solved)
+        assert len(per_label) == 14
+        assert per_label == {label: 2 for label in per_label} | {"lopsided": 3}
+        assert {cls for label, cls in solved if label == "lopsided"} == {
+            "static", "da-static", "da-periodic"}
+
+    @pytest.mark.parametrize("n, planned, unique", [(8, 96, 48), (16, 192, 96)])
+    def test_fig4_cell_counts(self, monkeypatch, n, planned, unique):
+        solved = []
+
+        def no_lp(tasks, jobs):
+            solved.extend(tasks)
+            return [(float("nan"), None, None)] * len(tasks)
+
+        monkeypatch.setattr(evaluation, "_run_cells", no_lp)
+        result = sweep_degree(NetworkParams(n, 4, 25e9), fig4_degrees(n), seed=0)
+        assert (len(result.rows), len(solved)) == (planned, unique)
 
     def test_pool_never_outnumbers_the_cells(self, monkeypatch):
         sizes = []
@@ -439,8 +500,8 @@ class TestSweeps:
 
     def test_non_dividing_degree_still_sweeps(self):
         # no uniform schedule exists at u=3, but the emulated graph does
-        result = sweep_degree(SMALL, [3], classes=("oblivious", "da-periodic"), seed=0)
-        assert len(result.rows) == 12 * 2
+        result = sweep_degree(SMALL, [3], seed=0)
+        assert len(result.rows) == 12 * len(NETWORK_CLASSES)
         assert not result.errors
 
     def test_jobs_parallel_matches_serial(self):
@@ -469,6 +530,11 @@ class TestSweepResultSerialization:
         assert lines[1] == "uniform,oblivious,4,1"
         assert lines[2] == "uniform,da-periodic,4,1"
         assert len(lines) == 5
+
+    def test_csv_quotes_a_label_with_a_comma(self):
+        text = SweepResult((SweepRow("a,b", "da-static", 4, 0.5),)).to_csv_text()
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["matrix", "class", "degree", "theta"], ["a,b", "da-static", "4", "0.5"]]
 
     def test_json_rows_carry_demand_aware_traces_only(self):
         rows = self._result().to_json_dict()["rows"]
