@@ -28,6 +28,7 @@ from .demand import (
     save_csv,
     validate_hose,
 )
+from .topology import synthesize_schedule
 
 OUT_ENV_VAR = "RDCN_THROUGHPUT_OUT"
 
@@ -37,8 +38,6 @@ EXIT_ACCEPTANCE = 4
 
 # The physical degrees fig4 sweeps, those up to n, and n itself; fig3 runs at --u.
 FIG4_DEGREES = (4, 8, 12, 16)
-
-_STEP = click.FloatRange(0, 1, min_open=True, max_open=True)
 
 
 class _Capacity(click.types.FloatParamType):
@@ -75,7 +74,7 @@ def read_config(path) -> dict:
     return values
 
 
-CONFIG_KEYS = ("n", "u", "c", "seed", "step", "jobs", "out")
+CONFIG_KEYS = ("n", "u", "c", "seed", "jobs", "out")
 
 
 def _apply_config(ctx, param, path):
@@ -191,11 +190,10 @@ def decompose(matrix_path, c, normalized, out):
 @click.option("--c", type=_Capacity(), default=25e9, show_default=True)
 @click.option("--normalized", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step", type=_STEP, default=evaluation.DEFAULT_STEP, show_default=True)
 @click.option("--trace", is_flag=True, help="Print the heuristic trace as JSON.")
 @click.option("--emit-topo", is_flag=True, help="Write topology (and schedule) JSON.")
 @click.option("--out", type=click.Path(), default=None)
-def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_topo, out):
+def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, out):
     """Compute throughput of one matrix on one network class.
 
     The build seed comes from --seed and the file's stem, as for a sweep cell
@@ -207,8 +205,7 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
     except (MatrixParseError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
     try:
-        cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem,
-                                        step=step)
+        cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     except flowlp.SolverError as exc:
@@ -223,9 +220,11 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
         topo_path.write_text(json.dumps(cell.topology.to_json_dict(), indent=2) + "\n",
                              encoding="utf-8")
         click.echo(f"wrote {topo_path}")
-        if cell.schedule is not None:
+        if net_class == "da-periodic" and p.n % p.u == 0:
+            # the certifying build's schedule, as build_demand_aware_periodic lays it out
+            schedule = synthesize_schedule(cell.topology, p.u, seed=cell.trace.seeds[-1])
             sched_path = outdir / "schedule.json"
-            sched_path.write_text(json.dumps(cell.schedule.to_json_dict(), indent=2) + "\n",
+            sched_path.write_text(json.dumps(schedule.to_json_dict(), indent=2) + "\n",
                                   encoding="utf-8")
             click.echo(f"wrote {sched_path}")
 
@@ -237,7 +236,6 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
               help="Degree for fig3 (fig4 sweeps 4, 8, 12, 16 up to n, and n).")
 @click.option("--c", type=_Capacity(), default=25e9, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--step", type=_STEP, default=evaluation.DEFAULT_STEP, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Concurrent solver instances.")
 @click.option("--matrix-csv", multiple=True, type=click.Path(exists=True, dir_okay=False),
@@ -246,18 +244,18 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, step, trace, emit_t
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
               is_eager=True, expose_value=False, callback=_apply_config,
               help="Flat key=value config file (flags take precedence).")
-def reproduce(figure, n, u, c, seed, step, jobs, matrix_csv, out):
+def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
     outdir = _outdir(out)
     try:
         if figure == "fig3":
             p = NetworkParams(n, u, c)
             suite = evaluation.build_suite(p, csv_paths=matrix_csv)
-            result = evaluation.sweep_matrices(p, suite, seed=seed, step=step, jobs=jobs)
+            result = evaluation.sweep_matrices(p, suite, seed=seed, jobs=jobs)
         else:
             degrees = fig4_degrees(n)
             p = NetworkParams(n, degrees[0], c)
-            result = evaluation.sweep_degree(p, degrees, seed=seed, step=step, jobs=jobs,
+            result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs,
                                              csv_paths=matrix_csv)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))

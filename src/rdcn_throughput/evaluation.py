@@ -3,9 +3,9 @@ demand-aware heuristic, the matrix/degree sweeps and the table of landscape
 criteria they are checked against.
 
 The demand-aware heuristic scales the demand matrix by `iter` descending from
-1 in fixed steps, rebuilds the demand-aware topology for each scaled matrix,
-and stops at the first iter whose LP objective reaches 1; that iter is the
-reported throughput (granularity = one step). The scan starts at the first
+1 in steps of DEFAULT_STEP, rebuilds the demand-aware topology for each scaled
+matrix, and stops at the first iter whose LP objective reaches 1; that iter is
+the reported throughput (granularity = one step). The scan starts at the first
 step that the demand alone (`demand_upper_bound`) leaves room to reach 1, and
 a step whose topology bounds the objective below 1 (`throughput_upper_bound`)
 is rejected without its LP.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ from .flowlp import (
 # evaluation.build_demand_aware_periodic (bench/rdcn_bench/layers.py), so the
 # name stays importable from this module.
 from .topology import (  # noqa: F401
-    PeriodicSchedule,
     Topology,
     build_demand_aware_emulated,
     build_demand_aware_periodic,
@@ -54,10 +52,10 @@ from .topology import (  # noqa: F401
     build_static_expander,
     link_budget,
     require_hose,
-    synthesize_schedule,
 )
 
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
+# The heuristic's granularity: every demand-aware theta is a multiple of it.
 DEFAULT_STEP = 0.01
 OBJECTIVE_REACHED = 1.0 - 1e-9
 # A step's LP is skipped when its upper bound lies below OBJECTIVE_REACHED by
@@ -73,7 +71,7 @@ _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 @dataclass(frozen=True)
 class HeuristicTrace:
-    """Record of one descending heuristic scan.
+    """Record of one descending heuristic scan, in steps of DEFAULT_STEP.
 
     demand_bound is the demand-only bound B on the throughput of every
     topology of the class, so the cell's theta lies in [chosen_theta, B]. The
@@ -90,13 +88,12 @@ class HeuristicTrace:
     bounds: tuple
     objectives: tuple
     chosen_theta: float
-    step: float
     seeds: tuple
     demand_bound: float
 
     def to_json_dict(self) -> dict:
         return {
-            "step": self.step,
+            "step": DEFAULT_STEP,
             "iter_values": list(self.iter_values),
             "bounds": list(self.bounds),
             "objectives": list(self.objectives),
@@ -110,15 +107,15 @@ class Cell(NamedTuple):
     """One cell's throughput and the build that certifies it.
 
     `topology` is the network theta was computed on; for the demand-aware
-    classes it is the heuristic's last step, with its switch `schedule` for
-    da-periodic (None when u does not divide n, and for every other class).
-    `trace` is None for the LP classes.
+    classes it is the heuristic's last step, built with `trace.seeds[-1]`
+    (for da-periodic, the emulated graph: `synthesize_schedule` with that
+    seed lays out its switch schedule when u divides n). `trace` is None for
+    the LP classes.
     """
 
     theta: float
     trace: HeuristicTrace | None
     topology: Topology
-    schedule: PeriodicSchedule | None
 
 
 @dataclass(frozen=True)
@@ -238,14 +235,13 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
 
 
 def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
-                            step: float = DEFAULT_STEP, seed: int = 0) -> Cell:
+                            seed: int = 0) -> Cell:
     """Iterative heuristic for demand-aware networks. Returns a Cell whose
-    trace is the HeuristicTrace and whose topology (and schedule) is the last
-    step's build.
+    trace is the HeuristicTrace and whose topology is the last step's build.
 
     net_class is "da-static" (one-shot topology, degree u) or "da-periodic"
     (emulated degree-n graph at capacity c*u/n). The reported theta is the first scan
-    value whose LP objective reaches 1, hence a multiple of `step` with
+    value whose LP objective reaches 1, hence a multiple of DEFAULT_STEP with
     uncertainty one step, and the last step's build certifies it; 0.0 if no
     scan value succeeds. m must meet the hose bound at full scale.
 
@@ -257,22 +253,17 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     "iter", k)` with k counted from scale 1, but solves its LP only if the
     topology's upper bound leaves the objective room to reach 1; so neither
     skip changes a theta or a certifying build. A schedule takes no part in
-    theta, so da-periodic steps build only the emulated graph, and the switch
-    schedule is synthesized once, for the last step's, as
-    `build_demand_aware_periodic` with that step's seed would make it.
+    theta, so da-periodic steps build only the emulated graph, and none is
+    synthesized here.
     """
     if net_class not in ("da-static", "da-periodic"):
         raise ValueError(f"unknown demand-aware class {net_class!r}")
-    if not 0 < step < 1:
-        raise ValueError(f"step must lie in (0, 1), got {step}")
     require_hose(m, p)  # at full scale: a scaled-down step would pass it
     demand_bound = demand_upper_bound(m, *link_budget(net_class, p))
     iter_values, bounds, objectives, seeds = [], [], [], []
     theta = 0.0
-    for k in itertools.count():
-        scale = round(1.0 - k * step, 12)
-        if scale <= 0:
-            break
+    for k in range(round(1 / DEFAULT_STEP)):
+        scale = round(1.0 - k * DEFAULT_STEP, 12)
         if demand_bound < (OBJECTIVE_REACHED - 2 * SKIP_MARGIN) * scale:
             continue
         scaled = m.scaled(scale)
@@ -292,12 +283,9 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         if objective is not None and objective >= OBJECTIVE_REACHED:
             theta = scale
             break
-    trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta, step,
+    trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta,
                            tuple(seeds), demand_bound)
-    schedule = None
-    if net_class == "da-periodic" and p.n % p.u == 0:
-        schedule = synthesize_schedule(topo, p.u, seed=seeds[-1])
-    return Cell(theta, trace, topo, schedule)
+    return Cell(theta, trace, topo)
 
 
 def build_suite(p: NetworkParams, csv_paths=()) -> list:
@@ -323,7 +311,7 @@ def build_suite(p: NetworkParams, csv_paths=()) -> list:
 
 
 def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: int,
-                  label: str, step: float = DEFAULT_STEP) -> Cell:
+                  label: str) -> Cell:
     """Throughput of matrix m, labelled `label`, on one network class.
 
     Builds are seeded from the master seed and, for the demand-aware classes,
@@ -335,14 +323,13 @@ def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: in
     elif net_class == "oblivious":
         topo = build_oblivious_equivalent(p)  # carries no randomness
     elif net_class in ("da-static", "da-periodic"):
-        return throughput_demand_aware(m, p, net_class, step=step, seed=_seed_int(seed, label))
+        return throughput_demand_aware(m, p, net_class, seed=_seed_int(seed, label))
     else:
         raise ValueError(f"unknown network class {net_class!r}")
-    return Cell(throughput_static(topo, m), None, topo, None)
+    return Cell(throughput_static(topo, m), None, topo)
 
 
-def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, label: str,
-              step: float):
+def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, label: str):
     """Key for a sweep cell: its label, master seed and content.
 
     The oblivious and da-periodic results depend on the demand only through
@@ -373,17 +360,17 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, 
     if net_class == "static" and min(p.u, p.n - 1) == p.n - 1:
         net_class, budget = "oblivious", p.n
     normalized = np.round(entries / unit, 12)
-    return (net_class, p.n, budget, seed, label, step, normalized.tobytes())
+    return (net_class, p.n, budget, seed, label, normalized.tobytes())
 
 
 def _evaluate_cell(task):
     """Compute one sweep cell as (theta, trace, error); module-level so process
     pools can pickle it. The topology stays behind: a shared da-periodic cell
     serves several degrees, and a build belongs to one."""
-    (entries, net_class, n, u, c, seed, label, step) = task
+    (entries, net_class, n, u, c, seed, label) = task
     try:
         cell = evaluate_cell(DemandMatrix(entries), NetworkParams(n, u, c), net_class,
-                             seed=seed, label=label, step=step)
+                             seed=seed, label=label)
     except (SolverError, ValueError) as exc:
         return float("nan"), None, str(exc)
     return cell.theta, cell.trace, None
@@ -397,12 +384,12 @@ def _run_cells(tasks, jobs: int):
     return [_evaluate_cell(task) for task in tasks]
 
 
-def _plan_cells(p: NetworkParams, suite, classes, seed, step):
+def _plan_cells(p: NetworkParams, suite, classes, seed):
     plans = []
     for label, m in suite:
         for net_class in classes:
-            key = _cell_key(m.entries, net_class, p, seed, label, step)
-            task = (np.array(m.entries), net_class, p.n, p.u, p.c, seed, label, step)
+            key = _cell_key(m.entries, net_class, p, seed, label)
+            task = (np.array(m.entries), net_class, p.n, p.u, p.c, seed, label)
             plans.append(((label, net_class, p.u), key, task))
     return plans
 
@@ -416,7 +403,7 @@ def _execute_plans(plans, jobs: int) -> SweepResult:
 
 
 def sweep_matrices(p: NetworkParams, suite, classes=NETWORK_CLASSES, seed: int = 0,
-                   step: float = DEFAULT_STEP, jobs: int = 1) -> SweepResult:
+                   jobs: int = 1) -> SweepResult:
     """Throughput of every (matrix, class) pair of the suite at degree p.u.
 
     The per-cell seed is derived from the master seed and the matrix label
@@ -424,11 +411,11 @@ def sweep_matrices(p: NetworkParams, suite, classes=NETWORK_CLASSES, seed: int =
     cell. Cells with identical content are solved once. Per-cell failures are
     recorded and the sweep continues.
     """
-    return _execute_plans(_plan_cells(p, suite, classes, seed, step), jobs)
+    return _execute_plans(_plan_cells(p, suite, classes, seed), jobs)
 
 
-def sweep_degree(p_base: NetworkParams, degrees, seed: int = 0, step: float = DEFAULT_STEP,
-                 jobs: int = 1, csv_paths=()) -> SweepResult:
+def sweep_degree(p_base: NetworkParams, degrees, seed: int = 0, jobs: int = 1,
+                 csv_paths=()) -> SweepResult:
     """Worst-case throughput study across physical degrees.
 
     The suite is regenerated per degree (matrix magnitudes scale with u) and
@@ -438,8 +425,7 @@ def sweep_degree(p_base: NetworkParams, degrees, seed: int = 0, step: float = DE
     plans = []
     for u in degrees:
         p = NetworkParams(p_base.n, u, p_base.c)
-        plans.extend(_plan_cells(p, build_suite(p, csv_paths=csv_paths), NETWORK_CLASSES,
-                                 seed, step))
+        plans.extend(_plan_cells(p, build_suite(p, csv_paths=csv_paths), NETWORK_CLASSES, seed))
     return _execute_plans(plans, jobs)
 
 

@@ -1,12 +1,14 @@
 import json
 import xml.etree.ElementTree as ET
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from rdcn_throughput import (
     NetworkParams,
+    SolverError,
     SweepResult,
     SweepRow,
     Topology,
@@ -18,7 +20,7 @@ from rdcn_throughput import (
     verify_solution,
 )
 from rdcn_throughput import evaluation
-from rdcn_throughput.cli import fig4_degrees, main
+from rdcn_throughput.cli import CONFIG_KEYS, fig4_degrees, main, read_config, reproduce
 from rdcn_throughput.evaluation import LANDSCAPE_CRITERIA, OBJECTIVE_REACHED, check_landscape
 from rdcn_throughput.svg import grouped_bar_chart
 
@@ -237,6 +239,47 @@ class TestEval:
                                       "--class", "oblivious"])
         assert result.exit_code == 2
 
+    def test_emitted_schedule_realizes_the_topology(self, runner, tmp_path):
+        # the union of the switches' matchings is the emulated graph's link multiset
+        path = tmp_path / "chessboard.csv"
+        save_csv(generate("chessboard", NetworkParams(8, 4, 25e9)), path)
+        result = runner.invoke(main, ["eval", str(path), "--class", "da-periodic", "--u", "4",
+                                      "--emit-topo", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        topo = json.loads((tmp_path / "topology.json").read_text())
+        sched = json.loads((tmp_path / "schedule.json").read_text())
+        n = topo["n"]
+        union = np.zeros((n, n), dtype=int)
+        for slots in sched["switches"]:
+            for mapping in slots:
+                union[np.arange(n), mapping] += 1
+        assert (sched["u"], sched["gamma"]) == (4, 2)
+        assert union.reshape(-1).tolist() == topo["link_count"]
+
+    @pytest.mark.parametrize("net_class", ["da-static", "da-periodic"])
+    def test_demand_over_the_hose_bound_exits_two(self, runner, tmp_path, net_class):
+        # a permutation at 3 links per node, evaluated at u=2
+        path = tmp_path / "hot.csv"
+        save_csv(generate("permutation", NetworkParams(4, 3, 1e9)), path)
+        result = runner.invoke(main, ["eval", str(path), "--class", net_class, "--u", "2",
+                                      "--c", "1e9", "--emit-topo", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == ("error: demand matrix violates hose model: row 0 "
+                                 "sums to 3e+09 > 2e+09\n")
+        assert not (tmp_path / "topology.json").exists()
+
+    def test_solver_failure_exits_three(self, runner, tmp_path, monkeypatch):
+        def fail(t, m):
+            raise SolverError("HiGHS status 4: numerical difficulties")
+
+        monkeypatch.setattr(evaluation, "solve_max_throughput", fail)
+        path = write_small_permutation(tmp_path)
+        result = runner.invoke(main, ["eval", str(path), "--class", "oblivious", "--u", "2",
+                                      "--c", "1e9", "--emit-topo", "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        assert result.output == "error: HiGHS status 4: numerical difficulties\n"
+        assert not (tmp_path / "topology.json").exists()
+
 
 class TestReproduce:
     def test_fig3_small_scale_outputs(self, runner, tmp_path):
@@ -367,9 +410,36 @@ class TestReproduce:
         assert f"{config}: unknown config key 'bogus'" in result.output
         assert not (tmp_path / "fig3.csv").exists()
 
+    def test_step_is_no_config_key(self, runner, tmp_path):
+        # the heuristic's step is fixed at evaluation.DEFAULT_STEP
+        config = tmp_path / "run.conf"
+        config.write_text("n = 4\nstep = 0.01\n")
+        result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {config}: unknown config key 'step'\n"
+        assert evaluation.DEFAULT_STEP == 0.01
+
+    def test_every_config_key_is_a_reproduce_option(self):
+        options = {param.name for param in reproduce.params if isinstance(param, click.Option)}
+        assert set(CONFIG_KEYS) <= options
+
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("# a sweep\n\n   \nn = 4  # ToRs\n  # indented comment\nseed=7\n")
+        assert read_config(config) == {"n": "4", "seed": "7"}
+
+    def test_config_line_without_equals_exits_two(self, runner, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("n = 4\n# note\n\nu 2\n")
+        result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {config}:4: expected 'key = value', got 'u 2'\n"
+        assert not (tmp_path / "fig3.csv").exists()
+
     @pytest.mark.parametrize("line, message", [
         ("n = x", "Invalid value for '--n': 'x' is not a valid integer"),
-        ("step = 0", "Invalid value for '--step': 0.0 is not in the range 0<x<1"),
         ("jobs = 0", "Invalid value for '--jobs': 0 is not in the range x>=1"),
     ])
     def test_config_values_are_checked_like_flags(self, runner, tmp_path, line, message):
@@ -389,13 +459,15 @@ class TestReproduce:
         assert "Invalid value for '--jobs'" in result.output
         assert not (tmp_path / "fig3.csv").exists()
 
-    @pytest.mark.parametrize("step", ["0", "1", "-0.5"])
-    def test_step_outside_the_unit_interval_exits_two_before_solving(self, runner, tmp_path,
-                                                                     step):
-        result = runner.invoke(main, ["reproduce", "fig3", "--n", "4", "--u", "2",
-                                      "--step", step, "--out", str(tmp_path)])
+    @pytest.mark.parametrize("command", ["reproduce", "eval"])
+    def test_step_is_no_option(self, runner, tmp_path, command):
+        # the heuristic's step is fixed at evaluation.DEFAULT_STEP
+        path = write_small_permutation(tmp_path)
+        args = (["reproduce", "fig3", "--n", "4", "--u", "2"] if command == "reproduce"
+                else ["eval", str(path), "--class", "da-periodic", "--u", "2", "--c", "1e9"])
+        result = runner.invoke(main, args + ["--step", "0.05", "--out", str(tmp_path)])
         assert result.exit_code == 2
-        assert "Invalid value for '--step'" in result.output
+        assert "No such option '--step'" in result.output
         assert not (tmp_path / "fig3.csv").exists()
 
     @pytest.mark.parametrize("figure", ["fig3", "fig4"])

@@ -62,6 +62,12 @@ class TestDemandMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 1] = 5.0
 
+    def test_negative_scale_rejected(self):
+        m = DemandMatrix([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="scale factor must be nonnegative, got -1"):
+            m.scaled(-1)
+        np.testing.assert_array_equal(m.scaled(0).entries, np.zeros((2, 2)))
+
 
 class TestValidateHose:
     def test_boundary_is_valid(self):
@@ -338,6 +344,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "ok.csv"
         path.write_text("# demand\n\n0,2.5\n1.5,0\n")
         np.testing.assert_array_equal(load_csv(path).entries, [[0, 2.5], [1.5, 0]])
+
+    def test_comments_only_is_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# no rows\n\n  # still none\n")
+        with pytest.raises(MatrixParseError, match="^empty matrix file$") as err:
+            load_csv(path)
+        assert (err.value.row, err.value.col) == (None, None)
 
     def test_nonzero_diagonal_rejected(self, tmp_path):
         path = tmp_path / "diag.csv"

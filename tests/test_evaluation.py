@@ -24,6 +24,7 @@ from rdcn_throughput import (
     solve_max_throughput,
     sweep_degree,
     sweep_matrices,
+    synthesize_schedule,
     throughput_demand_aware,
     throughput_static,
 )
@@ -79,7 +80,7 @@ class TestThroughputFunctions:
 
 class TestDemandAwareHeuristic:
     def test_permutation_stops_at_first_iter(self):
-        theta, trace, _topo, _schedule = throughput_demand_aware(
+        theta, trace, _topo = throughput_demand_aware(
             generate("permutation", SMALL), SMALL, "da-periodic")
         assert theta == 1.0
         assert trace.iter_values == (1.0,)
@@ -88,19 +89,16 @@ class TestDemandAwareHeuristic:
         assert trace.chosen_theta == 1.0
 
     def test_trace_records_descending_multiples_of_step(self):
-        p = NetworkParams(4, 4, 1.0)
-        entries = np.zeros((4, 4))
-        entries[0, 1] = 4.0  # hose-tight single pair
-        entries[1, 0] = 4.0
-        entries[2, 3] = 4.0
-        entries[3, 2] = 4.0
-        from rdcn_throughput import DemandMatrix
-        theta, trace, _topo, _schedule = throughput_demand_aware(DemandMatrix(entries), p,
-                                                                 "da-periodic", step=0.25)
+        # at n = 16, u = 4 the chessboard scans 0.86, 0.85 and 0.84
+        p = NetworkParams(16, 4, 25e9)
+        theta, trace, _topo = throughput_demand_aware(generate("chessboard", p), p,
+                                                      "da-periodic")
+        step = evaluation.DEFAULT_STEP
+        assert step == 0.01 and len(trace.iter_values) > 1
         values = np.array(trace.iter_values)
-        assert np.allclose(np.diff(values), -0.25)
-        assert all(round(v / 0.25, 9) == int(round(v / 0.25)) for v in values)
-        assert theta == trace.chosen_theta
+        assert np.allclose(np.diff(values), -step)
+        assert all(round(v / step, 9) == round(v / step) for v in values)
+        assert theta == trace.chosen_theta == trace.iter_values[-1]
         # stopping rule: chosen iter is the first whose objective reached 1;
         # every earlier step was solved below it or skipped on its bound
         assert trace.objectives[-1] >= OBJECTIVE_REACHED
@@ -131,8 +129,8 @@ class TestDemandAwareHeuristic:
         m = generate("uniform", SMALL)
         with pytest.raises(ValueError, match="unknown demand-aware class"):
             throughput_demand_aware(m, SMALL, "oblivious")
-        with pytest.raises(ValueError, match="step"):
-            throughput_demand_aware(m, SMALL, "da-static", step=0.0)
+        with pytest.raises(TypeError, match="step"):  # the step is DEFAULT_STEP, fixed
+            throughput_demand_aware(m, SMALL, "da-static", step=0.01)
 
     def test_trace_json(self):
         trace = throughput_demand_aware(generate("uniform", SMALL), SMALL, "da-periodic").trace
@@ -269,12 +267,11 @@ class TestEvaluateCell:
         assert 0 < cell.theta < 1
         scaled = m.scaled(cell.theta)
         assert solve_max_throughput(cell.topology, scaled).theta >= OBJECTIVE_REACHED
-        assert np.array_equal(cell.schedule.union_counts(), cell.topology.link_count)
 
     @pytest.mark.parametrize("u", [4, 8, 3])
     def test_periodic_cell_is_the_full_build_of_its_last_step(self, u):
-        # Steps build only the emulated graph; the one schedule, colored for the
-        # last step, is what build_demand_aware_periodic makes from its seed.
+        # Steps build only the emulated graph; the schedule `eval --emit-topo`
+        # colours from it with the last seed is build_demand_aware_periodic's.
         p = NetworkParams(16, u, 25e9)
         m = generate("chessboard", p)
         cell = throughput_demand_aware(m, p, "da-periodic")
@@ -282,12 +279,13 @@ class TestEvaluateCell:
                                                      seed=cell.trace.seeds[-1])
         assert np.array_equal(cell.topology.link_count, topo.link_count)
         if u == 3:  # 3 does not divide 16: no schedule
-            assert cell.schedule is None and schedule is None
+            assert schedule is None
         else:
-            assert [[pm.mapping for pm in slots] for slots in cell.schedule.switches] == [
+            own = synthesize_schedule(cell.topology, u, seed=cell.trace.seeds[-1])
+            assert [[pm.mapping for pm in slots] for slots in own.switches] == [
                 [pm.mapping for pm in slots] for slots in schedule.switches]
 
-    def test_a_periodic_cell_colors_one_schedule(self, monkeypatch):
+    def test_a_periodic_cell_colors_no_schedule(self, monkeypatch):
         calls = []
 
         def counted(g):
@@ -297,14 +295,15 @@ class TestEvaluateCell:
         monkeypatch.setattr(topology, "edge_color_regular", counted)
         p = NetworkParams(16, 4, 25e9)
         cell = throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
-        # three steps from the scan's start at 0.86 to the certifying 0.84, one colouring
-        assert cell.trace.iter_values == (0.86, 0.85, 0.84) and calls == [16]
+        # three steps from the scan's start at 0.86 to the certifying 0.84; a
+        # schedule takes no part in theta, so none is coloured
+        assert cell.trace.iter_values == (0.86, 0.85, 0.84) and calls == []
         assert cell.trace.seeds[-1] == evaluation._seed_int(0, "iter", 16)
 
     def test_lp_cell_topology_is_the_solved_one(self):
         m = generate("permutation", SMALL)
         cell = evaluate_cell(m, SMALL, "oblivious", seed=0, label="permutation")
-        assert cell.topology.net_class == "oblivious" and cell.schedule is None
+        assert cell.topology.net_class == "oblivious" and cell.trace is None
         assert cell.theta == throughput_static(build_oblivious_equivalent(SMALL), m)
 
     def test_unknown_class_rejected(self):
@@ -377,7 +376,7 @@ class TestSweeps:
                 for cls in ("oblivious", "da-periodic") + (("da-static",) if u == n else ()):
                     shared = "da-periodic" if cls == "da-static" else cls
                     keys.setdefault((label, shared), set()).add(
-                        evaluation._cell_key(m.entries, cls, p, 0, label, evaluation.DEFAULT_STEP))
+                        evaluation._cell_key(m.entries, cls, p, 0, label))
         assert len(keys) == 24 and all(len(k) == 1 for k in keys.values())
 
     def test_complete_static_graph_shares_the_oblivious_cell(self, monkeypatch):
@@ -512,7 +511,7 @@ class TestSweeps:
 
 
 class TestSweepResultSerialization:
-    TRACE = HeuristicTrace((1.0,), (1.25,), (1.25,), 1.0, 0.01, (42,), 1.25)
+    TRACE = HeuristicTrace((1.0,), (1.25,), (1.25,), 1.0, (42,), 1.25)
 
     def _result(self):
         rows = (
