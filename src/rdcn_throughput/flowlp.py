@@ -27,7 +27,8 @@ an endpoint delivers nothing, and a flow that over-delivers at a destination
 does not meet its row.
 
 `_assemble_lp` builds the sparse LP once per call on the index sets of
-`_layout`; `solve_max_throughput` hands it to the solver and returns its flow
+`_layout`; `solve_max_throughput` hands it to HiGHS through `linprog`, one
+direct call into the binding that scipy bundles, and returns its flow
 columns as a sources x arcs block, `verify_solution` checks such a block
 against the layout's arcs and rows without building the matrices, and
 `export_lp` renders the rows as text. `throughput_upper_bound`
@@ -38,19 +39,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as err:  # private scipy API: see test_highs_binding_is_present
+    raise ImportError(
+        "rdcn_throughput.flowlp needs the HiGHS binding scipy.optimize._highspy._core, "
+        "shipped by scipy>=1.17.1") from err
 
 from .demand import DemandMatrix
 from .topology import Topology
 
 DEFAULT_TOL = 1e-7
+# Every HiGHS option `linprog` sets but `solver`, in one table. output_flag goes
+# first, so that HiGHS prints nothing (it writes at C level, past sys.stdout)
+# from the next option on.
 _HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
     "primal_feasibility_tolerance": DEFAULT_TOL,
     "dual_feasibility_tolerance": DEFAULT_TOL,
 }
+_HIGHS_SOLVER = {"highs-ds": "simplex", "highs-ipm": "ipm"}
+# HiGHS model status -> scipy.optimize.linprog's status code; 4 for any other.
+_STATUS = {_highs.HighsModelStatus.kOptimal: 0, _highs.HighsModelStatus.kIterationLimit: 1,
+           _highs.HighsModelStatus.kTimeLimit: 1, _highs.HighsModelStatus.kInfeasible: 2,
+           _highs.HighsModelStatus.kUnbounded: 3}
 # The HiGHS method follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
 # (every sweep cell at n=8) dual simplex takes about two thirds of the
 # interior point time; above it interior point with crossover is the faster
@@ -186,11 +205,58 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     return _FlowLP(**vars(layout), c=c, A_ub=A_ub, A_eq=A_eq, b_eq=np.zeros(n_rows))
 
 
+class LPResult(NamedTuple):
+    """What `linprog` reads back from HiGHS, with scipy's status codes."""
+
+    status: int  # 0 optimal, 1 iteration or time limit, 2 infeasible, 3 unbounded, 4 other
+    x: np.ndarray | None  # the column values; None unless status is 0
+    nit: int  # simplex iterations, or interior-point ones if there were none
+    message: str
+
+
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, method) -> LPResult:
+    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and x >= 0, by
+    HiGHS's own binding that scipy ships: the module's only solver call.
+
+    `method` is "highs-ds" (dual simplex) or "highs-ipm" (interior point with
+    crossover), and the options are `_HIGHS_OPTIONS`, which are the ones
+    `scipy.optimize.linprog` passes: the two give the same x bit for bit,
+    without that wrapper's input checks and result assembly. The name and
+    keywords are scipy's because the benchmark traces `flowlp.linprog` by
+    attribute and reads c, A_ub, A_eq and `nit` off the call.
+    """
+    A = sp.vstack((A_ub, A_eq)).tocsc()  # a quarter of format="csc"'s time on the n=8 LPs
+    lp = _highs.HighsLp()
+    lp.num_row_, lp.num_col_ = A.shape
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, _highs.kHighsInf)
+    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = lp.num_col_, lp.num_row_
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+
+    highs = _highs._Highs()
+    for name, value in {**_HIGHS_OPTIONS, "solver": _HIGHS_SOLVER[method]}.items():
+        if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejected option {name}={value!r}")
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return LPResult(4, None, 0, "HiGHS rejected the model")
+    highs.run()
+    model = highs.getModelStatus()
+    info = highs.getInfo()
+    status = _STATUS.get(model, 4)
+    x = np.array(highs.getSolution().col_value) if status == 0 else None
+    return LPResult(status, x, info.simplex_iteration_count or info.ipm_iteration_count,
+                    highs.modelStatusToString(model))
+
+
 def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
     """Maximize theta such that theta*m admits a feasible flow on t.
 
     `m` is in bits/s; the flows come back in link units. The LP goes to
-    scipy.optimize.linprog's HiGHS at feasibility tolerances of DEFAULT_TOL:
+    HiGHS through `linprog`, once per attempt, with `_HIGHS_OPTIONS`:
     dual simplex below SIMPLEX_MAX_COLUMNS columns, interior point from there.
     If that method fails, the other is tried once; if that fails too,
     SolverError names the solver's status and message.
@@ -199,7 +265,7 @@ def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
     method = "highs-ds" if lp.c.size < SIMPLEX_MAX_COLUMNS else "highs-ipm"
     for attempt in (method, _OTHER_METHOD[method]):
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                      bounds=(0, None), method=attempt, options=_HIGHS_OPTIONS)
+                      method=attempt)
         if res.status in (0, 3):
             break
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.optimize
+import scipy.sparse as sp
 from scipy.optimize import OptimizeResult
 from scipy.sparse.csgraph import shortest_path
 
@@ -500,6 +505,126 @@ class TestSolverFallback:
         assert calls == ["highs-ds", "highs-ipm"]
 
 
+def _solve_by(method, t, m):
+    """solve_max_throughput(t, m) with `method` forced through the size rule."""
+    with pytest.MonkeyPatch.context() as size_rule:
+        size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf if method == "highs-ds" else 0)
+        return solve_max_throughput(t, m)
+
+
+def _scipy_linprog_x(method, t, m):
+    """The same LP through scipy's public linprog, at the seam's tolerances."""
+    lp = _assemble_lp(t, m)
+    tolerances = {k: v for k, v in flowlp._HIGHS_OPTIONS.items() if k.endswith("_tolerance")}
+    res = scipy.optimize.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq,
+                                 b_eq=lp.b_eq, bounds=(0, None), method=method,
+                                 options=tolerances)
+    assert res.status == 0, res.message
+    return res.x
+
+
+class TestHighsSeam:
+    """`flowlp.linprog` hands the LP straight to scipy's bundled HiGHS binding:
+    same options, same optimum bit for bit as scipy's public linprog, silent,
+    and every failure goes through the real binding."""
+
+    HIGHS_API = ("passModel", "run", "getSolution", "getModelStatus", "getInfo",
+                 "setOptionValue")
+
+    def test_highs_binding_is_present(self):
+        from scipy.optimize._highspy import _core
+
+        missing = [name for name in self.HIGHS_API if not hasattr(_core._Highs, name)]
+        assert not missing, (f"scipy.optimize._highspy._core._Highs lacks {missing}: "
+                             "rdcn_throughput.flowlp needs scipy>=1.17.1")
+
+    def test_missing_binding_names_it_and_the_scipy_version(self):
+        blocked = ("import sys; sys.modules['scipy.optimize._highspy._core'] = None; "
+                   "import rdcn_throughput")
+        run = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert run.returncode != 0
+        assert ("ImportError: rdcn_throughput.flowlp needs the HiGHS binding "
+                "scipy.optimize._highspy._core, shipped by scipy>=1.17.1") in run.stderr
+
+    @staticmethod
+    def _assert_same_as_scipy(t, m, method):
+        result = _solve_by(method, t, m)
+        x = _scipy_linprog_x(method, t, m)
+        assert result.theta == float(x[0]) + 0.0
+        assert np.array_equal(result.flows.ravel(), x[1:])
+
+    @pytest.mark.parametrize("method", ["highs-ds", "highs-ipm"])
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(instance=random_instances())
+    def test_bit_identical_to_scipy_linprog(self, method, instance):
+        self._assert_same_as_scipy(*instance, method)
+
+    @pytest.mark.parametrize("method", ["highs-ds", "highs-ipm"])
+    def test_bit_identical_to_scipy_linprog_on_the_n16_oblivious_lp(self, method):
+        self._assert_same_as_scipy(*TestSolverFallback._large(), method)
+
+    @pytest.mark.parametrize("method", ["highs-ds", "highs-ipm"])
+    def test_solver_is_silent(self, capfd, method):
+        # HiGHS writes at C level, which capsys cannot see: capfd reads fds 1 and 2.
+        _solve_by(method, complete_topology(4), unit_uniform_demand(4))
+        assert capfd.readouterr() == ("", "")
+
+    def test_silence_is_the_output_flag(self, monkeypatch, capfd):
+        # the check above can see HiGHS's log: with output_flag on, it appears
+        monkeypatch.setitem(flowlp._HIGHS_OPTIONS, "output_flag", True)
+        solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert "HiGHS" in capfd.readouterr().out
+
+    def test_rejected_option_raises_naming_it(self, monkeypatch):
+        monkeypatch.setitem(flowlp._HIGHS_OPTIONS, "no_such_option", 1)
+        with pytest.raises(SolverError, match="HiGHS rejected option no_such_option=1"):
+            solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+
+    @pytest.mark.parametrize("b_eq,status,message", [
+        (1.0, 0, "Optimal"),
+        (-1.0, 2, "Infeasible"),  # x >= 0 cannot sum to -1
+        (math.nan, 4, "HiGHS rejected the model"),
+    ])
+    def test_status_codes(self, b_eq, status, message):
+        # min -x0 - x1 subject to x0 + x1 == b_eq, x >= 0
+        res = flowlp.linprog(np.array([-1.0, -1.0]), A_ub=sp.csr_matrix((0, 2)),
+                             b_ub=np.zeros(0), A_eq=sp.csr_matrix(np.ones((1, 2))),
+                             b_eq=np.array([b_eq]), method="highs-ds")
+        assert (res.status, res.message) == (status, message)
+        assert (res.x is None) == (status != 0)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = flowlp.linprog
+
+        def linprog(*args, method, **kwargs):
+            res = real(*args, method=method, **kwargs)
+            calls.append((method, res.status, res.message))
+            return res
+
+        monkeypatch.setattr(flowlp, "linprog", linprog)
+        return calls
+
+    def test_simplex_iteration_limit_falls_back_to_interior_point(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        monkeypatch.setitem(flowlp._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+        result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert calls == [("highs-ds", 1, "Iteration limit reached"),
+                         ("highs-ipm", 0, "Optimal")]
+        assert result.theta == pytest.approx(1.0, abs=1e-9)
+
+    def test_both_iteration_limits_raise(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        monkeypatch.setitem(flowlp._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
+        monkeypatch.setitem(flowlp._HIGHS_OPTIONS, "ipm_iteration_limit", 0)
+        with pytest.raises(SolverError) as err:
+            solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert str(err.value) == "solver returned numerical-trouble: Iteration limit reached"
+        assert [method for method, *_ in calls] == ["highs-ds", "highs-ipm"]
+
+
 def _parse_lp_rows(text):
     """{row name: ({column name: coefficient}, sense, rhs)} for every constraint row."""
     body = text.split("Subject To\n", 1)[1].split("Bounds\n", 1)[0]
@@ -543,7 +668,7 @@ class TestLayout:
 
 class TestExportLp:
     def test_stable_naming_and_structure(self):
-        # Every text row is the matching row of the matrices linprog receives.
+        # Every text row is the matching row of the matrices handed to HiGHS.
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 1] = counts[2, 3] = counts[3, 0] = 1
         counts[1, 2] = 2
