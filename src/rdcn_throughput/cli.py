@@ -18,7 +18,6 @@ from . import evaluation, flowlp, svg
 from .demand import (
     GENERATOR_KINDS,
     DemandMatrix,
-    MatrixParseError,
     NetworkParams,
     classify_uniform_residual,
     decompose_integer_residual,
@@ -167,7 +166,7 @@ def decompose(matrix_path, c, normalized, out):
         m = load_csv(matrix_path)
         work = m if normalized else normalize(m, c)
         dec = decompose_integer_residual(work)
-    except (MatrixParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     cls = classify_uniform_residual(dec)
     stem = Path(matrix_path).stem
@@ -202,7 +201,7 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
     try:
         m = _load_matrix(matrix_path, c, normalized)
         p = NetworkParams(m.n, u, c)
-    except (MatrixParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     try:
         cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)
@@ -220,7 +219,10 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
         topo_path.write_text(json.dumps(cell.topology.to_json_dict(), indent=2) + "\n",
                              encoding="utf-8")
         click.echo(f"wrote {topo_path}")
-        if net_class == "da-periodic" and p.n % p.u == 0:
+        if net_class == "da-periodic" and p.n % p.u:
+            click.echo(f"note: no schedule.json: u={p.u} does not divide n={p.n}, so the "
+                       "emulated graph has no switch schedule of period n/u", err=True)
+        elif net_class == "da-periodic":
             # the certifying build's schedule, as build_demand_aware_periodic lays it out
             schedule = synthesize_schedule(cell.topology, p.u, seed=cell.trace.seeds[-1])
             sched_path = outdir / "schedule.json"
@@ -271,7 +273,7 @@ def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     classes = list(evaluation.NETWORK_CLASSES)
     if figure == "fig3":
         labels = [label for label, _ in suite]
-        series = {cls: [result.theta(label, cls) for label in labels] for cls in classes}
+        series = {cls: [result.theta(label, cls, u) for label in labels] for cls in classes}
         svg_text = svg.grouped_bar_chart(labels, series,
                                          title=f"throughput per demand matrix (n={n}, u={u})")
     else:

@@ -41,11 +41,6 @@ class PermutationMatching:
     def n(self) -> int:
         return len(self.mapping)
 
-    def as_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.n, self.n))
-        mat[np.arange(self.n), self.mapping] = 1.0
-        return mat
-
 
 @dataclass(frozen=True)
 class BvnDecomposition:
@@ -55,10 +50,6 @@ class BvnDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    @property
-    def coefficient_sum(self) -> float:
-        return float(sum(lam for lam, _ in self.terms))
 
     def reconstruct(self) -> np.ndarray:
         if not self.terms:

@@ -55,18 +55,6 @@ class NetworkParams:
         return self.c * self.u
 
 
-def _check_entries(arr: np.ndarray) -> None:
-    """Reject a non-square array, then name its first non-finite or negative entry."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"demand matrix must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"non-finite demand {arr[i, j]} at ({i}, {j})")
-    if np.any(arr < 0):
-        i, j = np.argwhere(arr < 0)[0]
-        raise ValueError(f"negative demand {arr[i, j]} at ({i}, {j})")
-
-
 @dataclass(frozen=True)
 class DemandMatrix:
     """Square nonnegative rate matrix, row = source ToR, column = destination ToR.
@@ -78,7 +66,14 @@ class DemandMatrix:
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
-        _check_entries(arr)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"demand matrix must be square, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            i, j = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"non-finite demand {arr[i, j]} at ({i}, {j})")
+        if np.any(arr < 0):
+            i, j = np.argwhere(arr < 0)[0]
+            raise ValueError(f"negative demand {arr[i, j]} at ({i}, {j})")
         if np.any(np.diagonal(arr) != 0):
             i = int(np.nonzero(np.diagonal(arr))[0][0])
             raise ValueError(f"self-demand not allowed: nonzero diagonal at ({i}, {i})")
@@ -170,25 +165,18 @@ def normalize(m: DemandMatrix, unit: float) -> DemandMatrix:
     return DemandMatrix(m.entries / unit)
 
 
-def decompose_integer_residual(m) -> IntegerResidualDecomposition:
+def decompose_integer_residual(m: DemandMatrix) -> IntegerResidualDecomposition:
     """Floor a normalized matrix into integer + residual parts with per-row/col ratios.
 
-    Accepts a DemandMatrix or any square, finite, nonnegative array (the decomposition is
-    defined for plain matrices too, e.g. ones carrying a nonzero diagonal).
     Entries within 1e-9 of an integer are snapped to it before flooring.
     """
-    entries = m.entries if isinstance(m, DemandMatrix) else np.asarray(m, dtype=float)
-    _check_entries(entries)
-    nearest = np.rint(entries)
-    snapped = np.where(np.abs(entries - nearest) <= INT_SNAP_TOL, nearest, entries)
+    nearest = np.rint(m.entries)
+    snapped = np.where(np.abs(m.entries - nearest) <= INT_SNAP_TOL, nearest, m.entries)
     int_part = np.floor(snapped).astype(np.int64)
     res_part = np.maximum(snapped - int_part, 0.0)
-
-    row_tot = entries.sum(axis=1)
-    col_tot = entries.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        row_ratios = np.where(row_tot > 0, res_part.sum(axis=1) / np.where(row_tot > 0, row_tot, 1.0), 0.0)
-        col_ratios = np.where(col_tot > 0, res_part.sum(axis=0) / np.where(col_tot > 0, col_tot, 1.0), 0.0)
+    row_tot, col_tot = m.row_sums(), m.col_sums()
+    row_ratios = np.divide(res_part.sum(axis=1), row_tot, out=np.zeros(m.n), where=row_tot > 0)
+    col_ratios = np.divide(res_part.sum(axis=0), col_tot, out=np.zeros(m.n), where=col_tot > 0)
     return IntegerResidualDecomposition(int_part, res_part, row_ratios, col_ratios)
 
 
@@ -217,10 +205,14 @@ def classify_uniform_residual(d: IntegerResidualDecomposition) -> UniformResidua
     return UniformResidualClass.NOT_UNIFORM
 
 
-def _sinkhorn(entries: np.ndarray, target: float, iterations: int = 2000) -> np.ndarray:
-    """Alternately rescale rows and columns to `target`; zero diagonal is preserved."""
+_SINKHORN_ROUNDS = 2000
+
+
+def _sinkhorn(entries: np.ndarray, target: float) -> np.ndarray:
+    """Alternately rescale rows and columns to `target`, for at most
+    _SINKHORN_ROUNDS rounds; zero diagonal is preserved."""
     out = entries.copy()
-    for _ in range(iterations):
+    for _ in range(_SINKHORN_ROUNDS):
         rows = out.sum(axis=1, keepdims=True)
         out *= target / np.where(rows > 0, rows, 1.0)
         cols = out.sum(axis=0, keepdims=True)
@@ -300,9 +292,10 @@ def generate(kind: str, p: NetworkParams, *, alpha: float | None = None,
 
 
 def load_csv(path) -> DemandMatrix:
-    """Read a matrix from comma-separated text: one row per line, '#' starts a comment."""
+    """Read a matrix from comma-separated text: one row per line, '#' starts a comment.
+    A leading byte-order mark, as spreadsheets write, is skipped."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

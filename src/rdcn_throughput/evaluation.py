@@ -142,24 +142,22 @@ class SweepResult:
         return tuple((r.matrix, r.net_class, r.degree, r.error) for r in self.rows
                      if r.error is not None)
 
-    def row(self, matrix: str, net_class: str, degree: int | None = None) -> SweepRow:
+    def row(self, matrix: str, net_class: str, degree: int) -> SweepRow:
         for row in self.rows:
-            if row.matrix == matrix and row.net_class == net_class and (
-                degree is None or row.degree == degree
-            ):
+            if (row.matrix, row.net_class, row.degree) == (matrix, net_class, degree):
                 return row
         raise KeyError(f"no sweep cell ({matrix!r}, {net_class!r}, degree={degree})")
 
-    def theta(self, matrix: str, net_class: str, degree: int | None = None) -> float:
+    def theta(self, matrix: str, net_class: str, degree: int) -> float:
         return self.row(matrix, net_class, degree).theta
 
-    def worst_case(self, net_class: str, degree: int | None = None):
-        """Minimum theta over the suite for one class (optionally one degree).
+    def worst_case(self, net_class: str, degree: int):
+        """Minimum theta over the suite for one class at one degree.
 
         Returns (theta, matrix label) of the arg-min cell, the first in row
         order on a tie. A failed (NaN) cell is the worst case.
         """
-        rows = [r for r in self.rows if r.net_class == net_class and degree in (None, r.degree)]
+        rows = [r for r in self.rows if (r.net_class, r.degree) == (net_class, degree)]
         if not rows:
             raise KeyError(f"no sweep rows for class {net_class!r}, degree={degree}")
         worst = min(rows, key=lambda r: (not np.isnan(r.theta), r.theta))

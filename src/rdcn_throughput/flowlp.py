@@ -65,18 +65,17 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": DEFAULT_TOL,
     "dual_feasibility_tolerance": DEFAULT_TOL,
 }
-_HIGHS_SOLVER = {"highs-ds": "simplex", "highs-ipm": "ipm"}
-# HiGHS model status -> scipy.optimize.linprog's status code; 4 for any other.
-_STATUS = {_highs.HighsModelStatus.kOptimal: 0, _highs.HighsModelStatus.kIterationLimit: 1,
-           _highs.HighsModelStatus.kTimeLimit: 1, _highs.HighsModelStatus.kInfeasible: 2,
-           _highs.HighsModelStatus.kUnbounded: 3}
-# The HiGHS method follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
+# The HiGHS solver follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
 # (every sweep cell at n=8) dual simplex takes about two thirds of the
 # interior point time; above it interior point with crossover is the faster
 # (the n=16 chessboard scan LP, 3,105 columns). Both return the same vertex
-# optima to rounding. A method that fails is retried once with the other.
+# optima to rounding. A solver that fails is retried once with the other.
 SIMPLEX_MAX_COLUMNS = 1500
-_OTHER_METHOD = {"highs-ds": "highs-ipm", "highs-ipm": "highs-ds"}
+_OPTIMAL = _highs.HighsModelStatus.kOptimal
+# How SolverError names the model status of a failed solve; any other is
+# numerical-trouble.
+_FAILURE = {_highs.HighsModelStatus.kInfeasible: "infeasible",
+            _highs.HighsModelStatus.kUnbounded: "unbounded"}
 # Largest violation (link units) that verify_solution lets pass.
 VERIFY_EPS = 1e-6
 
@@ -140,9 +139,8 @@ class _FlowLP(_Layout):
     flow of sources[k] on arcs[a]."""
 
     c: np.ndarray
-    A_ub: sp.csr_matrix  # one cap row per arc
-    A_eq: sp.csr_matrix
-    b_eq: np.ndarray
+    A_ub: sp.csr_matrix  # one cap row per arc, <= capacity
+    A_eq: sp.csr_matrix  # one bal row per (s, v) of balance, == 0
 
 
 def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
@@ -202,28 +200,28 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     A_ub = sp.csr_matrix((np.ones(var.size), (a, var)), shape=(n_arcs, nvar))
     c = np.zeros(nvar)
     c[0] = -1.0
-    return _FlowLP(**vars(layout), c=c, A_ub=A_ub, A_eq=A_eq, b_eq=np.zeros(n_rows))
+    return _FlowLP(**vars(layout), c=c, A_ub=A_ub, A_eq=A_eq)
 
 
 class LPResult(NamedTuple):
-    """What `linprog` reads back from HiGHS, with scipy's status codes."""
+    """What `linprog` reads back from HiGHS."""
 
-    status: int  # 0 optimal, 1 iteration or time limit, 2 infeasible, 3 unbounded, 4 other
-    x: np.ndarray | None  # the column values; None unless status is 0
+    status: _highs.HighsModelStatus  # the model status HiGHS ends with
+    x: np.ndarray | None  # the column values; None unless status is _OPTIMAL
     nit: int  # simplex iterations, or interior-point ones if there were none
     message: str
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, b_eq, method) -> LPResult:
-    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == b_eq and x >= 0, by
+def linprog(c, *, A_ub, b_ub, A_eq, solver) -> LPResult:
+    """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == 0 and x >= 0, by
     HiGHS's own binding that scipy ships: the module's only solver call.
 
-    `method` is "highs-ds" (dual simplex) or "highs-ipm" (interior point with
-    crossover), and the options are `_HIGHS_OPTIONS`, which are the ones
-    `scipy.optimize.linprog` passes: the two give the same x bit for bit,
-    without that wrapper's input checks and result assembly. The name and
-    keywords are scipy's because the benchmark traces `flowlp.linprog` by
-    attribute and reads c, A_ub, A_eq and `nit` off the call.
+    `solver` is HiGHS's option value: "simplex" (dual simplex) or "ipm"
+    (interior point with crossover). The other options are `_HIGHS_OPTIONS`,
+    the ones `scipy.optimize.linprog` passes, so the two give the same x bit
+    for bit. The name and the keywords A_ub and A_eq stay because the
+    benchmark traces `flowlp.linprog` by attribute and reads c, A_ub, A_eq and
+    `nit` off the call.
     """
     A = sp.vstack((A_ub, A_eq)).tocsc()  # a quarter of format="csc"'s time on the n=8 LPs
     lp = _highs.HighsLp()
@@ -231,25 +229,25 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, method) -> LPResult:
     lp.col_cost_ = c
     lp.col_lower_ = np.zeros(c.size)
     lp.col_upper_ = np.full(c.size, _highs.kHighsInf)
-    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    zero = np.zeros(A_eq.shape[0])
+    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf), zero))
+    lp.row_upper_ = np.concatenate((b_ub, zero))
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = lp.num_col_, lp.num_row_
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
 
     highs = _highs._Highs()
-    for name, value in {**_HIGHS_OPTIONS, "solver": _HIGHS_SOLVER[method]}.items():
+    for name, value in {**_HIGHS_OPTIONS, "solver": solver}.items():
         if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
             raise SolverError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(lp) == _highs.HighsStatus.kError:
-        return LPResult(4, None, 0, "HiGHS rejected the model")
+        return LPResult(_highs.HighsModelStatus.kModelError, None, 0, "HiGHS rejected the model")
     highs.run()
-    model = highs.getModelStatus()
+    status = highs.getModelStatus()
     info = highs.getInfo()
-    status = _STATUS.get(model, 4)
-    x = np.array(highs.getSolution().col_value) if status == 0 else None
+    x = np.array(highs.getSolution().col_value) if status == _OPTIMAL else None
     return LPResult(status, x, info.simplex_iteration_count or info.ipm_iteration_count,
-                    highs.modelStatusToString(model))
+                    highs.modelStatusToString(status))
 
 
 def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
@@ -258,20 +256,19 @@ def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
     `m` is in bits/s; the flows come back in link units. The LP goes to
     HiGHS through `linprog`, once per attempt, with `_HIGHS_OPTIONS`:
     dual simplex below SIMPLEX_MAX_COLUMNS columns, interior point from there.
-    If that method fails, the other is tried once; if that fails too,
-    SolverError names the solver's status and message.
+    If that solver fails, the other is tried once; if that fails too,
+    SolverError names the model status and its message.
     """
     lp = _assemble_lp(t, m)
-    method = "highs-ds" if lp.c.size < SIMPLEX_MAX_COLUMNS else "highs-ipm"
-    for attempt in (method, _OTHER_METHOD[method]):
-        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                      method=attempt)
-        if res.status in (0, 3):
-            break
+    solvers = ("simplex", "ipm") if lp.c.size < SIMPLEX_MAX_COLUMNS else ("ipm", "simplex")
+    for solver in solvers:
+        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver=solver)
+        if res.status in (_OPTIMAL, _highs.HighsModelStatus.kUnbounded):
+            break  # the other solver cannot bound an unbounded LP
 
-    if res.status != 0:
-        status = {2: "infeasible", 3: "unbounded"}.get(res.status, "numerical-trouble")
-        raise SolverError(f"solver returned {status}: {res.message}")
+    if res.status != _OPTIMAL:
+        raise SolverError(f"solver returned {_FAILURE.get(res.status, 'numerical-trouble')}: "
+                          f"{res.message}")
 
     flows = res.x[1:].reshape(len(lp.sources), len(lp.arcs))
     flows.setflags(write=False)
@@ -458,8 +455,8 @@ def _lp_expr(cols, coefs, names) -> str:
 
 def export_lp(t: Topology, m: DemandMatrix) -> str:
     """Render the assembled LP of m (bits/s) on t as text: columns theta and
-    f_<s>_<i>_<j>, rows bal_<s>_<v> and cap_<i>_<j> in link units, in the order
-    the solver receives them."""
+    f_<s>_<i>_<j>, rows cap_<i>_<j> then bal_<s>_<v> in link units, in the
+    order the solver receives them."""
     lp = _assemble_lp(t, m)
     names = lp.column_names()
     objective = np.flatnonzero(lp.c)
@@ -470,8 +467,8 @@ def export_lp(t: Topology, m: DemandMatrix) -> str:
         "Subject To",
     ]
     blocks = (
-        (lp.A_eq, (f"bal_{s}_{v}" for s, v in lp.balance.tolist()), "=", lp.b_eq),
         (lp.A_ub, (f"cap_{i}_{j}" for i, j in lp.arcs.tolist()), "<=", lp.capacity),
+        (lp.A_eq, (f"bal_{s}_{v}" for s, v in lp.balance.tolist()), "=", np.zeros(len(lp.balance))),
     )
     for matrix, row_names, sense, rhs in blocks:
         for row, name in enumerate(row_names):

@@ -256,6 +256,17 @@ class TestEval:
         assert (sched["u"], sched["gamma"]) == (4, 2)
         assert union.reshape(-1).tolist() == topo["link_count"]
 
+    def test_periodic_degree_not_dividing_n_says_why_there_is_no_schedule(self, runner, tmp_path):
+        path = tmp_path / "chessboard.csv"
+        save_csv(generate("chessboard", NetworkParams(8, 3, 25e9)), path)
+        result = runner.invoke(main, ["eval", str(path), "--class", "da-periodic", "--u", "3",
+                                      "--emit-topo", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ("note: no schedule.json: u=3 does not divide n=8, so the "
+                                 "emulated graph has no switch schedule of period n/u\n")
+        assert (tmp_path / "topology.json").exists()
+        assert not (tmp_path / "schedule.json").exists()
+
     @pytest.mark.parametrize("net_class", ["da-static", "da-periodic"])
     def test_demand_over_the_hose_bound_exits_two(self, runner, tmp_path, net_class):
         # a permutation at 3 links per node, evaluated at u=2

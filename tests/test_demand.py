@@ -130,22 +130,24 @@ class TestNormalize:
 
 class TestDecomposeIntegerResidual:
     def test_half_three_half_matrix(self):
-        dec = decompose_integer_residual(np.array([[0.5, 1.5], [1.5, 0.5]]))
-        np.testing.assert_array_equal(dec.int_part, [[0, 1], [1, 0]])
-        np.testing.assert_allclose(dec.res_part, 0.5)
+        m = DemandMatrix([[0, 0.5, 1.5], [1.5, 0, 0.5], [0.5, 1.5, 0]])
+        dec = decompose_integer_residual(m)
+        np.testing.assert_array_equal(dec.int_part, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_allclose(dec.res_part, 0.5 * (1 - np.eye(3)))
         np.testing.assert_allclose(dec.row_ratios, 0.5)
         np.testing.assert_allclose(dec.col_ratios, 0.5)
 
     def test_integer_matrix_has_zero_residual(self):
-        dec = decompose_integer_residual(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_array_equal(dec.int_part, [[2, 1], [1, 2]])
+        m = DemandMatrix([[0, 2.0, 1.0], [1.0, 0, 2.0], [2.0, 1.0, 0]])
+        dec = decompose_integer_residual(m)
+        np.testing.assert_array_equal(dec.int_part, [[0, 2, 1], [1, 0, 2], [2, 1, 0]])
         assert not np.any(dec.res_part)
         assert not np.any(dec.row_ratios)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstruction_and_bounds(self, seed):
         m = sinkhorn_doubly_stochastic(8, seed, target=8.0, zero_diagonal=True)
-        dec = decompose_integer_residual(m)
+        dec = decompose_integer_residual(DemandMatrix(m))
         np.testing.assert_allclose(dec.int_part + dec.res_part, m, atol=1e-12)
         assert np.all(dec.res_part >= 0) and np.all(dec.res_part < 1)
         # floor sums never exceed the matrix sums
@@ -153,21 +155,22 @@ class TestDecomposeIntegerResidual:
         assert np.all(dec.int_part.sum(axis=0) <= m.sum(axis=0) + 1e-12)
 
     def test_serialization_noise_snaps_to_integer(self):
-        dec = decompose_integer_residual(np.array([[1.9999999999, 0.0], [0.0, 3.0000000001]]))
-        np.testing.assert_array_equal(dec.int_part, [[2, 0], [0, 3]])
+        dec = decompose_integer_residual(DemandMatrix([[0.0, 1.9999999999], [3.0000000001, 0.0]]))
+        np.testing.assert_array_equal(dec.int_part, [[0, 2], [3, 0]])
         assert not np.any(dec.res_part)
 
+    # The input check is DemandMatrix's: no decomposition sees an entry it rejects.
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_integer_residual(np.array([[-0.1, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"negative demand -0.1 at \(0, 0\)"):
+            decompose_integer_residual(DemandMatrix([[-0.1, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected_with_location(self, value):
         with pytest.raises(ValueError, match=r"non-finite demand .* at \(0, 1\)"):
-            decompose_integer_residual(np.array([[0.0, value], [1.0, 0.0]]))
+            decompose_integer_residual(DemandMatrix([[0.0, value], [1.0, 0.0]]))
 
     def test_zero_rows_get_zero_ratio(self):
-        dec = decompose_integer_residual(np.array([[0.0, 0.0], [0.5, 0.0]]))
+        dec = decompose_integer_residual(DemandMatrix([[0.0, 0.0], [0.5, 0.0]]))
         assert dec.row_ratios[0] == 0.0
         assert dec.col_ratios[1] == 0.0
 
@@ -182,15 +185,16 @@ def _fake_decomposition(row_ratios, col_ratios):
 
 class TestClassifyUniformResidual:
     def test_integer_matrix_is_interval_low(self):
-        dec = decompose_integer_residual(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        m = DemandMatrix([[0, 2.0, 1.0], [1.0, 0, 2.0], [2.0, 1.0, 0]])
+        dec = decompose_integer_residual(m)
         assert classify_uniform_residual(dec) is UniformResidualClass.INTERVAL_LOW
 
     def test_generated_chessboard_is_interval_high(self):
         # independent ratio computation: residual row sum over total row sum
         p = NetworkParams(16, 16, 25e9)
-        m = normalize(generate("chessboard", p), 25e9).entries
-        res = m - np.floor(m)
-        ratios = res.sum(axis=1) / m.sum(axis=1)
+        m = normalize(generate("chessboard", p), 25e9)
+        res = m.entries - np.floor(m.entries)
+        ratios = res.sum(axis=1) / m.row_sums()
         np.testing.assert_allclose(ratios, 0.5, atol=1e-12)
         dec = decompose_integer_residual(m)
         assert classify_uniform_residual(dec) is UniformResidualClass.INTERVAL_HIGH
@@ -216,8 +220,8 @@ class TestClassifyUniformResidual:
         m = sinkhorn_doubly_stochastic(6, 5, target=3.0, zero_diagonal=True)
         perm = rng.permutation(6)
         permuted = m[np.ix_(perm, perm)]
-        assert classify_uniform_residual(decompose_integer_residual(m)) is \
-            classify_uniform_residual(decompose_integer_residual(permuted))
+        assert classify_uniform_residual(decompose_integer_residual(DemandMatrix(m))) is \
+            classify_uniform_residual(decompose_integer_residual(DemandMatrix(permuted)))
 
 
 class TestGenerate:
@@ -343,6 +347,12 @@ class TestCsvRoundTrip:
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("# demand\n\n0,2.5\n1.5,0\n")
+        np.testing.assert_array_equal(load_csv(path).entries, [[0, 2.5], [1.5, 0]])
+
+    def test_byte_order_mark_and_crlf(self, tmp_path):
+        # as a spreadsheet exports it: a UTF-8 byte-order mark and CRLF line ends
+        path = tmp_path / "sheet.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,2.5\r\n1.5,0\r\n")
         np.testing.assert_array_equal(load_csv(path).entries, [[0, 2.5], [1.5, 0]])
 
     def test_comments_only_is_empty(self, tmp_path):

@@ -256,7 +256,7 @@ class TestEvaluateCell:
         for label, m in suite:
             for net_class in NETWORK_CLASSES:
                 cell = evaluate_cell(m, SMALL, net_class, seed=3, label=label)
-                row = sweep.row(label, net_class)
+                row = sweep.row(label, net_class, SMALL.u)
                 assert (cell.theta, cell.trace) == (row.theta, row.trace), (label, net_class)
                 assert (cell.trace is None) == (net_class in ("static", "oblivious"))
 
@@ -351,10 +351,10 @@ class TestSweeps:
     def test_worst_case_consistent_with_rows(self):
         suite = build_suite(SMALL)[:5]
         result = sweep_matrices(SMALL, suite, seed=0)
-        theta, label = result.worst_case("da-periodic")
+        theta, label = result.worst_case("da-periodic", SMALL.u)
         candidates = [r.theta for r in result.rows if r.net_class == "da-periodic"]
         assert theta == min(candidates)
-        assert result.theta(label, "da-periodic") == theta
+        assert result.theta(label, "da-periodic", SMALL.u) == theta
 
     def test_degree_sweep_shares_degree_invariant_cells(self):
         p = NetworkParams(4, 2, 1.0)
@@ -580,6 +580,10 @@ class TestSweepResultSerialization:
 
     def test_missing_cell_raises(self):
         with pytest.raises(KeyError):
-            self._result().theta("chessboard", "oblivious")
+            self._result().theta("chessboard", "oblivious", 4)
         with pytest.raises(KeyError):
-            self._result().worst_case("static")
+            self._result().theta("uniform", "oblivious", 8)
+        with pytest.raises(KeyError):
+            self._result().worst_case("static", 4)
+        with pytest.raises(KeyError):
+            self._result().worst_case("oblivious", 8)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 import scipy.sparse as sp
-from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.sparse.csgraph import shortest_path
 
 from rdcn_throughput import (
@@ -450,18 +450,18 @@ class TestVerifySolution:
 class TestSolverFallback:
     """Dual simplex solves an LP below SIMPLEX_MAX_COLUMNS columns, interior
     point one from there. A failed solve is retried once with the other
-    method; a failure of that raises SolverError with its status and message."""
+    solver; a failure of that raises SolverError with its status and message."""
 
     @staticmethod
-    def _failing(monkeypatch, failing, status=4):
+    def _failing(monkeypatch, failing, status=HighsModelStatus.kSolveError):
         calls = []
         real = flowlp.linprog
 
-        def linprog(*args, method, **kwargs):
-            calls.append(method)
-            if method in failing:
-                return OptimizeResult(status=status, message=f"forced failure of {method}")
-            return real(*args, method=method, **kwargs)
+        def linprog(*args, solver, **kwargs):
+            calls.append(solver)
+            if solver in failing:
+                return flowlp.LPResult(status, None, 0, f"forced failure of {solver}")
+            return real(*args, solver=solver, **kwargs)
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
         return calls
@@ -478,35 +478,47 @@ class TestSolverFallback:
     def test_method_follows_the_lp_size(self, monkeypatch):
         calls = self._failing(monkeypatch, set())
         solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert calls == ["highs-ds"]
+        assert calls == ["simplex"]
         calls.clear()
         solve_max_throughput(*self._large())
-        assert calls == ["highs-ipm"]
+        assert calls == ["ipm"]
 
     def test_failed_interior_point_falls_back_to_dual_simplex(self, monkeypatch):
-        calls = self._failing(monkeypatch, {"highs-ipm"})
+        calls = self._failing(monkeypatch, {"ipm"})
         monkeypatch.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", 0)  # every LP to interior point
         result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert calls == ["highs-ipm", "highs-ds"]
+        assert calls == ["ipm", "simplex"]
         assert result.theta == pytest.approx(1.0, abs=1e-9)
 
     def test_failed_dual_simplex_falls_back_to_interior_point(self, monkeypatch):
-        calls = self._failing(monkeypatch, {"highs-ds"})
+        calls = self._failing(monkeypatch, {"simplex"})
         result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert calls == ["highs-ds", "highs-ipm"]
+        assert calls == ["simplex", "ipm"]
         assert result.theta == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("status,name", [(2, "infeasible"), (4, "numerical-trouble")])
+    @pytest.mark.parametrize("status,name", [
+        (HighsModelStatus.kInfeasible, "infeasible"),
+        (HighsModelStatus.kSolveError, "numerical-trouble"),
+        (HighsModelStatus.kTimeLimit, "numerical-trouble"),
+    ], ids=["infeasible", "numerical-trouble", "time-limit"])
     def test_both_methods_fail_raises(self, monkeypatch, status, name):
-        calls = self._failing(monkeypatch, {"highs-ipm", "highs-ds"}, status)
+        calls = self._failing(monkeypatch, {"ipm", "simplex"}, status)
         with pytest.raises(SolverError) as err:
             solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert str(err.value) == f"solver returned {name}: forced failure of highs-ipm"
-        assert calls == ["highs-ds", "highs-ipm"]
+        assert str(err.value) == f"solver returned {name}: forced failure of ipm"
+        assert calls == ["simplex", "ipm"]
+
+    def test_unbounded_is_not_retried(self, monkeypatch):
+        calls = self._failing(monkeypatch, {"simplex"}, HighsModelStatus.kUnbounded)
+        with pytest.raises(SolverError) as err:
+            solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
+        assert str(err.value) == "solver returned unbounded: forced failure of simplex"
+        assert calls == ["simplex"]
 
 
 def _solve_by(method, t, m):
-    """solve_max_throughput(t, m) with `method` forced through the size rule."""
+    """solve_max_throughput(t, m) with the solver that scipy's `method` names
+    (highs-ds: simplex, highs-ipm: ipm) forced through the size rule."""
     with pytest.MonkeyPatch.context() as size_rule:
         size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf if method == "highs-ds" else 0)
         return solve_max_throughput(t, m)
@@ -517,7 +529,7 @@ def _scipy_linprog_x(method, t, m):
     lp = _assemble_lp(t, m)
     tolerances = {k: v for k, v in flowlp._HIGHS_OPTIONS.items() if k.endswith("_tolerance")}
     res = scipy.optimize.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq,
-                                 b_eq=lp.b_eq, bounds=(0, None), method=method,
+                                 b_eq=np.zeros(lp.A_eq.shape[0]), bounds=(0, None), method=method,
                                  options=tolerances)
     assert res.status == 0, res.message
     return res.x
@@ -581,27 +593,30 @@ class TestHighsSeam:
         with pytest.raises(SolverError, match="HiGHS rejected option no_such_option=1"):
             solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
 
-    @pytest.mark.parametrize("b_eq,status,message", [
-        (1.0, 0, "Optimal"),
-        (-1.0, 2, "Infeasible"),  # x >= 0 cannot sum to -1
-        (math.nan, 4, "HiGHS rejected the model"),
-    ])
-    def test_status_codes(self, b_eq, status, message):
-        # min -x0 - x1 subject to x0 + x1 == b_eq, x >= 0
-        res = flowlp.linprog(np.array([-1.0, -1.0]), A_ub=sp.csr_matrix((0, 2)),
-                             b_ub=np.zeros(0), A_eq=sp.csr_matrix(np.ones((1, 2))),
-                             b_eq=np.array([b_eq]), method="highs-ds")
+    @pytest.mark.parametrize("bound,status,message", [
+        (1.0, HighsModelStatus.kOptimal, "Optimal"),
+        (-1.0, HighsModelStatus.kInfeasible, "Infeasible"),  # x >= 0 cannot sum below 0
+        (math.inf, HighsModelStatus.kUnbounded, "Unbounded"),
+        (math.nan, HighsModelStatus.kModelError, "HiGHS rejected the model"),
+    ], ids=["optimal", "infeasible", "unbounded", "rejected model"])
+    def test_model_status(self, bound, status, message):
+        # min -x0 - x1 subject to x0 + x1 <= bound, x0 - x1 == 0, x >= 0
+        res = flowlp.linprog(np.array([-1.0, -1.0]), A_ub=sp.csr_matrix(np.ones((1, 2))),
+                             b_ub=np.array([bound]), A_eq=sp.csr_matrix([[1.0, -1.0]]),
+                             solver="simplex")
         assert (res.status, res.message) == (status, message)
-        assert (res.x is None) == (status != 0)
+        assert (res.x is None) == (status != HighsModelStatus.kOptimal)
+        if res.x is not None:
+            assert res.x.tolist() == [0.5, 0.5]
 
     @staticmethod
     def _spy(monkeypatch):
         calls = []
         real = flowlp.linprog
 
-        def linprog(*args, method, **kwargs):
-            res = real(*args, method=method, **kwargs)
-            calls.append((method, res.status, res.message))
+        def linprog(*args, solver, **kwargs):
+            res = real(*args, solver=solver, **kwargs)
+            calls.append((solver, res.status, res.message))
             return res
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
@@ -611,8 +626,8 @@ class TestHighsSeam:
         calls = self._spy(monkeypatch)
         monkeypatch.setitem(flowlp._HIGHS_OPTIONS, "simplex_iteration_limit", 0)
         result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
-        assert calls == [("highs-ds", 1, "Iteration limit reached"),
-                         ("highs-ipm", 0, "Optimal")]
+        assert calls == [("simplex", HighsModelStatus.kIterationLimit, "Iteration limit reached"),
+                         ("ipm", HighsModelStatus.kOptimal, "Optimal")]
         assert result.theta == pytest.approx(1.0, abs=1e-9)
 
     def test_both_iteration_limits_raise(self, monkeypatch):
@@ -622,11 +637,12 @@ class TestHighsSeam:
         with pytest.raises(SolverError) as err:
             solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
         assert str(err.value) == "solver returned numerical-trouble: Iteration limit reached"
-        assert [method for method, *_ in calls] == ["highs-ds", "highs-ipm"]
+        assert [solver for solver, *_ in calls] == ["simplex", "ipm"]
 
 
 def _parse_lp_rows(text):
-    """{row name: ({column name: coefficient}, sense, rhs)} for every constraint row."""
+    """{row name: ({column name: coefficient}, sense, rhs)} for every constraint
+    row, in the text's order."""
     body = text.split("Subject To\n", 1)[1].split("Bounds\n", 1)[0]
     rows = {}
     for line in body.splitlines():
@@ -685,17 +701,20 @@ class TestExportLp:
         lp = _assemble_lp(t, m)
         names = lp.column_names()
         assert names[0] == "theta" and names[1] == "f_0_0_1"
-        expected = {}
-        for matrix, row_names, sense, rhs in (
-            (lp.A_eq, [f"bal_{s}_{v}" for s, v in lp.balance.tolist()], "=", lp.b_eq),
-            (lp.A_ub, [f"cap_{i}_{j}" for i, j in lp.arcs.tolist()], "<=", lp.capacity),
-        ):
-            dense = matrix.toarray()
-            for row, name in enumerate(row_names):
-                cols = np.flatnonzero(dense[row])
-                expected[name] = ({names[c]: dense[row, c] for c in cols}, sense, rhs[row])
-        assert _parse_lp_rows(text) == expected
-        # 2 sources x 3 other nodes, and one cap row per arc.
-        assert len(expected) == 2 * 3 + 4
-        assert expected["bal_0_2"][0] == {"theta": -1.5, "f_0_1_2": 1.0, "f_0_2_3": -1.0}
-        assert expected["cap_1_2"] == ({"f_0_1_2": 1.0, "f_2_1_2": 1.0}, "<=", 2.0)
+        # linprog hands HiGHS the cap rows, then the bal rows: [A_ub; A_eq]
+        dense = sp.vstack((lp.A_ub, lp.A_eq)).toarray()
+        row_names = ([f"cap_{i}_{j}" for i, j in lp.arcs.tolist()]
+                     + [f"bal_{s}_{v}" for s, v in lp.balance.tolist()])
+        senses = ["<="] * len(lp.arcs) + ["="] * len(lp.balance)
+        rhs = lp.capacity.tolist() + [0.0] * len(lp.balance)
+        expected = [
+            (name, ({names[c]: dense[row, c] for c in np.flatnonzero(dense[row])},
+                    senses[row], rhs[row]))
+            for row, name in enumerate(row_names)
+        ]
+        assert list(_parse_lp_rows(text).items()) == expected
+        # one cap row per arc, and 2 sources x 3 other nodes.
+        assert len(expected) == 4 + 2 * 3
+        rows = dict(expected)
+        assert rows["bal_0_2"][0] == {"theta": -1.5, "f_0_1_2": 1.0, "f_0_2_3": -1.0}
+        assert rows["cap_1_2"] == ({"f_0_1_2": 1.0, "f_2_1_2": 1.0}, "<=", 2.0)
