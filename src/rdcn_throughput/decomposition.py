@@ -51,14 +51,23 @@ class BvnDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def reconstruct(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros((0, 0))
-        n = self.terms[0][1].n
-        out = np.zeros((n, n))
-        for lam, pm in self.terms:
-            out[np.arange(n), pm.mapping] += lam
-        return out
+
+def link_counts(counts, name: str) -> np.ndarray:
+    """`counts` as a read-only square int64 array. ValueError, naming the counts
+    by `name`, when it is not square or a cell is negative or not a whole
+    number (NaN and inf are not; integral floats such as 2.0 are)."""
+    raw = np.asarray(counts)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise ValueError(f"{name} must be square, got {raw.shape}")
+    fractional = ~np.isfinite(raw) | (raw != np.round(raw))
+    if np.any(fractional):
+        i, j = np.argwhere(fractional)[0]
+        raise ValueError(f"{name} must be whole numbers, got {raw[i, j]} at ({i}, {j})")
+    if np.any(raw < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    out = np.array(raw, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,18 +81,15 @@ class RegularMultigraph:
     edge_multiplicity: np.ndarray
 
     def __post_init__(self):
-        mult = np.array(self.edge_multiplicity, dtype=np.int64)
-        if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
-            raise ValueError(f"edge multiplicity must be square, got {mult.shape}")
-        if np.any(mult < 0):
-            raise ValueError("edge multiplicities must be nonnegative")
+        mult = link_counts(self.edge_multiplicity, "edge multiplicities")
+        if mult.shape[0] == 0:
+            raise ValueError("a regular multigraph needs at least one node")
         rows = mult.sum(axis=1)
         cols = mult.sum(axis=0)
         if not (np.all(rows == rows[0]) and np.all(cols == rows[0])):
             raise ValueError(
                 f"graph is not regular: out-degrees {rows.tolist()}, in-degrees {cols.tolist()}"
             )
-        mult.setflags(write=False)
         object.__setattr__(self, "edge_multiplicity", mult)
 
     @property
@@ -92,7 +98,7 @@ class RegularMultigraph:
 
     @property
     def degree(self) -> int:
-        return int(self.edge_multiplicity[0].sum()) if self.n else 0
+        return int(self.edge_multiplicity[0].sum())
 
 
 def perfect_matching(support) -> PermutationMatching | None:
@@ -125,9 +131,12 @@ def bvn_decompose(m) -> BvnDecomposition:
     stochastic to within BVN_DEFAULT_TOL).
     """
     work = np.array(m, dtype=float)
+    if work.ndim != 2 or work.shape[0] != work.shape[1] or work.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {work.shape}")
+    if not np.all(np.isfinite(work)):
+        i, j = np.argwhere(~np.isfinite(work))[0]
+        raise ValueError(f"matrix entries must be finite, got {work[i, j]} at ({i}, {j})")
     n = work.shape[0]
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {work.shape}")
     if np.any(work < -BVN_DEFAULT_TOL):
         raise ValueError("matrix entries must be nonnegative")
     work = np.maximum(work, 0.0)
@@ -158,24 +167,12 @@ def bvn_decompose(m) -> BvnDecomposition:
 def edge_color_regular(g: RegularMultigraph) -> list:
     """Split a d-regular multigraph into exactly d perfect matchings.
 
-    Peels one matching at a time; regularity is preserved after each peel, so a
-    perfect matching always exists. While every matched cell keeps a link the
-    support is unchanged and the matching would come back, so it is peeled as
-    many times as its thinnest cell allows in one step. The multiset union of
-    the returned matchings' edges equals the input's edge multiset exactly.
+    The integer case of `bvn_decompose`: each term's integral coefficient is
+    the number of times its matching repeats, since a matched support keeps
+    its perfect matching until its thinnest cell runs out. The multiset union
+    of the returned matchings' edges equals the input's edge multiset exactly.
     """
-    work = np.array(g.edge_multiplicity)
-    rows = np.arange(g.n)
-    matchings = []
-    while len(matchings) < g.degree:
-        pm = perfect_matching(work > 0)
-        if pm is None:  # unreachable for a regular input
-            raise DecompositionError("regular multigraph lost its perfect matching")
-        cells = (rows, np.array(pm.mapping))
-        times = int(work[cells].min())
-        work[cells] -= times
-        matchings.extend([pm] * times)
-    return matchings
+    return [pm for lam, pm in bvn_decompose(g.edge_multiplicity).terms for _ in range(round(lam))]
 
 
 def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:

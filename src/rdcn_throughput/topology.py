@@ -16,6 +16,7 @@ import numpy as np
 from .decomposition import (
     RegularMultigraph,
     edge_color_regular,
+    link_counts,
     random_regular_digraph,
 )
 from .demand import DemandMatrix, NetworkParams, decompose_integer_residual, normalize, validate_hose
@@ -44,11 +45,7 @@ class Topology:
     degree_budget: int
 
     def __post_init__(self):
-        counts = np.array(self.link_count, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError(f"link_count must be square, got {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("link counts must be nonnegative")
+        counts = link_counts(self.link_count, "link counts")
         if not 0 < self.link_capacity < np.inf:
             raise ValueError(f"link capacity must be finite and positive, got {self.link_capacity}")
         out_deg = counts.sum(axis=1)
@@ -58,7 +55,6 @@ class Topology:
                 f"degree budget {self.degree_budget} exceeded: "
                 f"max out {int(out_deg.max())}, max in {int(in_deg.max())}"
             )
-        counts.setflags(write=False)
         object.__setattr__(self, "link_count", counts)
 
     @property
@@ -258,6 +254,8 @@ def synthesize_schedule(t: Topology, u: int, seed=0) -> PeriodicSchedule:
     their union is checked to reconstruct the topology's link multiset exactly.
     """
     n = t.n
+    if not 1 <= u <= n:
+        raise ValueError(f"u={u} must satisfy 1 <= u <= n={n}")
     if n % u != 0:
         raise ValueError(f"n={n} must be divisible by u={u}")
     try:

@@ -3,8 +3,8 @@
 One test per criterion; each prints its own [PASS]/[FAIL] line with the
 measured values. Criteria 1-7 read their landscape bounds from the criteria
 table that `reproduce` prints too. The degree sweep backing them runs once per
-session and takes the bulk of the time (about 40 s at two workers on a 2-core
-host).
+session and takes the bulk of the time (4.7 s at two workers on a 2-core host,
+of 8.1 s for the module).
 """
 
 import os
@@ -218,7 +218,10 @@ def test_criterion_09_bvn_properties():
                 break
             m = sinkhorn_doubly_stochastic(n, 7000 + 31 * n + seed)
             dec = bvn_decompose(m)
-            err = np.abs(dec.reconstruct() - m).max()
+            total = np.zeros((n, n))
+            for lam, pm in dec.terms:
+                total[np.arange(n), pm.mapping] += lam
+            err = np.abs(total - m).max()
             bound = n * n - 2 * n + 2
             assert err <= 1e-9, (n, seed, err)
             assert len(dec.terms) <= bound, (n, seed, len(dec.terms))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -205,6 +206,19 @@ class TestEval:
         cert = solve_max_throughput(topo, scaled)
         assert cert.theta >= OBJECTIVE_REACHED
         assert verify_solution(topo, scaled, cert).ok
+
+    def test_emitted_schedule_bytes_are_pinned(self, runner, tmp_path):
+        # The n=16 chessboard at u=4, seed 0: the peel order of the colouring
+        # and the seeded dealing of matchings to switches both show in the
+        # bytes of schedule.json, which a check of its union alone would miss.
+        path = tmp_path / "chessboard.csv"
+        save_csv(generate("chessboard", NetworkParams(16, 4, 25e9)), path)
+        result = runner.invoke(main, ["eval", str(path), "--class", "da-periodic", "--u", "4",
+                                      "--c", "25e9", "--seed", "0", "--emit-topo",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        digest = hashlib.sha256((tmp_path / "schedule.json").read_bytes()).hexdigest()
+        assert digest == "f5340e72d438e045068ae08c36bc8407ac128c8dee41f954919ec9b3a637df95"
 
     @pytest.mark.parametrize("label, theta", [("U+P 0.9", "0.9"), ("chessboard", "0.84")])
     def test_agrees_with_reproduce_cell(self, runner, tmp_path, label, theta):

@@ -9,7 +9,6 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from rdcn_throughput import (
-    BvnDecomposition,
     DecompositionError,
     PermutationMatching,
     RegularMultigraph,
@@ -169,7 +168,7 @@ class TestBvnDecompose:
     def test_random_six_by_six(self, seed):
         m = sinkhorn_doubly_stochastic(6, seed)
         dec = bvn_decompose(m)
-        np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-9)
+        np.testing.assert_allclose(_weighted_union(dec, 6), m, atol=1e-9)
         assert len(dec.terms) <= 6 * 6 - 2 * 6 + 2
         assert sum(lam for lam, _ in dec.terms) == pytest.approx(1.0, abs=6e-9)
         assert all(lam > 1e-9 for lam, _ in dec.terms)
@@ -178,7 +177,7 @@ class TestBvnDecompose:
         m = sinkhorn_doubly_stochastic(5, 3, target=4.0)
         dec = bvn_decompose(m)
         assert sum(lam for lam, _ in dec.terms) == pytest.approx(4.0, abs=5e-9)
-        np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-8)
+        np.testing.assert_allclose(_weighted_union(dec, 5), m, atol=1e-8)
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.lists(
@@ -191,7 +190,7 @@ class TestBvnDecompose:
             m[np.arange(n), perm] += w
         total = sum(w for w, _ in weighted)
         dec = bvn_decompose(m)
-        np.testing.assert_allclose(dec.reconstruct(), m, atol=1e-9 * max(total, 1.0))
+        np.testing.assert_allclose(_weighted_union(dec, n), m, atol=1e-9 * max(total, 1.0))
         assert sum(lam for lam, _ in dec.terms) == pytest.approx(
             total, abs=n * 1e-9 * max(total, 1.0))
         assert len(dec.terms) <= max(1, n * n - 2 * n + 2)
@@ -208,8 +207,18 @@ class TestBvnDecompose:
     def test_zero_matrix_gives_empty_decomposition(self):
         assert bvn_decompose(np.zeros((3, 3))).terms == ()
 
-    def test_reconstruct_empty(self):
-        assert BvnDecomposition(()).reconstruct().shape == (0, 0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_with_location(self, bad):
+        m = np.full((2, 2), 0.5)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"finite, got {bad} at \(1, 0\)"):
+            bvn_decompose(m)
+
+    @pytest.mark.parametrize("m", [np.float64(1.0), np.zeros((0, 0)), np.ones((2, 3))],
+                             ids=["0-d", "0x0", "2x3"])
+    def test_non_square_or_empty_input_rejected(self, m):
+        with pytest.raises(ValueError, match="nonempty square"):
+            bvn_decompose(m)
 
 
 class TestEdgeColorRegular:
@@ -253,12 +262,32 @@ class TestEdgeColorRegular:
         with pytest.raises(ValueError, match="regular"):
             RegularMultigraph(np.array([[0, 2], [1, 0]]))
 
+    @pytest.mark.parametrize("mult, match", [
+        ([[1.5, 0.5], [0.5, 1.5]], r"whole numbers, got 1.5 at \(0, 0\)"),
+        (np.zeros((0, 0), dtype=int), "at least one node"),
+    ])
+    def test_bad_multiplicities_rejected(self, mult, match):
+        with pytest.raises(ValueError, match=match):
+            RegularMultigraph(mult)
+
+    def test_integral_floats_accepted(self):
+        g = RegularMultigraph(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert g.edge_multiplicity.dtype == np.int64 and g.degree == 3
+
 
 def _union(matchings, n):
     union = np.zeros((n, n), dtype=np.int64)
     for pm in matchings:
         union[np.arange(n), pm.mapping] += 1
     return union
+
+
+def _weighted_union(dec, n):
+    """The sum of a BvN decomposition's terms: each matching weighted by its coefficient."""
+    total = np.zeros((n, n))
+    for lam, pm in dec.terms:
+        total[np.arange(n), pm.mapping] += lam
+    return total
 
 
 @st.composite

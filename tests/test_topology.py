@@ -23,6 +23,21 @@ class TestTopologyType:
         with pytest.raises(ValueError, match="budget"):
             Topology(np.ones((3, 3), dtype=int), 1.0, "x", degree_budget=2)
 
+    def test_integral_float_counts_accepted(self):
+        t = Topology([[0.0, 2.0], [2.0, 0.0]], 1.0, "x", 2)
+        assert t.link_count.dtype == np.int64 and t.link_count[0, 1] == 2
+        assert not t.link_count.flags.writeable
+
+    @pytest.mark.parametrize("counts, match", [
+        ([[0, 1.5], [1.5, 0]], r"whole numbers, got 1.5 at \(0, 1\)"),
+        (np.ones((2, 3), dtype=int), "square"),
+        (np.array([[0, -1], [1, 0]]), "nonnegative"),
+        (np.array([[0, np.nan], [1, 0]]), r"whole numbers, got nan at \(0, 1\)"),
+    ])
+    def test_bad_link_counts_rejected(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            Topology(counts, 1.0, "x", degree_budget=2)
+
     @pytest.mark.parametrize("capacity", [0.0, np.inf, np.nan])
     def test_link_capacity_must_be_finite_and_positive(self, capacity):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -179,6 +194,12 @@ class TestSynthesizeSchedule:
         t = Topology(np.ones((4, 4), dtype=int), 1.0, "x", degree_budget=4)
         with pytest.raises(ValueError, match="divisible"):
             synthesize_schedule(t, 3, seed=0)
+
+    @pytest.mark.parametrize("u", [0, -1, 5])
+    def test_u_out_of_range_rejected(self, u):
+        t = Topology(np.ones((4, 4), dtype=int), 1.0, "x", degree_budget=4)
+        with pytest.raises(ValueError, match=rf"u={u} must satisfy 1 <= u <= n=4"):
+            synthesize_schedule(t, u, seed=0)
 
     def test_schedule_json_keys(self):
         t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic", degree_budget=4)
