@@ -225,7 +225,7 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     naming its largest violation.
     """
     result = solve_max_throughput(t, m)
-    report = verify_solution(t, m, result)
+    report = verify_solution(result)
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.magnitude)
         raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")

@@ -26,13 +26,14 @@ The balance rows are equalities, so net flow is what counts: a cycle through
 an endpoint delivers nothing, and a flow that over-delivers at a destination
 does not meet its row.
 
-`_assemble_lp` builds the sparse LP once per call on the index sets of
-`_layout`; `solve_max_throughput` hands it to HiGHS through `linprog`, one
-direct call into the binding that scipy bundles, and returns its flow
-columns as a sources x arcs block, `verify_solution` checks such a block
-against the layout's arcs and rows without building the matrices, and
-`export_lp` renders the rows as text. `throughput_upper_bound`
-bounds the LP's optimum from the topology alone, without solving it.
+`_assemble_lp` builds the LP once per call, index sets and sparse matrices
+in one `_FlowLP` record. `solve_max_throughput` hands it to HiGHS through
+`linprog`, one direct call into the binding that scipy bundles, and returns
+its flow columns as a sources x arcs block together with the record.
+`verify_solution` checks that block against the record's arcs and rows
+without touching its matrices, and `export_lp` renders the rows as text.
+`throughput_upper_bound` bounds the LP's optimum from the topology alone,
+without solving it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class SolverError(RuntimeError):
 class FlowViolation:
     # capacity | demand (balance row with m[s, v] > 0) | conservation (m[s, v] = 0)
     # | negative-flow | layout (flows is not the LP's sources x arcs block)
+    # | non-finite (theta or some flow is nan or inf)
     kind: str
     detail: str
     magnitude: float
@@ -102,45 +104,42 @@ class VerificationReport:
         return not self.violations
 
 
-@dataclass(frozen=True, eq=False)  # == on an array field would raise; compare fields
-class ThroughputResult:
-    """Optimal scaling factor plus the flow assignment that certifies it.
-
-    flows[k, a] is the flow that the LP's k-th source sends over its a-th arc,
-    in link-capacity units, summed over all of the source's destinations: the
-    solver's flow columns in their own order (`_FlowLP`). The sources are the
-    nodes with positive demand, ascending; the arcs are the routable (i, j),
-    row-major. `solve_max_throughput` returns the block read-only.
-    """
-
-    theta: float
-    flows: np.ndarray
-
-
 @dataclass(frozen=True)
-class _Layout:
-    """The LP's index sets, without its matrices: what `verify_solution` checks
-    a flow block against and `_assemble_lp` builds the rows on."""
+class _FlowLP:
+    """The LP of m on t, built once by `_assemble_lp`: what HiGHS solves,
+    `verify_solution` checks a flow block against and `export_lp` renders.
+    Column 0 is theta; column 1 + k*len(arcs) + a is the flow of sources[k]
+    on arcs[a]."""
 
     arcs: np.ndarray  # (A, 2) routable arcs (i, j), row-major
     capacity: np.ndarray  # (A,) link count of each arc: the cap rows' bounds
     demand: np.ndarray  # (n, n) demand in link units: -theta's coefficient in each bal row
     sources: np.ndarray  # (S,) nodes with positive demand
     balance: np.ndarray  # (R, 2) the (s, v) of each bal row
+    c: np.ndarray
+    A_ub: sp.csr_matrix  # one cap row per arc, <= capacity
+    A_eq: sp.csr_matrix  # one bal row per (s, v) of balance, == 0
 
     def column_names(self) -> list:
         i, j = self.arcs.T.tolist()
         return ["theta"] + [f"f_{s}_{a}_{b}" for s in self.sources.tolist() for a, b in zip(i, j)]
 
 
-@dataclass(frozen=True)
-class _FlowLP(_Layout):
-    """The assembled LP. Column 0 is theta; column 1 + k*len(arcs) + a is the
-    flow of sources[k] on arcs[a]."""
+@dataclass(frozen=True, eq=False)  # == on an array field would raise; compare fields
+class ThroughputResult:
+    """Optimal scaling factor, the flow assignment that certifies it, and
+    `lp`, the LP that was solved, which `verify_solution` reads.
 
-    c: np.ndarray
-    A_ub: sp.csr_matrix  # one cap row per arc, <= capacity
-    A_eq: sp.csr_matrix  # one bal row per (s, v) of balance, == 0
+    flows[k, a] is the flow that lp's k-th source sends over its a-th arc, in
+    link-capacity units, summed over all of the source's destinations: the
+    solver's flow columns in their own order. The sources are the nodes with
+    positive demand, ascending; the arcs are the routable (i, j), row-major.
+    `solve_max_throughput` returns the block read-only.
+    """
+
+    theta: float
+    flows: np.ndarray
+    lp: _FlowLP
 
 
 def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
@@ -154,9 +153,9 @@ def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
     return demand
 
 
-def _layout(t: Topology, m: DemandMatrix) -> _Layout:
-    """Arcs, sources and balance rows of m's LP on t. A bal row (s, v), v != s,
-    exists where it has a term: s demands at v, or v touches a routable arc."""
+def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
+    """m's LP on t. A bal row (s, v), v != s, exists where it has a term: s
+    demands at v, or v touches a routable arc."""
     n = t.n
     demand = _link_units(t, m)
     counts = t.routable_counts()
@@ -167,26 +166,14 @@ def _layout(t: Topology, m: DemandMatrix) -> _Layout:
     has_row = (demand[sources] > 0) | touched
     has_row[np.arange(sources.size), sources] = False
     src_idx, node = np.nonzero(has_row)
-    return _Layout(
-        arcs=np.column_stack((tail, head)),
-        capacity=counts[tail, head].astype(float),
-        demand=demand,
-        sources=sources,
-        balance=np.column_stack((sources[src_idx], node)),
-    )
-
-
-def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
-    layout = _layout(t, m)
-    tail, head = layout.arcs.T
-    src, node = layout.balance.T
-    n_arcs, n_src, n_rows = tail.size, layout.sources.size, src.size
+    src = sources[src_idx]
+    n_arcs, n_src, n_rows = tail.size, sources.size, src.size
     nvar = 1 + n_src * n_arcs
 
     # row_of maps (source index, node) to its bal row; -1 where there is none.
-    row_of = np.full((n_src, t.n), -1)
-    row_of[np.searchsorted(layout.sources, src), node] = np.arange(n_rows)
-    need = layout.demand[src, node]
+    row_of = np.full((n_src, n), -1)
+    row_of[src_idx, node] = np.arange(n_rows)
+    need = demand[src, node]
     has_need = need > 0
     var = 1 + np.arange(n_src * n_arcs)
     k, a = np.divmod(var - 1, n_arcs)
@@ -200,7 +187,9 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     A_ub = sp.csr_matrix((np.ones(var.size), (a, var)), shape=(n_arcs, nvar))
     c = np.zeros(nvar)
     c[0] = -1.0
-    return _FlowLP(**vars(layout), c=c, A_ub=A_ub, A_eq=A_eq)
+    return _FlowLP(arcs=np.column_stack((tail, head)), capacity=counts[tail, head].astype(float),
+                   demand=demand, sources=sources, balance=np.column_stack((src, node)),
+                   c=c, A_ub=A_ub, A_eq=A_eq)
 
 
 class LPResult(NamedTuple):
@@ -273,7 +262,7 @@ def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
     flows = res.x[1:].reshape(len(lp.sources), len(lp.arcs))
     flows.setflags(write=False)
     theta = float(res.x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
-    return ThroughputResult(theta, flows)
+    return ThroughputResult(theta, flows, lp)
 
 
 def _hops(adjacent: np.ndarray) -> np.ndarray:
@@ -392,18 +381,23 @@ def demand_upper_bound(m: DemandMatrix, link_capacity: float, degree: int) -> fl
     return float(hi)
 
 
-def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult) -> VerificationReport:
-    """Re-check every LP constraint from the raw flows with fresh arithmetic.
+def verify_solution(r: ThroughputResult) -> VerificationReport:
+    """Re-check every constraint of the LP `r` solves with fresh arithmetic.
 
-    The arcs, sources and rows come from the LP's `_layout`; arc loads and
-    per-(s, v) net inflows are summed here from `r.flows`, not read off the
-    constraint matrices. `m` is in bits/s, as given to `solve_max_throughput`.
-    Returns a report of violations exceeding VERIFY_EPS (in link units); an
-    empty report means the flows certify theta. A block whose shape is not the
-    LP's sources x arcs gets one layout violation and no further check.
+    The arcs, sources, rows and demand (link units) come from `r.lp`; arc
+    loads and per-(s, v) net inflows are summed here from `r.flows`, not read
+    off the constraint matrices. Returns a report of violations exceeding
+    VERIFY_EPS (in link units); an empty report means the flows certify
+    theta. A non-finite theta or flow entry gets one non-finite violation, and
+    a block whose shape is not the LP's sources x arcs one layout violation,
+    with no further check.
     """
-    lp = _layout(t, m)
+    lp = r.lp
     flows = np.asarray(r.flows, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(flows))
+    if bad or not math.isfinite(r.theta):
+        return VerificationReport((FlowViolation(
+            "non-finite", f"theta = {r.theta!r}, {bad} non-finite flow entries", math.inf),))
     shape = (len(lp.sources), len(lp.arcs))
     if flows.shape != shape:
         return VerificationReport((FlowViolation(
@@ -424,7 +418,8 @@ def verify_solution(t: Topology, m: DemandMatrix, r: ThroughputResult) -> Verifi
             float(load[a] - cap)))
 
     tail, head = lp.arcs.T
-    net_in = np.zeros((t.n, len(lp.sources)))  # [v, k]: inflow minus outflow of source k at v
+    # net_in[v, k]: inflow minus outflow of source k at v
+    net_in = np.zeros((len(lp.demand), len(lp.sources)))
     np.add.at(net_in, head, flows.T)
     np.add.at(net_in, tail, -flows.T)
     src, node = lp.balance.T

@@ -138,7 +138,7 @@ def test_criterion_02_chessboard_upper_bound(landscape):
     trace, scaled_chess, topo, _ = certifying_build(landscape, "chessboard", p)
     cert = solve_max_throughput(topo, scaled_chess)
     certified = (cert.theta >= OBJECTIVE_REACHED
-                 and verify_solution(topo, scaled_chess, cert).ok)
+                 and verify_solution(cert).ok)
 
     # Every residual draw lands where its own two-hop count puts it.
     per_seed = []
@@ -200,7 +200,7 @@ def test_criterion_08_integer_one_shot():
         m = DemandMatrix(counts * CAPACITY)
         topo = build_one_shot_integer(m, p)
         result = solve_max_throughput(topo, m)
-        assert verify_solution(topo, m, result).ok
+        assert verify_solution(result).ok
         worst = min(worst, result.theta)
         assert abs(result.theta - 1.0) <= 1e-6, (trial, n, result.theta)
     report(8, True,
@@ -324,7 +324,7 @@ def test_criterion_12_solution_verification(landscape):
     objectives = []
     for topo, demand in cases:
         result = solve_max_throughput(topo, demand)
-        rep = verify_solution(topo, demand, result)
+        rep = verify_solution(result)
         assert rep.ok, rep.violations[:3]
         objectives.append(result.theta)
     chess_objective = objectives[-1]

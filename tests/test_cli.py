@@ -205,7 +205,7 @@ class TestEval:
         scaled = chess.scaled(theta)
         cert = solve_max_throughput(topo, scaled)
         assert cert.theta >= OBJECTIVE_REACHED
-        assert verify_solution(topo, scaled, cert).ok
+        assert verify_solution(cert).ok
 
     def test_emitted_schedule_bytes_are_pinned(self, runner, tmp_path):
         # The n=16 chessboard at u=4, seed 0: the peel order of the colouring

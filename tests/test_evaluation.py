@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from rdcn_throughput import (
     HeuristicTrace,
     NetworkParams,
     SolverError,
-    ThroughputResult,
     Topology,
     build_demand_aware_periodic,
     build_oblivious_equivalent,
@@ -61,9 +61,10 @@ class TestThroughputFunctions:
         m = DemandMatrix(entries)
         # 0.1 less on 0->1 and -0.1 on 1->0 keep node 1 balanced: one negative
         # flow of 0.1, reported first; theta 1.5 leaves node 2 short by 0.5.
-        tampered = ThroughputResult(1.5, np.array([[0.9, -0.1, 1.0]]))
+        tampered = replace(solve_max_throughput(t, m), theta=1.5,
+                           flows=np.array([[0.9, -0.1, 1.0]]))
         monkeypatch.setattr(evaluation, "solve_max_throughput", lambda t, m: tampered)
-        report = evaluation.verify_solution(t, m, tampered)
+        report = evaluation.verify_solution(tampered)
         assert [(v.kind, round(v.magnitude, 9)) for v in report.violations] == [
             ("negative-flow", 0.1), ("demand", 0.5)]
         with pytest.raises(SolverError, match="failed verification: demand: source 0 nets 1 "

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from rdcn_throughput import (
     NetworkParams,
     SolverError,
     Topology,
-    ThroughputResult,
     build_oblivious_equivalent,
     export_lp,
     generate,
@@ -31,7 +31,6 @@ from rdcn_throughput.evaluation import build_suite, sweep_degree
 from rdcn_throughput.flowlp import (
     _assemble_lp,
     _hops,
-    _layout,
     demand_upper_bound,
     throughput_upper_bound,
 )
@@ -151,7 +150,7 @@ class TestSolveMaxThroughput:
         m = generate("uniform", desk_params)
         result = solve_max_throughput(t, m)
         assert result.theta == pytest.approx(1.0, abs=1e-9)
-        assert verify_solution(t, m, result).ok
+        assert verify_solution(result).ok
         assert throughput_upper_bound(t, m) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_demand_rejected(self):
@@ -214,7 +213,7 @@ class TestRandomInstances:
         result = solve_max_throughput(t, m)
         assert result.theta == pytest.approx(
             path_lp_throughput(t.routable_counts(), m.entries), abs=1e-6)
-        assert verify_solution(t, m, result).ok
+        assert verify_solution(result).ok
 
 
 def hop_volume_bisection(t, m):
@@ -377,7 +376,19 @@ class TestVerifySolution:
 
     def test_optimal_solution_is_clean(self):
         t, m, result = self._solved()
-        assert verify_solution(t, m, result).ok
+        assert verify_solution(result).ok
+
+    def test_verification_rederives_nothing(self, monkeypatch):
+        # The solved LP travels with the result: checking it builds no LP and
+        # reads no topology.
+        t, m, result = self._solved()
+
+        def rederived(*args, **kwargs):
+            raise AssertionError("verify_solution re-derived the LP")
+
+        monkeypatch.setattr(flowlp, "_assemble_lp", rederived)
+        monkeypatch.setattr(Topology, "routable_counts", rederived)
+        assert verify_solution(result).ok
 
     def test_flows_are_the_solvers_read_only_block(self, monkeypatch):
         solved = []
@@ -389,7 +400,7 @@ class TestVerifySolution:
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
         t, m, result = self._solved()
-        lp = _assemble_lp(t, m)
+        lp = result.lp
         assert result.flows.shape == (len(lp.sources), len(lp.arcs))
         assert np.array_equal(result.flows.ravel(), solved[-1].x[1:])
         with pytest.raises(ValueError, match="read-only"):
@@ -399,18 +410,18 @@ class TestVerifySolution:
         t, m, result = self._solved()
         flows = result.flows.copy()
         flows[0, 0] += 1.0
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
+        report = verify_solution(replace(result, flows=flows))
         assert any(v.kind == "capacity" for v in report.violations)
 
     def test_inflated_theta_detected(self):
         t, m, result = self._solved()
-        report = verify_solution(t, m, ThroughputResult(result.theta * 1.1, result.flows))
+        report = verify_solution(replace(result, theta=result.theta * 1.1))
         assert {v.kind for v in report.violations} == {"demand"}
 
     def test_over_delivery_detected(self):
         # Balance rows are equalities: flows that deliver more than theta*m fail.
         t, m, result = self._solved()
-        report = verify_solution(t, m, ThroughputResult(result.theta * 0.9, result.flows))
+        report = verify_solution(replace(result, theta=result.theta * 0.9))
         assert {v.kind for v in report.violations} == {"demand"}
         assert len(report.violations) == 12  # every (s, v) pair of the 4-node uniform demand
 
@@ -418,16 +429,34 @@ class TestVerifySolution:
         t, m, result = self._solved()
         flows = result.flows.copy()
         flows[1, 2] = -0.5
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
+        report = verify_solution(replace(result, flows=flows))
         [negative] = [v for v in report.violations if v.kind == "negative-flow"]
         assert negative.magnitude == 0.5
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta", math.nan), ("theta", math.inf), ("flow", math.nan), ("flow", math.inf),
+    ], ids=["theta-nan", "theta-inf", "flow-nan", "flow-inf"])
+    def test_non_finite_is_one_violation(self, monkeypatch, field, value):
+        # Every comparison with nan is False, so nan must be caught before any.
+        t, m, result = self._solved()
+        if field == "theta":
+            tampered = replace(result, theta=value)
+        else:
+            flows = result.flows.copy()
+            flows[1, 2] = value
+            tampered = replace(result, flows=flows)
+        report = verify_solution(tampered)
+        assert [(v.kind, v.magnitude) for v in report.violations] == [("non-finite", math.inf)]
+        monkeypatch.setattr(evaluation, "solve_max_throughput", lambda t, m: tampered)
+        with pytest.raises(SolverError, match="failed verification: non-finite: "):
+            evaluation.throughput_static(t, m)
 
     @pytest.mark.parametrize("shape", [(4, 11), (3, 12), (12, 4), (48,)])
     def test_wrong_shape_is_one_layout_violation(self, shape):
         # The complete 4-node LP has 4 sources and 12 arcs.
         t, m, result = self._solved()
         flows = np.zeros(shape)
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
+        report = verify_solution(replace(result, flows=flows))
         assert [v.kind for v in report.violations] == ["layout"]
 
     def test_conservation_violation_detected(self):
@@ -438,12 +467,12 @@ class TestVerifySolution:
         entries[0, 2] = 1.0
         m = DemandMatrix(entries)
         result = solve_max_throughput(t, m)
-        lp = _assemble_lp(t, m)
+        lp = result.lp
         arc = lp.arcs.tolist().index([1, 2])
         assert lp.sources.tolist() == [0]
         flows = result.flows.copy()
         flows[0, arc] += 0.25
-        report = verify_solution(t, m, ThroughputResult(result.theta, flows))
+        report = verify_solution(replace(result, flows=flows))
         assert any(v.kind == "conservation" for v in report.violations)
 
 
@@ -662,18 +691,13 @@ def _parse_lp_rows(text):
     return rows
 
 
-class TestLayout:
-    """verify_solution reads `_layout` instead of the assembled LP, so the two
-    must agree on the arcs and on which balance rows exist."""
-
+class TestAssembleLp:
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(random_instances())
-    def test_matches_the_assembled_lp(self, instance):
-        t, m = instance
-        layout, lp = _layout(t, m), _assemble_lp(t, m)
-        for name in ("arcs", "capacity", "demand", "sources", "balance"):
-            assert np.array_equal(getattr(layout, name), getattr(lp, name)), name
+    def test_balance_rows_are_the_rows_with_a_term(self, instance):
         # a row exists exactly where it has a term: no empty row is kept, none dropped
+        t, m = instance
+        lp = _assemble_lp(t, m)
         assert np.all(np.diff(lp.A_eq.indptr) > 0)
         touched = set(lp.arcs.reshape(-1).tolist())
         demand = m.entries / t.link_capacity
@@ -698,7 +722,7 @@ class TestExportLp:
         assert "Maximize" in text and "obj: theta" in text
         assert text.rstrip().endswith("End")
 
-        lp = _assemble_lp(t, m)
+        lp = solve_max_throughput(t, m).lp
         names = lp.column_names()
         assert names[0] == "theta" and names[1] == "f_0_0_1"
         # linprog hands HiGHS the cap rows, then the bal rows: [A_ub; A_eq]
