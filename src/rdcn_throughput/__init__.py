@@ -16,10 +16,8 @@ from .demand import (
     validate_hose,
 )
 from .decomposition import (
-    BvnDecomposition,
     DecompositionError,
     PermutationMatching,
-    RegularMultigraph,
     bvn_decompose,
     edge_color_regular,
     perfect_matching,

@@ -53,8 +53,12 @@ def _fail(code: int, message: str):
 
 
 def _outdir(out) -> Path:
+    """The output directory, made if missing; an input error when it cannot be."""
     path = Path(out if out is not None else os.environ.get(OUT_ENV_VAR, "."))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot make output directory {path}: {exc.strerror}")
     return path
 
 

@@ -2,7 +2,9 @@
 
 Perfect matchings on boolean supports, Birkhoff-von-Neumann decomposition of
 doubly stochastic matrices, edge coloring of regular multigraphs into
-matchings, and seeded random regular digraph generation.
+matchings, and seeded random regular digraph generation. A multigraph is its
+link-count matrix throughout: counts[i, j] parallel links i -> j, self-loops
+on the diagonal, as `link_counts` checks it.
 """
 
 from __future__ import annotations
@@ -31,25 +33,15 @@ class PermutationMatching:
     mapping: tuple
 
     def __post_init__(self):
-        mapping = tuple(int(x) for x in self.mapping)
+        mapping = tuple(self.mapping)
         n = len(mapping)
-        if sorted(mapping) != list(range(n)):
+        if sorted(mapping) != list(range(n)):  # 1.0 and numpy ints compare equal; 0.5 does not
             raise ValueError(f"mapping {mapping} is not a permutation of 0..{n - 1}")
-        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "mapping", tuple(int(x) for x in mapping))
 
     @property
     def n(self) -> int:
         return len(self.mapping)
-
-
-@dataclass(frozen=True)
-class BvnDecomposition:
-    """Weighted permutation terms whose sum reconstructs a doubly stochastic matrix."""
-
-    terms: tuple  # of (coefficient, PermutationMatching)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
 
 
 def link_counts(counts, name: str) -> np.ndarray:
@@ -70,37 +62,6 @@ def link_counts(counts, name: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RegularMultigraph:
-    """Directed multigraph where every node has in-degree = out-degree = `degree`.
-
-    edge_multiplicity[i, j] counts parallel links i -> j; diagonal entries are
-    allowed and represent self-loops.
-    """
-
-    edge_multiplicity: np.ndarray
-
-    def __post_init__(self):
-        mult = link_counts(self.edge_multiplicity, "edge multiplicities")
-        if mult.shape[0] == 0:
-            raise ValueError("a regular multigraph needs at least one node")
-        rows = mult.sum(axis=1)
-        cols = mult.sum(axis=0)
-        if not (np.all(rows == rows[0]) and np.all(cols == rows[0])):
-            raise ValueError(
-                f"graph is not regular: out-degrees {rows.tolist()}, in-degrees {cols.tolist()}"
-            )
-        object.__setattr__(self, "edge_multiplicity", mult)
-
-    @property
-    def n(self) -> int:
-        return self.edge_multiplicity.shape[0]
-
-    @property
-    def degree(self) -> int:
-        return int(self.edge_multiplicity[0].sum())
-
-
 def perfect_matching(support) -> PermutationMatching | None:
     """Find a perfect matching using only True cells of a boolean n x n support.
 
@@ -118,8 +79,10 @@ def perfect_matching(support) -> PermutationMatching | None:
     return None if np.any(mapping < 0) else PermutationMatching(tuple(mapping.tolist()))
 
 
-def bvn_decompose(m) -> BvnDecomposition:
-    """Decompose a doubly stochastic matrix into weighted permutation matchings.
+def bvn_decompose(m) -> tuple:
+    """Decompose a doubly stochastic matrix into weighted permutation matchings:
+    a tuple of (coefficient, PermutationMatching) terms whose weighted sum
+    reconstructs `m`.
 
     Repeatedly finds a perfect matching on the strictly-positive support, peels
     off the minimum matched entry, and stops once the residual mass drops below
@@ -161,18 +124,22 @@ def bvn_decompose(m) -> BvnDecomposition:
         terms.append((lam, pm))
         work[idx] -= lam
         np.maximum(work, 0.0, out=work)
-    return BvnDecomposition(tuple(terms))
+    return tuple(terms)
 
 
-def edge_color_regular(g: RegularMultigraph) -> list:
-    """Split a d-regular multigraph into exactly d perfect matchings.
+def edge_color_regular(counts) -> list:
+    """Split the link counts of a d-regular multigraph into exactly d perfect matchings.
 
     The integer case of `bvn_decompose`: each term's integral coefficient is
     the number of times its matching repeats, since a matched support keeps
     its perfect matching until its thinnest cell runs out. The multiset union
     of the returned matchings' edges equals the input's edge multiset exactly.
+    ValueError when `counts` is not square, nonnegative and whole
+    (`link_counts`), is empty, or has a row or column sum unlike the others
+    (`bvn_decompose`'s doubly stochastic test).
     """
-    return [pm for lam, pm in bvn_decompose(g.edge_multiplicity).terms for _ in range(round(lam))]
+    terms = bvn_decompose(link_counts(counts, "edge multiplicities"))
+    return [pm for lam, pm in terms for _ in range(round(lam))]
 
 
 def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
@@ -214,26 +181,30 @@ def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
     return PermutationMatching(tuple(row_col))
 
 
-def random_regular_digraph(n: int, d: int, seed) -> RegularMultigraph:
+def random_regular_digraph(n: int, d: int, seed) -> np.ndarray:
     """Sample a simple d-regular digraph: the union of d pairwise-disjoint random matchings.
 
+    Returns its link counts, a read-only n x n int64 array of 0s and 1s.
     Every node gets exactly d distinct out-neighbors and d distinct in-neighbors
     (no parallel arcs, no self-loops), which maximizes pair coverage for a given
-    degree budget. Deterministic per seed. At d = n - 1 the only such graph is
-    the complete one, returned without drawing.
+    degree budget; that holds by construction and is not re-checked.
+    Deterministic per seed. At d = n - 1 the only such graph is the complete
+    one, returned without drawing.
     """
     if n < 2:
         raise ValueError(f"a self-loop-free digraph needs at least 2 nodes, got n={n}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"degree d={d} must satisfy 1 <= d <= {n - 1} for n={n}")
     if d == n - 1:
-        return RegularMultigraph(1 - np.eye(n, dtype=np.int64))
-    rng = np.random.default_rng(seed)
-    allowed = ~np.eye(n, dtype=bool)
-    mult = np.zeros((n, n), dtype=np.int64)
-    for _ in range(d):
-        pm = _random_disjoint_matching(allowed, rng)
+        mult = 1 - np.eye(n, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(seed)
+        allowed = ~np.eye(n, dtype=bool)
+        mult = np.zeros((n, n), dtype=np.int64)
         rows = np.arange(n)
-        mult[rows, pm.mapping] += 1
-        allowed[rows, pm.mapping] = False
-    return RegularMultigraph(mult)
+        for _ in range(d):
+            pm = _random_disjoint_matching(allowed, rng)
+            mult[rows, pm.mapping] += 1
+            allowed[rows, pm.mapping] = False
+    mult.setflags(write=False)
+    return mult

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import (
-    RegularMultigraph,
-    edge_color_regular,
-    link_counts,
-    random_regular_digraph,
-)
+from .decomposition import edge_color_regular, link_counts, random_regular_digraph
 from .demand import DemandMatrix, NetworkParams, decompose_integer_residual, normalize, validate_hose
 
 # The slot and reconfiguration times every schedule.json states; no schedule
@@ -143,8 +138,8 @@ def link_budget(net_class: str, p: NetworkParams):
 def build_static_expander(p: NetworkParams, seed=0) -> Topology:
     """Random u-regular digraph with full-capacity links; demand-oblivious and fixed."""
     degree = min(p.u, p.n - 1)  # simple digraph: at most n-1 distinct partners
-    g = random_regular_digraph(p.n, degree, _subseed(seed, _RESIDUAL_SALT))
-    return Topology(g.edge_multiplicity, p.c, "static", p.u)
+    counts = random_regular_digraph(p.n, degree, _subseed(seed, _RESIDUAL_SALT))
+    return Topology(counts, p.c, "static", p.u)
 
 
 def build_oblivious_equivalent(p: NetworkParams) -> Topology:
@@ -177,8 +172,7 @@ def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
     d = min(d, p.n - 1)
     counts = np.array(ints)
     if d >= 1:
-        residual = random_regular_digraph(p.n, d, _subseed(seed, _RESIDUAL_SALT))
-        counts += residual.edge_multiplicity
+        counts += random_regular_digraph(p.n, d, _subseed(seed, _RESIDUAL_SALT))
     return counts
 
 
@@ -258,13 +252,11 @@ def synthesize_schedule(t: Topology, u: int, seed=0) -> PeriodicSchedule:
         raise ValueError(f"u={u} must satisfy 1 <= u <= n={n}")
     if n % u != 0:
         raise ValueError(f"n={n} must be divisible by u={u}")
-    try:
-        g = RegularMultigraph(t.link_count)
-    except ValueError as exc:
-        raise ValueError(f"schedule needs an n-regular topology: {exc}") from None
-    if g.degree != n:
-        raise ValueError(f"schedule needs degree n={n}, topology has degree {g.degree}")
-    matchings = edge_color_regular(g)
+    out_deg, in_deg = t.link_count.sum(axis=1), t.link_count.sum(axis=0)
+    if np.any(out_deg != n) or np.any(in_deg != n):
+        raise ValueError(f"schedule needs an n-regular topology of degree n={n}: "
+                         f"out-degrees {out_deg.tolist()}, in-degrees {in_deg.tolist()}")
+    matchings = edge_color_regular(t.link_count)
     rng = np.random.default_rng(_subseed(seed, _SHUFFLE_SALT))
     order = rng.permutation(n)
     gamma = n // u

@@ -193,9 +193,9 @@ def test_criterion_08_integer_one_shot():
         n = int(rng.integers(4, 9))
         d1 = int(rng.integers(1, n - 1))
         d2 = int(rng.integers(0, n - d1))
-        counts = random_regular_digraph(n, d1, seed=1000 + trial).edge_multiplicity.copy()
+        counts = random_regular_digraph(n, d1, seed=1000 + trial).copy()
         if d2:
-            counts += random_regular_digraph(n, d2, seed=2000 + trial).edge_multiplicity
+            counts += random_regular_digraph(n, d2, seed=2000 + trial)
         p = NetworkParams(n, n, CAPACITY)
         m = DemandMatrix(counts * CAPACITY)
         topo = build_one_shot_integer(m, p)
@@ -217,16 +217,16 @@ def test_criterion_09_bvn_properties():
             if count >= 100:
                 break
             m = sinkhorn_doubly_stochastic(n, 7000 + 31 * n + seed)
-            dec = bvn_decompose(m)
+            terms = bvn_decompose(m)
             total = np.zeros((n, n))
-            for lam, pm in dec.terms:
+            for lam, pm in terms:
                 total[np.arange(n), pm.mapping] += lam
             err = np.abs(total - m).max()
             bound = n * n - 2 * n + 2
             assert err <= 1e-9, (n, seed, err)
-            assert len(dec.terms) <= bound, (n, seed, len(dec.terms))
+            assert len(terms) <= bound, (n, seed, len(terms))
             worst_err = max(worst_err, err)
-            margin = bound - len(dec.terms)
+            margin = bound - len(terms)
             if worst_terms_margin is None or margin < worst_terms_margin:
                 worst_terms_margin = margin
             count += 1

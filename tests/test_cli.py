@@ -68,6 +68,33 @@ class TestCapacity:
                                  f"must be finite and positive, got inf\n")
 
 
+class TestOutDir:
+    """An output directory that names an existing file is an input error:
+    exit 2 with one `error:` line naming it, whichever command writes there."""
+
+    @pytest.mark.parametrize("args, env", [
+        (["gen", "--kind", "uniform", "--n", "4", "--out", "{out}"], False),
+        (["decompose", "{matrix}", "--out", "{out}"], False),
+        (["eval", "{matrix}", "--class", "oblivious", "--u", "2", "--emit-topo",
+          "--out", "{out}"], False),
+        (["reproduce", "fig3", "--n", "4", "--u", "2", "--out", "{out}"], False),
+        (["gen", "--kind", "uniform", "--n", "4"], True),
+    ], ids=["gen", "decompose", "eval-emit-topo", "reproduce", "env-var"])
+    def test_existing_file_as_out_exits_two(self, runner, tmp_path, monkeypatch, args, env):
+        matrix = str(write_small_permutation(tmp_path))
+        out = tmp_path / "afile"
+        out.write_text("not a directory\n")
+        if env:
+            monkeypatch.setenv("RDCN_THROUGHPUT_OUT", str(out))
+        result = runner.invoke(main, [a.format(matrix=matrix, out=out) for a in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        error = result.output[result.output.index("error:"):]
+        assert error.startswith(f"error: cannot make output directory {out}: ")
+        assert "Traceback" not in result.output
+        assert out.read_text() == "not a directory\n"
+
+
 class TestGen:
     def test_chessboard_rows_sum_to_node_capacity(self, runner, tmp_path):
         result = runner.invoke(main, ["gen", "--kind", "chessboard", "--n", "16",

@@ -289,9 +289,9 @@ class TestEvaluateCell:
     def test_a_periodic_cell_colors_no_schedule(self, monkeypatch):
         calls = []
 
-        def counted(g):
-            calls.append(g.n)
-            return edge_color_regular(g)
+        def counted(counts):
+            calls.append(len(counts))
+            return edge_color_regular(counts)
 
         monkeypatch.setattr(topology, "edge_color_regular", counted)
         p = NetworkParams(16, 4, 25e9)
