@@ -342,12 +342,19 @@ class TestRandomRegularDigraph:
         np.testing.assert_array_equal(counts.sum(axis=1), 1)
         np.testing.assert_array_equal(counts.sum(axis=0), 1)
 
+    @pytest.mark.parametrize("n,d", [(4, 2), (8, 5), (16, 8), (16, 15)])
+    def test_regular_and_simple(self, n, d):
+        self._check_regular_and_simple(random_regular_digraph(n, d, seed=1), d)
+
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.integers(2, 24).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, n - 1), st.integers(0, 2 ** 64 - 1))))
-    def test_regular_and_simple(self, case):
+    def test_regular_and_simple_for_any_size_and_seed(self, case):
         n, d, seed = case
-        counts = random_regular_digraph(n, d, seed=seed)
+        self._check_regular_and_simple(random_regular_digraph(n, d, seed=seed), d)
+
+    @staticmethod
+    def _check_regular_and_simple(counts, d):
         assert counts.dtype == np.int64 and not counts.flags.writeable
         assert set(np.unique(counts).tolist()) <= {0, 1}  # no parallel arcs
         assert not np.any(np.diagonal(counts))
