@@ -5,8 +5,9 @@ from .demand import (
     IntegerResidualDecomposition,
     MatrixParseError,
     NetworkParams,
+    Report,
     UniformResidualClass,
-    ValidationReport,
+    Violation,
     classify_uniform_residual,
     decompose_integer_residual,
     generate,
@@ -38,7 +39,6 @@ from .evaluation import (
 from .flowlp import (
     SolverError,
     ThroughputResult,
-    VerificationReport,
     export_lp,
     solve_max_throughput,
     verify_solution,

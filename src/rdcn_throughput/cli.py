@@ -111,13 +111,6 @@ def fig4_degrees(n: int) -> list:
     return degrees if n in degrees else degrees + [n]
 
 
-def _load_matrix(path, capacity, normalized) -> DemandMatrix:
-    m = load_csv(path)
-    if normalized:
-        m = DemandMatrix(m.entries * capacity)
-    return m
-
-
 @click.group()
 def main():
     """Synthesize reconfigurable-datacenter topologies and compute LP throughput."""
@@ -203,11 +196,11 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
     of the same label (`reproduce --matrix-csv`).
     """
     try:
-        m = _load_matrix(matrix_path, c, normalized)
+        m = load_csv(matrix_path)
+        if normalized:
+            m = DemandMatrix(m.entries * c)
         p = NetworkParams(m.n, u, c)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    try:
+        outdir = _outdir(out) if emit_topo else None  # before any solve
         cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
@@ -218,7 +211,6 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
     if trace and cell.trace is not None:
         click.echo(json.dumps(cell.trace.to_json_dict(), indent=2))
     if emit_topo:
-        outdir = _outdir(out)
         topo_path = outdir / "topology.json"
         topo_path.write_text(json.dumps(cell.topology.to_json_dict(), indent=2) + "\n",
                              encoding="utf-8")

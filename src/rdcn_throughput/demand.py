@@ -2,6 +2,9 @@
 
 All rates are bits/s unless a matrix has been normalized, in which case entries
 are dimensionless multiples of the chosen unit (usually link capacity).
+
+`Report`, a tuple of `Violation`s, is what every check of the package returns:
+`validate_hose` here and `flowlp.verify_solution`.
 """
 
 from __future__ import annotations
@@ -97,15 +100,25 @@ class DemandMatrix:
 
 
 @dataclass(frozen=True)
-class HoseViolation:
-    axis: str  # "row" or "col"
-    index: int
-    total: float
-    limit: float
+class Violation:
+    """One constraint a check found broken, by `magnitude` (>= 0) past its bound.
+
+    kind is, for `validate_hose`: row | col (a sum over c*u, in bits/s); for
+    `flowlp.verify_solution`, in link units: capacity | demand (balance row
+    with m[s, v] > 0) | conservation (m[s, v] = 0) | negative-flow | layout
+    (flows is not the LP's sources x arcs block) | non-finite (theta or some
+    flow is nan or inf).
+    """
+
+    kind: str
+    detail: str
+    magnitude: float
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class Report:
+    """What a check found: no violations means it passed."""
+
     violations: tuple = field(default_factory=tuple)
 
     @property
@@ -139,23 +152,23 @@ class IntegerResidualDecomposition:
             arr.setflags(write=False)
 
 
-def validate_hose(m: DemandMatrix, p: NetworkParams) -> ValidationReport:
+def validate_hose(m: DemandMatrix, p: NetworkParams) -> Report:
     """Check every row and column sum against the per-ToR capacity c*u.
 
-    Returns a report listing offending rows/columns; empty report means valid.
+    Returns a report with one row or col violation per offending sum, rows
+    first, its magnitude the excess in bits/s; an empty report means valid.
     """
     if m.n != p.n:
         raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, params say n={p.n}")
     limit = p.node_capacity
     eps = 1e-9 * limit
     violations = []
-    for i, total in enumerate(m.row_sums()):
-        if total > limit + eps:
-            violations.append(HoseViolation("row", i, float(total), limit))
-    for j, total in enumerate(m.col_sums()):
-        if total > limit + eps:
-            violations.append(HoseViolation("col", j, float(total), limit))
-    return ValidationReport(tuple(violations))
+    for axis, sums in (("row", m.row_sums()), ("col", m.col_sums())):
+        for i, total in enumerate(sums.tolist()):
+            if total > limit + eps:
+                violations.append(Violation(
+                    axis, f"{axis} {i} sums to {total:.6g} > {limit:.6g}", total - limit))
+    return Report(tuple(violations))
 
 
 def normalize(m: DemandMatrix, unit: float) -> DemandMatrix:

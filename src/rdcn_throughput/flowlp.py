@@ -31,7 +31,8 @@ in one `_FlowLP` record. `solve_max_throughput` hands it to HiGHS through
 `linprog`, one direct call into the binding that scipy bundles, and returns
 its flow columns as a sources x arcs block together with the record.
 `verify_solution` checks that block against the record's arcs and rows
-without touching its matrices, and `export_lp` renders the rows as text.
+without touching its matrices, returning a `demand.Report` of `Violation`s,
+and `export_lp` renders the rows as text.
 `throughput_upper_bound` bounds the LP's optimum from the topology alone,
 without solving it.
 """
@@ -39,7 +40,7 @@ without solving it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,7 @@ except ImportError as err:  # private scipy API: see test_highs_binding_is_prese
         "rdcn_throughput.flowlp needs the HiGHS binding scipy.optimize._highspy._core, "
         "shipped by scipy>=1.17.1") from err
 
-from .demand import DemandMatrix
+from .demand import DemandMatrix, Report, Violation
 from .topology import Topology
 
 DEFAULT_TOL = 1e-7
@@ -83,25 +84,6 @@ VERIFY_EPS = 1e-6
 
 class SolverError(RuntimeError):
     """LP backend failed to return a usable optimum."""
-
-
-@dataclass(frozen=True)
-class FlowViolation:
-    # capacity | demand (balance row with m[s, v] > 0) | conservation (m[s, v] = 0)
-    # | negative-flow | layout (flows is not the LP's sources x arcs block)
-    # | non-finite (theta or some flow is nan or inf)
-    kind: str
-    detail: str
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    violations: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -381,7 +363,7 @@ def demand_upper_bound(m: DemandMatrix, link_capacity: float, degree: int) -> fl
     return float(hi)
 
 
-def verify_solution(r: ThroughputResult) -> VerificationReport:
+def verify_solution(r: ThroughputResult) -> Report:
     """Re-check every constraint of the LP `r` solves with fresh arithmetic.
 
     The arcs, sources, rows and demand (link units) come from `r.lp`; arc
@@ -396,24 +378,24 @@ def verify_solution(r: ThroughputResult) -> VerificationReport:
     flows = np.asarray(r.flows, dtype=float)
     bad = np.count_nonzero(~np.isfinite(flows))
     if bad or not math.isfinite(r.theta):
-        return VerificationReport((FlowViolation(
+        return Report((Violation(
             "non-finite", f"theta = {r.theta!r}, {bad} non-finite flow entries", math.inf),))
     shape = (len(lp.sources), len(lp.arcs))
     if flows.shape != shape:
-        return VerificationReport((FlowViolation(
+        return Report((Violation(
             "layout", f"flows have shape {flows.shape}, the LP has {shape} (sources x arcs)",
             math.inf),))
     violations = []
 
     for k, a in zip(*np.nonzero(flows < -VERIFY_EPS)):
         (i, j), f = lp.arcs[a].tolist(), float(flows[k, a])
-        violations.append(FlowViolation(
+        violations.append(Violation(
             "negative-flow", f"f({lp.sources[k]}, {i}, {j}) = {f}", -f))
 
     load = flows.sum(axis=0)
     for a in np.flatnonzero(load - lp.capacity > VERIFY_EPS):
         (i, j), cap = lp.arcs[a].tolist(), lp.capacity[a]
-        violations.append(FlowViolation(
+        violations.append(Violation(
             "capacity", f"arc ({i},{j}) carries {load[a]:.9g} > {cap:.9g}",
             float(load[a] - cap)))
 
@@ -429,14 +411,14 @@ def verify_solution(r: ThroughputResult) -> VerificationReport:
     for q in np.flatnonzero(np.abs(gap) > VERIFY_EPS):
         s_q, v_q = int(src[q]), int(node[q])
         if lp.demand[s_q, v_q] > 0:
-            violations.append(FlowViolation(
+            violations.append(Violation(
                 "demand", f"source {s_q} nets {got[q]:.9g} at node {v_q}, "
                           f"needs {need[q]:.9g}", abs(float(gap[q]))))
         else:
-            violations.append(FlowViolation(
+            violations.append(Violation(
                 "conservation", f"source {s_q} unbalanced at node {v_q} by {gap[q]:.9g}",
                 abs(float(gap[q]))))
-    return VerificationReport(tuple(violations))
+    return Report(tuple(violations))
 
 
 def _lp_expr(cols, coefs, names) -> str:

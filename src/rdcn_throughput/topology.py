@@ -119,11 +119,7 @@ def require_hose(m: DemandMatrix, p: NetworkParams):
     """Raise ValueError naming m's first row or column over the hose bound c*u."""
     report = validate_hose(m, p)
     if not report.ok:
-        worst = report.violations[0]
-        raise ValueError(
-            f"demand matrix violates hose model: {worst.axis} {worst.index} "
-            f"sums to {worst.total:.6g} > {worst.limit:.6g}"
-        )
+        raise ValueError(f"demand matrix violates hose model: {report.violations[0].detail}")
 
 
 def link_budget(net_class: str, p: NetworkParams):

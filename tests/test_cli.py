@@ -89,8 +89,8 @@ class TestOutDir:
         result = runner.invoke(main, [a.format(matrix=matrix, out=out) for a in args])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        error = result.output[result.output.index("error:"):]
-        assert error.startswith(f"error: cannot make output directory {out}: ")
+        assert result.output.startswith(f"error: cannot make output directory {out}: ")
+        assert result.output.count("\n") == 1
         assert "Traceback" not in result.output
         assert out.read_text() == "not a directory\n"
 

@@ -78,9 +78,10 @@ class TestValidateHose:
     def test_row_violation_reported(self):
         p = NetworkParams(2, 1, 1.0)
         report = validate_hose(DemandMatrix([[0, 1.5], [1.0, 0]]), p)
-        kinds = {(v.axis, v.index) for v in report.violations}
-        assert ("row", 0) in kinds
-        assert ("col", 1) in kinds
+        assert [v.kind for v in report.violations] == ["row", "col"]
+        assert {v.detail for v in report.violations} == {"row 0 sums to 1.5 > 1",
+                                                        "col 1 sums to 1.5 > 1"}
+        assert [v.magnitude for v in report.violations] == [0.5, 0.5]
 
     def test_chessboard_row_sums_reach_node_capacity(self):
         # direct summation: every row and column of the u=n chessboard sums to n*c
