@@ -244,15 +244,14 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
               help="Flat key=value config file (flags take precedence).")
 def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
-    outdir = _outdir(out)
     try:
+        degrees = [u] if figure == "fig3" else fig4_degrees(n)
+        p = NetworkParams(n, degrees[0], c)
+        suite = evaluation.build_suite(p, csv_paths=matrix_csv)  # reads every --matrix-csv
+        outdir = _outdir(out)  # after the inputs, before any solve
         if figure == "fig3":
-            p = NetworkParams(n, u, c)
-            suite = evaluation.build_suite(p, csv_paths=matrix_csv)
             result = evaluation.sweep_matrices(p, suite, seed=seed, jobs=jobs)
         else:
-            degrees = fig4_degrees(n)
-            p = NetworkParams(n, degrees[0], c)
             result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs,
                                              csv_paths=matrix_csv)
     except ValueError as exc:
@@ -266,23 +265,19 @@ def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     json_path.write_text(json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n",
                          encoding="utf-8")
 
-    classes = list(evaluation.NETWORK_CLASSES)
+    classes = evaluation.NETWORK_CLASSES
     if figure == "fig3":
-        labels = [label for label, _ in suite]
-        series = {cls: [result.theta(label, cls, u) for label in labels] for cls in classes}
-        svg_text = svg.grouped_bar_chart(labels, series,
-                                         title=f"throughput per demand matrix (n={n}, u={u})")
-    else:
-        suite = ()  # fig4 criteria compare worst cases only
-        degrees = result.degrees()
-        series = {
-            cls: [result.worst_case(cls, d)[0] for d in degrees] for cls in classes
-        }
-        svg_text = svg.grouped_bar_chart([str(d) for d in degrees], series,
-                                         title=f"worst-case throughput per degree (n={n})")
+        groups = [label for label, _ in suite]
+        series = {cls: [result.theta(label, cls, u) for label in groups] for cls in classes}
+        title = f"throughput per demand matrix (n={n}, u={u})"
+    else:  # fig4's criteria compare worst cases only, and ignore the suite
+        groups = result.degrees()
+        series = {cls: [result.worst_case(cls, d)[0] for d in groups] for cls in classes}
+        title = f"worst-case throughput per degree (n={n})"
     checks = evaluation.check_landscape(result, suite, p, figure=figure)
     svg_path = outdir / f"{figure}.svg"
-    svg_path.write_text(svg_text, encoding="utf-8")
+    svg_path.write_text(svg.grouped_bar_chart([str(g) for g in groups], series, title=title),
+                        encoding="utf-8")
     click.echo(f"wrote {csv_path}, {json_path}, {svg_path}")
 
     failed = 0

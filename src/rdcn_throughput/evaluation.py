@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +51,7 @@ from .topology import (  # noqa: F401
     build_static_expander,
     link_budget,
     require_hose,
+    seed_sequence,
 )
 
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
@@ -207,14 +207,8 @@ def _json_theta(theta: float):
 
 
 def _seed_int(*parts) -> int:
-    """Stable 64-bit seed from mixed int/str parts (crc32 for strings)."""
-    ints = []
-    for part in parts:
-        if isinstance(part, str):
-            ints.append(zlib.crc32(part.encode()))
-        else:
-            ints.append(int(part) & 0xFFFFFFFFFFFF)
-    return int(np.random.SeedSequence(ints).generate_state(1)[0])
+    """Stable 64-bit seed from mixed int/str parts (`seed_sequence`)."""
+    return int(seed_sequence(*parts).generate_state(1)[0])
 
 
 def throughput_static(t: Topology, m: DemandMatrix) -> float:
@@ -241,7 +235,8 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     (emulated degree-n graph at capacity c*u/n). The reported theta is the first scan
     value whose LP objective reaches 1, hence a multiple of DEFAULT_STEP with
     uncertainty one step, and the last step's build certifies it; 0.0 if no
-    scan value succeeds. m must meet the hose bound at full scale.
+    scan value succeeds. m must meet the hose bound at full scale: this is the
+    cell's one hose check, so the builds of the scanned steps make none.
 
     The scan starts at the first step whose scale the demand-only bound B
     (`demand_upper_bound`, once per cell) leaves room to reach 1: B bounds
@@ -312,18 +307,21 @@ def evaluate_cell(m: DemandMatrix, p: NetworkParams, net_class: str, *, seed: in
                   label: str) -> Cell:
     """Throughput of matrix m, labelled `label`, on one network class.
 
-    Builds are seeded from the master seed and, for the demand-aware classes,
-    the label (the static expander is one per master seed), so a matrix gets
-    the same cell wherever it is evaluated: in a sweep or on its own.
+    An m over the hose bound c*u is the same ValueError in every class, raised
+    before any build: here, or in `throughput_demand_aware`. Builds are seeded
+    from the master seed and, for the demand-aware classes, the label (the
+    static expander is one per master seed), so a matrix gets the same cell
+    wherever it is evaluated: in a sweep or on its own.
     """
+    if net_class in ("da-static", "da-periodic"):
+        return throughput_demand_aware(m, p, net_class, seed=_seed_int(seed, label))
+    if net_class not in ("static", "oblivious"):
+        raise ValueError(f"unknown network class {net_class!r}")
+    require_hose(m, p)
     if net_class == "static":
         topo = build_static_expander(p, seed=_seed_int(seed, "static-topology"))
-    elif net_class == "oblivious":
-        topo = build_oblivious_equivalent(p)  # carries no randomness
-    elif net_class in ("da-static", "da-periodic"):
-        return throughput_demand_aware(m, p, net_class, seed=_seed_int(seed, label))
     else:
-        raise ValueError(f"unknown network class {net_class!r}")
+        topo = build_oblivious_equivalent(p)  # carries no randomness
     return Cell(throughput_static(topo, m), None, topo)
 
 
@@ -333,11 +331,11 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, 
     The oblivious and da-periodic results depend on the demand only through
     m/(c*u/n) with a fixed degree budget of n, so a label's suite matrices
     regenerated for different physical degrees collapse onto one key, rounded
-    to 12 decimals in link units as rounding can part them in the last bits. A
-    static cell of degree min(u, n-1) = n-1 runs on the complete digraph, the
-    oblivious graph, so it is keyed as an oblivious cell at link capacity c:
-    the two share an LP wherever their demands in link units are equal, as at
-    u = n.
+    to 12 decimals in link units as rounding can part them in the last bits.
+    The budget is the hose bound c*u in link units, so one key's cells accept
+    the same demand. A static cell of degree min(u, n-1) = n-1 runs on the
+    complete digraph, the oblivious graph, so it is keyed as an oblivious cell
+    at link capacity c and budget u: the two share an LP at u = n.
 
     A da-static cell at u = n is keyed as the da-periodic cell when each
     node's outgoing entries are the same multiset as its incoming ones. At
@@ -356,7 +354,7 @@ def _cell_key(entries: np.ndarray, net_class: str, p: NetworkParams, seed: int, 
         net_class = "da-periodic"
     unit, budget = link_budget(net_class, p)
     if net_class == "static" and min(p.u, p.n - 1) == p.n - 1:
-        net_class, budget = "oblivious", p.n
+        net_class = "oblivious"
     normalized = np.round(entries / unit, 12)
     return (net_class, p.n, budget, seed, label, normalized.tobytes())
 

@@ -9,6 +9,7 @@ explicit per-switch matching schedule that realizes it.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,10 @@ class PeriodicSchedule:
         }
 
 
-def _subseed(seed, salt):
-    return np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFF, salt])
+def seed_sequence(*parts) -> np.random.SeedSequence:
+    """SeedSequence of mixed int/str parts: ints masked to 48 bits, strings by crc32."""
+    return np.random.SeedSequence([zlib.crc32(part.encode()) if isinstance(part, str)
+                                   else int(part) & 0xFFFFFFFFFFFF for part in parts])
 
 
 def require_hose(m: DemandMatrix, p: NetworkParams):
@@ -120,6 +123,13 @@ def require_hose(m: DemandMatrix, p: NetworkParams):
     report = validate_hose(m, p)
     if not report.ok:
         raise ValueError(f"demand matrix violates hose model: {report.violations[0].detail}")
+
+
+def _decompose(m: DemandMatrix, p: NetworkParams, unit: float):
+    """Integer-residual decomposition of the p.n x p.n matrix m in links of `unit`."""
+    if m.n != p.n:
+        raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, params say n={p.n}")
+    return decompose_integer_residual(normalize(m, unit))
 
 
 def link_budget(net_class: str, p: NetworkParams):
@@ -134,7 +144,7 @@ def link_budget(net_class: str, p: NetworkParams):
 def build_static_expander(p: NetworkParams, seed=0) -> Topology:
     """Random u-regular digraph with full-capacity links; demand-oblivious and fixed."""
     degree = min(p.u, p.n - 1)  # simple digraph: at most n-1 distinct partners
-    counts = random_regular_digraph(p.n, degree, _subseed(seed, _RESIDUAL_SALT))
+    counts = random_regular_digraph(p.n, degree, seed_sequence(seed, _RESIDUAL_SALT))
     return Topology(counts, p.c, "static", p.u)
 
 
@@ -159,22 +169,20 @@ def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
     other one gives a light pair a direct link. All 8 on floor pairs gives
     4/5; the 64/15 a random draw places there on average gives about 0.84.
     """
-    dec = decompose_integer_residual(normalize(m, unit))
-    ints = dec.int_part
+    ints = _decompose(m, p, unit).int_part
     used = np.maximum(ints.sum(axis=1), ints.sum(axis=0))
-    if used.max(initial=0) > budget:
-        raise AssertionError("floor matrix exceeds degree budget despite hose feasibility")
-    d = budget - int(used.max(initial=0))
-    d = min(d, p.n - 1)
-    counts = np.array(ints)
-    if d >= 1:
-        counts += random_regular_digraph(p.n, d, _subseed(seed, _RESIDUAL_SALT))
-    return counts
+    i = int(np.argmax(used))
+    if used[i] > budget:
+        raise ValueError(f"node {i} needs {used[i]} floor links, over the degree budget {budget}")
+    d = min(budget - int(used[i]), p.n - 1)
+    if d < 1:
+        return np.array(ints)
+    return ints + random_regular_digraph(p.n, d, seed_sequence(seed, _RESIDUAL_SALT))
 
 
 def build_demand_aware_static(m: DemandMatrix, p: NetworkParams, seed=0) -> Topology:
-    """One-shot demand-optimized topology: direct links per floor entry, random regular rest."""
-    require_hose(m, p)
+    """One-shot demand-optimized topology: direct links per floor entry, random regular rest.
+    A node whose floor links exceed the budget u is a ValueError naming it."""
     counts = _demand_aware_counts(m, p, p.c, p.u, seed)
     return Topology(counts, p.c, "da-static", p.u)
 
@@ -215,8 +223,8 @@ def build_demand_aware_emulated(m: DemandMatrix, p: NetworkParams, seed=0) -> To
     leftover degree, padded to exactly n-regular, at capacity c*u/n = c/Gamma
     per link: the throughput of the periodic network is this graph's. The
     switch schedule that realizes it is `synthesize_schedule(topo, p.u, seed)`.
+    A node whose floor links exceed the budget n is a ValueError naming it.
     """
-    require_hose(m, p)
     unit, budget = link_budget("da-periodic", p)
     counts = _demand_aware_counts(m, p, unit, budget, seed)
     return Topology(_pad_to_regular(counts, budget), unit, "da-periodic", budget)
@@ -253,7 +261,7 @@ def synthesize_schedule(t: Topology, u: int, seed=0) -> PeriodicSchedule:
         raise ValueError(f"schedule needs an n-regular topology of degree n={n}: "
                          f"out-degrees {out_deg.tolist()}, in-degrees {in_deg.tolist()}")
     matchings = edge_color_regular(t.link_count)
-    rng = np.random.default_rng(_subseed(seed, _SHUFFLE_SALT))
+    rng = np.random.default_rng(seed_sequence(seed, _SHUFFLE_SALT))
     order = rng.permutation(n)
     gamma = n // u
     switches = tuple(
@@ -270,13 +278,11 @@ def build_one_shot_integer(m: DemandMatrix, p: NetworkParams) -> Topology:
     """Topology with exactly floor(m/c) links per pair, for integer-valued normalized demand.
 
     Every demand is routable in one hop at full throughput. Raises ValueError
-    when the normalized matrix has fractional entries.
+    when the normalized matrix has fractional entries or over u links at a node.
     """
-    require_hose(m, p)
-    dec = decompose_integer_residual(normalize(m, p.c))
+    dec = _decompose(m, p, p.c)
     if np.any(dec.res_part > 0):
         i, j = np.argwhere(dec.res_part > 0)[0]
-        raise ValueError(
-            f"normalized demand is not integral at ({i}, {j}); build a demand-aware topology instead"
-        )
+        raise ValueError(f"normalized demand is not integral at ({i}, {j}); "
+                         "build a demand-aware topology instead")
     return Topology(dec.int_part, p.c, "one-shot", p.u)

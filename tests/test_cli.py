@@ -246,6 +246,8 @@ class TestEval:
         assert result.exit_code == 0, result.output
         digest = hashlib.sha256((tmp_path / "schedule.json").read_bytes()).hexdigest()
         assert digest == "f5340e72d438e045068ae08c36bc8407ac128c8dee41f954919ec9b3a637df95"
+        digest = hashlib.sha256((tmp_path / "topology.json").read_bytes()).hexdigest()
+        assert digest == "50683b5fbecac1c2120d81a249e6b7bfe0f6dbf115f1d5f746d7ea74cb85dea8"
 
     @pytest.mark.parametrize("label, theta", [("U+P 0.9", "0.9"), ("chessboard", "0.84")])
     def test_agrees_with_reproduce_cell(self, runner, tmp_path, label, theta):
@@ -308,9 +310,10 @@ class TestEval:
         assert (tmp_path / "topology.json").exists()
         assert not (tmp_path / "schedule.json").exists()
 
-    @pytest.mark.parametrize("net_class", ["da-static", "da-periodic"])
+    @pytest.mark.parametrize("net_class", evaluation.NETWORK_CLASSES)
     def test_demand_over_the_hose_bound_exits_two(self, runner, tmp_path, net_class):
-        # a permutation at 3 links per node, evaluated at u=2
+        # a permutation at 3 links per node, evaluated at u=2: every class
+        # rejects it before it builds or solves anything
         path = tmp_path / "hot.csv"
         save_csv(generate("permutation", NetworkParams(4, 3, 1e9)), path)
         result = runner.invoke(main, ["eval", str(path), "--class", net_class, "--u", "2",
@@ -390,28 +393,66 @@ class TestReproduce:
                                       "--matrix-csv", str(hot), "--out", str(tmp_path)])
         assert result.exit_code == 4
         hose = "failed: demand matrix violates hose model: row 0 sums to 1.5e+11 > 1e+11"
-        assert result.stderr.splitlines() == [
-            f"cell (hot, da-static, u=4) {hose}", f"cell (hot, da-periodic, u=4) {hose}"]
+        classes = evaluation.NETWORK_CLASSES
+        assert result.stderr.splitlines() == [f"cell (hot, {cls}, u=4) {hose}" for cls in classes]
         csv_rows = (tmp_path / "fig4.csv").read_text().splitlines()
         assert [row for row in csv_rows if row.endswith(",nan")] == [
-            "hot,da-static,4,nan", "hot,da-periodic,4,nan"]
+            f"hot,{cls},4,nan" for cls in classes]
         lines = [line for line in result.stdout.splitlines() if "] criterion" in line]
         assert len(lines) == 3
         for line in lines[:2]:
             assert line.startswith("[FAIL] criterion 6:") and "NaN cells hot da-periodic u=4" in line
+        assert lines[1].endswith("NaN cells hot da-periodic u=4, hot oblivious u=4")
         assert lines[2].startswith("[PASS] criterion 7:")  # it reads u=8 only
-        assert "[FAIL] 2 sweep cells errored" in result.stdout
+        assert result.stdout.endswith("[FAIL] 4 sweep cells errored\n")
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
         payload = json.loads((tmp_path / "fig4.json").read_text(), parse_constant=reject)
         worst = {(e["class"], e["degree"]): e for e in payload["worst_case"]}
-        for cls in ("da-static", "da-periodic"):
+        for cls in classes:
             assert worst[cls, 4]["theta"] is None and worst[cls, 4]["matrix"] == "hot"
             assert worst[cls, 8]["theta"] > 0
         failed = [(r["class"], r["degree"]) for r in payload["rows"] if r["theta"] is None]
-        assert failed == [("da-static", 4), ("da-periodic", 4)]
+        assert failed == [(cls, 4) for cls in classes]
+
+    @pytest.mark.parametrize("args, digests", [
+        (["fig4", "--n", "8"], (
+            "370453f03a9a500e9fe718837db3d7baf4eaf51e38b07a90d947342de2cf00d3",
+            "c456895bb11d2dcd723ddd1ca10515ce87bd62e755a40d6fc328132c506a0fee",
+            "7e279ac15639bc3fade91b45268cc3bc957097529c4835a0df51e913484b911a",
+            "7ccc2edd543a2fb4489b0f0df2e732bb68b535d8eb42d29cb474f0dfeab84422")),
+        (["fig3", "--n", "16", "--u", "4"], (
+            "e0372cca1792f495325e649e26bfc2b245e83d11020005af6c4cfaca7cc7166a",
+            "0c46758f0958408e5d3025a1d021d582524ac926d6abf8d4b1592cd8facde7b4",
+            "6ab6db93addb56674d21f3052da70126fc3ff7a75b7de8db601642a92d0f927f",
+            "a61e03b414b210bad62b71b3f780d5a95df22efcc58dd77e41db6e5dd721b640")),
+    ], ids=["fig4-n8", "fig3-n16-u4"])
+    def test_output_bytes_are_pinned(self, runner, tmp_path, args, digests):
+        # SHA-256 of the figure's CSV, JSON and SVG and of stdout without its
+        # `wrote` line, at seed 0 on two workers. Re-recording them is a stated
+        # decision, as re-recording bench/reference.json is.
+        result = runner.invoke(main, ["reproduce", *args, "--jobs", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        stdout = "".join(line for line in result.stdout.splitlines(keepends=True)
+                         if not line.startswith("wrote "))
+        files = [(tmp_path / f"{args[0]}.{ext}").read_bytes() for ext in ("csv", "json", "svg")]
+        assert tuple(hashlib.sha256(b).hexdigest() for b in files + [stdout.encode()]) == digests
+
+    @pytest.mark.parametrize("args, message", [
+        (["fig3", "--n", "3", "--u", "1"], "chessboard needs even n"),
+        (["fig4", "--n", "8", "--matrix-csv", "{matrix}"],
+         "{matrix}: 4x4 matrix, but the network has n=8"),
+    ], ids=["odd-n", "wrong-size-csv"])
+    def test_input_error_makes_no_out_directory(self, runner, tmp_path, args, message):
+        matrix = str(write_small_permutation(tmp_path))
+        out = tmp_path / "new"
+        result = runner.invoke(main, ["reproduce", *(a.format(matrix=matrix) for a in args),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and message.format(matrix=matrix) in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("figure", ["fig3", "fig4"])
     def test_repeated_matrix_label_exits_two(self, runner, tmp_path, monkeypatch, figure):

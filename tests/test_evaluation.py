@@ -311,6 +311,22 @@ class TestEvaluateCell:
         with pytest.raises(ValueError, match="unknown network class"):
             evaluate_cell(generate("uniform", SMALL), SMALL, "rotor", seed=0, label="uniform")
 
+    @pytest.mark.parametrize("net_class", NETWORK_CLASSES)
+    def test_one_hose_check_per_cell(self, monkeypatch, net_class):
+        # the n=8 chessboard at u=4 scans 13 da-static and 4 da-periodic steps
+        p = NetworkParams(8, 4, 25e9)
+        m = generate("chessboard", p)
+        real, checked = topology.validate_hose, []
+
+        def validate(matrix, params):
+            checked.append((matrix, params))
+            return real(matrix, params)
+
+        monkeypatch.setattr(topology, "validate_hose", validate)
+        cell = evaluate_cell(m, p, net_class, seed=0, label="chessboard")
+        assert checked == [(m, p)]
+        assert cell.trace is None or len(cell.trace.iter_values) > 1
+
 
 class TestBuildSuite:
     def test_twelve_synthetic_labels(self):
@@ -497,6 +513,20 @@ class TestSweeps:
         suite = build_suite(SMALL)[:1]
         result = sweep_matrices(SMALL, suite, classes=("static", "oblivious"), seed=0, jobs=64)
         assert sizes == [2] and len(result.rows) == 2 and not result.errors
+
+    def test_static_shares_no_cell_across_hose_bounds(self, tmp_path):
+        # At n=4 the static cell of u=3 and the oblivious cell of u=4 both run
+        # on the complete digraph at c. A matrix between their hose bounds, 3c
+        # and 4c, fails the one and is solved in the other.
+        hot = DemandMatrix(3.5 * generate("permutation", NetworkParams(4, 1, 1e9)).entries)
+        save_csv(hot, tmp_path / "hot.csv")
+        result = sweep_degree(NetworkParams(4, 3, 1e9), [3, 4], seed=0,
+                              csv_paths=[tmp_path / "hot.csv"])
+        assert result.row("hot", "static", 3).error == (
+            "demand matrix violates hose model: row 0 sums to 3.5e+09 > 3e+09")
+        oblivious = evaluate_cell(hot, NetworkParams(4, 4, 1e9), "oblivious", seed=0, label="hot")
+        assert result.theta("hot", "oblivious", 4) == oblivious.theta > 0
+        assert result.theta("hot", "static", 4) == oblivious.theta
 
     def test_non_dividing_degree_still_sweeps(self):
         # no uniform schedule exists at u=3, but the emulated graph does

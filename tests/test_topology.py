@@ -119,11 +119,28 @@ class TestDemandAwareStatic:
         assert t.link_count.sum(axis=0).max() <= 4
 
     def test_hose_violation_rejected(self):
+        # the hose bound is the cell's check; the build rejects what it cannot
+        # lay out: floor links over the degree budget, named by node
         p = NetworkParams(4, 1, 1.0)
         entries = np.zeros((4, 4))
         entries[0, 1] = 2.0
-        with pytest.raises(ValueError, match="hose"):
+        with pytest.raises(ValueError, match=r"^node 0 needs 2 floor links, over the "
+                                             r"degree budget 1$"):
             build_demand_aware_static(DemandMatrix(entries), p, seed=0)
+
+    @pytest.mark.parametrize("build", [build_demand_aware_static, build_demand_aware_periodic,
+                                       build_one_shot_integer])
+    def test_wrong_size_rejected(self, build):
+        with pytest.raises(ValueError, match="dimension mismatch: matrix is 3x3, params say n=4"):
+            build(DemandMatrix(np.zeros((3, 3))), NetworkParams(4, 2, 1.0))
+
+    def test_demand_over_the_hose_bound_builds_while_its_floor_fits(self):
+        # row 0 sums to 1.8 > c*u = 1, but floors to no link: the rest is random
+        p = NetworkParams(4, 1, 1.0)
+        entries = np.zeros((4, 4))
+        entries[0, 1] = entries[0, 2] = 0.9
+        t = build_demand_aware_static(DemandMatrix(entries), p, seed=0)
+        np.testing.assert_array_equal(t.link_count.sum(axis=1), 1)
 
 
 class TestDemandAwarePeriodic:
@@ -162,6 +179,15 @@ class TestDemandAwarePeriodic:
         np.testing.assert_array_equal(topo.link_count.sum(axis=1), 6)
         np.testing.assert_array_equal(topo.link_count.sum(axis=0), 6)
         np.testing.assert_array_equal(schedule.union_counts(), topo.link_count)
+
+    def test_floor_over_the_degree_budget_names_the_node(self):
+        # 2 links of c*u/n = 0.5 from each other node into node 2: 6 > n = 4
+        p = NetworkParams(4, 2, 1.0)
+        entries = np.zeros((4, 4))
+        entries[[0, 1, 3], 2] = 1.0
+        with pytest.raises(ValueError, match=r"^node 2 needs 6 floor links, over the "
+                                             r"degree budget 4$"):
+            build_demand_aware_periodic(DemandMatrix(entries), p, seed=0)
 
 
 class TestSynthesizeSchedule:
@@ -230,6 +256,12 @@ class TestOneShotInteger:
         entries[0, 1] = 1.5
         with pytest.raises(ValueError, match="not integral"):
             build_one_shot_integer(DemandMatrix(entries), p)
+
+    def test_links_over_the_degree_budget_rejected(self):
+        p = NetworkParams(4, 1, 1.0)
+        m = generate("permutation", NetworkParams(4, 2, 1.0))  # 2 links per row
+        with pytest.raises(ValueError, match="degree budget 1 exceeded: max out 2, max in 2"):
+            build_one_shot_integer(m, p)
 
 
 class TestPadToRegular:
