@@ -63,7 +63,8 @@ def _outdir(out) -> Path:
 
 
 def read_config(path) -> dict:
-    """Flat `key = value` config file; '#' comments and blank lines ignored."""
+    """Flat `key = value` config file; '#' comments and blank lines ignored,
+    a repeated key is a ValueError."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -72,8 +73,10 @@ def read_config(path) -> dict:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, raw = text.partition("=")
-            values[key.strip()] = raw.strip()
+            key, _, raw = (part.strip() for part in text.partition("="))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            values[key] = raw
     return values
 
 

@@ -32,25 +32,17 @@ class Topology:
     """Directed capacitated multigraph over ToRs.
 
     link_count[i, j] is the number of parallel links i -> j, each of
-    link_capacity bits/s. Row/column sums never exceed degree_budget.
+    link_capacity bits/s: the three fields topology.json holds.
     """
 
     link_count: np.ndarray
     link_capacity: float
     net_class: str
-    degree_budget: int
 
     def __post_init__(self):
         counts = link_counts(self.link_count, "link counts")
         if not 0 < self.link_capacity < np.inf:
             raise ValueError(f"link capacity must be finite and positive, got {self.link_capacity}")
-        out_deg = counts.sum(axis=1)
-        in_deg = counts.sum(axis=0)
-        if out_deg.max(initial=0) > self.degree_budget or in_deg.max(initial=0) > self.degree_budget:
-            raise ValueError(
-                f"degree budget {self.degree_budget} exceeded: "
-                f"max out {int(out_deg.max())}, max in {int(in_deg.max())}"
-            )
         object.__setattr__(self, "link_count", counts)
 
     @property
@@ -125,11 +117,18 @@ def require_hose(m: DemandMatrix, p: NetworkParams):
         raise ValueError(f"demand matrix violates hose model: {report.violations[0].detail}")
 
 
-def _decompose(m: DemandMatrix, p: NetworkParams, unit: float):
-    """Integer-residual decomposition of the p.n x p.n matrix m in links of `unit`."""
+def _floor(m: DemandMatrix, p: NetworkParams, unit: float, budget: int):
+    """Integer-residual decomposition of the p.n x p.n matrix m in links of
+    `unit`, and the largest floor degree of a node. A node whose floor links
+    exceed `budget` is a ValueError naming it."""
     if m.n != p.n:
         raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, params say n={p.n}")
-    return decompose_integer_residual(normalize(m, unit))
+    dec = decompose_integer_residual(normalize(m, unit))
+    used = np.maximum(dec.int_part.sum(axis=1), dec.int_part.sum(axis=0))
+    i = int(np.argmax(used))
+    if used[i] > budget:
+        raise ValueError(f"node {i} needs {used[i]} floor links, over the degree budget {budget}")
+    return dec, int(used[i])
 
 
 def link_budget(net_class: str, p: NetworkParams):
@@ -145,7 +144,7 @@ def build_static_expander(p: NetworkParams, seed=0) -> Topology:
     """Random u-regular digraph with full-capacity links; demand-oblivious and fixed."""
     degree = min(p.u, p.n - 1)  # simple digraph: at most n-1 distinct partners
     counts = random_regular_digraph(p.n, degree, seed_sequence(seed, _RESIDUAL_SALT))
-    return Topology(counts, p.c, "static", p.u)
+    return Topology(counts, p.c, "static")
 
 
 def build_oblivious_equivalent(p: NetworkParams) -> Topology:
@@ -154,8 +153,8 @@ def build_oblivious_equivalent(p: NetworkParams) -> Topology:
     One padding self-loop per node brings the row sums to n, matching the union
     of the n matchings a full rotation executes.
     """
-    unit, budget = link_budget("oblivious", p)
-    return Topology(np.ones((p.n, p.n), dtype=np.int64), unit, "oblivious", budget)
+    unit = link_budget("oblivious", p)[0]
+    return Topology(np.ones((p.n, p.n), dtype=np.int64), unit, "oblivious")
 
 
 def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
@@ -169,22 +168,18 @@ def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
     other one gives a light pair a direct link. All 8 on floor pairs gives
     4/5; the 64/15 a random draw places there on average gives about 0.84.
     """
-    ints = _decompose(m, p, unit).int_part
-    used = np.maximum(ints.sum(axis=1), ints.sum(axis=0))
-    i = int(np.argmax(used))
-    if used[i] > budget:
-        raise ValueError(f"node {i} needs {used[i]} floor links, over the degree budget {budget}")
-    d = min(budget - int(used[i]), p.n - 1)
+    dec, used = _floor(m, p, unit, budget)
+    d = min(budget - used, p.n - 1)
     if d < 1:
-        return np.array(ints)
-    return ints + random_regular_digraph(p.n, d, seed_sequence(seed, _RESIDUAL_SALT))
+        return np.array(dec.int_part)
+    return dec.int_part + random_regular_digraph(p.n, d, seed_sequence(seed, _RESIDUAL_SALT))
 
 
 def build_demand_aware_static(m: DemandMatrix, p: NetworkParams, seed=0) -> Topology:
     """One-shot demand-optimized topology: direct links per floor entry, random regular rest.
     A node whose floor links exceed the budget u is a ValueError naming it."""
     counts = _demand_aware_counts(m, p, p.c, p.u, seed)
-    return Topology(counts, p.c, "da-static", p.u)
+    return Topology(counts, p.c, "da-static")
 
 
 def _pad_to_regular(counts: np.ndarray, degree: int) -> np.ndarray:
@@ -227,7 +222,7 @@ def build_demand_aware_emulated(m: DemandMatrix, p: NetworkParams, seed=0) -> To
     """
     unit, budget = link_budget("da-periodic", p)
     counts = _demand_aware_counts(m, p, unit, budget, seed)
-    return Topology(_pad_to_regular(counts, budget), unit, "da-periodic", budget)
+    return Topology(_pad_to_regular(counts, budget), unit, "da-periodic")
 
 
 def build_demand_aware_periodic(m: DemandMatrix, p: NetworkParams, seed=0):
@@ -278,11 +273,11 @@ def build_one_shot_integer(m: DemandMatrix, p: NetworkParams) -> Topology:
     """Topology with exactly floor(m/c) links per pair, for integer-valued normalized demand.
 
     Every demand is routable in one hop at full throughput. Raises ValueError
-    when the normalized matrix has fractional entries or over u links at a node.
+    when a node needs over u links or the normalized matrix has fractional entries.
     """
-    dec = _decompose(m, p, p.c)
+    dec, _ = _floor(m, p, p.c, p.u)
     if np.any(dec.res_part > 0):
         i, j = np.argwhere(dec.res_part > 0)[0]
         raise ValueError(f"normalized demand is not integral at ({i}, {j}); "
                          "build a demand-aware topology instead")
-    return Topology(dec.int_part, p.c, "one-shot", p.u)
+    return Topology(dec.int_part, p.c, "one-shot")

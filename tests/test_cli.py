@@ -228,7 +228,7 @@ class TestEval:
         data = json.loads((tmp_path / "topology.json").read_text())
         n = data["n"]
         topo = Topology(np.array(data["link_count"]).reshape(n, n), data["link_capacity"],
-                        data["class"], degree_budget=n)
+                        data["class"])
         scaled = chess.scaled(theta)
         cert = solve_max_throughput(topo, scaled)
         assert cert.theta >= OBJECTIVE_REACHED
@@ -530,6 +530,16 @@ class TestReproduce:
         assert result.exit_code == 2
         assert result.output == f"error: {config}:4: expected 'key = value', got 'u 2'\n"
         assert not (tmp_path / "fig3.csv").exists()
+
+    def test_repeated_config_key_exits_two(self, runner, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("n = 8\nu = 2\nn = 6\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["reproduce", "fig3", "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == f"error: {config}:3: repeated key 'n'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
         ("n = x", "Invalid value for '--n': 'x' is not a valid integer"),

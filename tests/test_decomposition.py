@@ -329,7 +329,7 @@ class TestColouringProperties:
         n = counts.shape[0]
         u = data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        topo = Topology(counts, 1.0, "test", degree_budget=n)
+        topo = Topology(counts, 1.0, "test")
         schedule = synthesize_schedule(topo, u, seed=seed)
         assert schedule.u == u and schedule.period == n // u
         np.testing.assert_array_equal(

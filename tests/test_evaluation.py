@@ -55,7 +55,7 @@ class TestThroughputFunctions:
         # Arcs 0->1, 1->0, 1->2 (row-major), one source (0) sending 1 to node 2.
         counts = np.zeros((3, 3), dtype=int)
         counts[0, 1] = counts[1, 0] = counts[1, 2] = 1
-        t = Topology(counts, 1.0, "test", degree_budget=2)
+        t = Topology(counts, 1.0, "test")
         entries = np.zeros((3, 3))
         entries[0, 2] = 1.0
         m = DemandMatrix(entries)

@@ -43,7 +43,7 @@ from lp_oracle import path_lp_throughput
 def complete_topology(n, cap=1.0):
     counts = np.ones((n, n), dtype=int)
     np.fill_diagonal(counts, 0)
-    return Topology(counts, cap, "test", degree_budget=n - 1)
+    return Topology(counts, cap, "test")
 
 
 def unit_uniform_demand(n):
@@ -60,7 +60,7 @@ class TestSolveMaxThroughput:
     def test_single_link_half_throughput(self):
         counts = np.zeros((2, 2), dtype=int)
         counts[0, 1] = 1
-        t = Topology(counts, 1.0, "test", degree_budget=1)
+        t = Topology(counts, 1.0, "test")
         entries = np.zeros((2, 2))
         entries[0, 1] = 2.0
         result = solve_max_throughput(t, DemandMatrix(entries))
@@ -69,7 +69,7 @@ class TestSolveMaxThroughput:
     def test_commodity_with_no_outgoing_arcs_forces_zero(self):
         counts = np.zeros((3, 3), dtype=int)
         counts[1, 2] = 1
-        t = Topology(counts, 1.0, "test", degree_budget=1)
+        t = Topology(counts, 1.0, "test")
         entries = np.zeros((3, 3))
         entries[0, 1] = 1.0
         result = solve_max_throughput(t, DemandMatrix(entries))
@@ -90,7 +90,7 @@ class TestSolveMaxThroughput:
         entries[0, 1] = 0.25
         counts = np.zeros((2, 2), dtype=int)
         counts[0, 1] = 1
-        t = Topology(counts, 1.0, "test", degree_budget=1)
+        t = Topology(counts, 1.0, "test")
         result = solve_max_throughput(t, DemandMatrix(entries))
         assert result.theta == pytest.approx(4.0, abs=1e-8)
 
@@ -114,14 +114,14 @@ class TestSolveMaxThroughput:
         np.fill_diagonal(entries, 0.0)
         if not entries.any():
             entries[0, 1] = 1.0
-        t = Topology(counts, 1.0, "test", degree_budget=n)
+        t = Topology(counts, 1.0, "test")
         base = solve_max_throughput(t, DemandMatrix(entries)).theta
         bumped = counts.copy()
         i, j = rng.integers(0, n, 2)
         while i == j:
             j = rng.integers(0, n)
         bumped[i, j] += 1
-        t2 = Topology(bumped, 1.0, "test", degree_budget=n + 1)
+        t2 = Topology(bumped, 1.0, "test")
         assert solve_max_throughput(t2, DemandMatrix(entries)).theta >= base - 1e-7
 
     def test_methods_agree(self, monkeypatch):
@@ -170,7 +170,7 @@ class TestPathOracleEquivalence:
         ring = np.zeros((n, n), dtype=int)
         for i in range(n):
             ring[i, (i + 1) % n] = 1
-        yield Topology(ring, 1.0, "ring", degree_budget=1)
+        yield Topology(ring, 1.0, "ring")
         rng = np.random.default_rng(n)
         for seed in range(4):
             counts = rng.integers(0, 3, size=(n, n))
@@ -178,7 +178,7 @@ class TestPathOracleEquivalence:
             # make sure every node can reach out and be reached
             for i in range(n):
                 counts[i, (i + 1) % n] = max(counts[i, (i + 1) % n], 1)
-            yield Topology(counts, 1.0, f"rand{seed}", degree_budget=int(counts.sum(axis=1).max()))
+            yield Topology(counts, 1.0, f"rand{seed}")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_equivalence(self, n):
@@ -199,8 +199,7 @@ def random_instances(draw):
     entries = np.array(draw(st.lists(demand, min_size=n * n, max_size=n * n))).reshape(n, n)
     np.fill_diagonal(entries, 0.0)
     assume(entries.any())
-    budget = max(int(counts.sum(axis=0).max()), int(counts.sum(axis=1).max()), 1)
-    return Topology(counts, 1.0, "random", degree_budget=budget), DemandMatrix(entries)
+    return Topology(counts, 1.0, "random"), DemandMatrix(entries)
 
 
 class TestRandomInstances:
@@ -259,7 +258,7 @@ class TestThroughputUpperBound:
         # criterion 2's 4/5: 2 links on every opposite-parity pair at n=16, u=4
         p = NetworkParams(16, 4, 25e9)
         heavy = np.add.outer(np.arange(p.n), np.arange(p.n)) % 2
-        t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy", degree_budget=p.n)
+        t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy")
         m = generate("chessboard", p)
         lp = solve_max_throughput(t, m).theta
         assert throughput_upper_bound(t, m) == pytest.approx(0.80, abs=1e-9)
@@ -268,7 +267,7 @@ class TestThroughputUpperBound:
     def test_unreachable_demand_gives_zero_without_warnings(self):
         counts = np.zeros((3, 3), dtype=int)
         counts[1, 2] = 1
-        t = Topology(counts, 1.0, "test", degree_budget=1)
+        t = Topology(counts, 1.0, "test")
         entries = np.zeros((3, 3))
         entries[0, 1] = 1.0
         with warnings.catch_warnings():
@@ -462,7 +461,7 @@ class TestVerifySolution:
     def test_conservation_violation_detected(self):
         counts = np.zeros((3, 3), dtype=int)
         counts[0, 1] = counts[1, 2] = 1
-        t = Topology(counts, 1.0, "line", degree_budget=1)
+        t = Topology(counts, 1.0, "line")
         entries = np.zeros((3, 3))
         entries[0, 2] = 1.0
         m = DemandMatrix(entries)
@@ -712,7 +711,7 @@ class TestExportLp:
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 1] = counts[2, 3] = counts[3, 0] = 1
         counts[1, 2] = 2
-        t = Topology(counts, 1.0, "ring", degree_budget=2)
+        t = Topology(counts, 1.0, "ring")
         entries = np.zeros((4, 4))
         entries[0, 2] = 1.5
         entries[0, 3] = 0.25

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdcn_throughput import (
     DemandMatrix,
@@ -7,6 +9,7 @@ from rdcn_throughput import (
     PeriodicSchedule,
     PermutationMatching,
     Topology,
+    build_demand_aware_emulated,
     build_demand_aware_periodic,
     build_demand_aware_static,
     build_oblivious_equivalent,
@@ -15,16 +18,12 @@ from rdcn_throughput import (
     generate,
     synthesize_schedule,
 )
-from rdcn_throughput.topology import _pad_to_regular
+from rdcn_throughput.topology import _pad_to_regular, link_budget
 
 
 class TestTopologyType:
-    def test_budget_enforced(self):
-        with pytest.raises(ValueError, match="budget"):
-            Topology(np.ones((3, 3), dtype=int), 1.0, "x", degree_budget=2)
-
     def test_integral_float_counts_accepted(self):
-        t = Topology([[0.0, 2.0], [2.0, 0.0]], 1.0, "x", 2)
+        t = Topology([[0.0, 2.0], [2.0, 0.0]], 1.0, "x")
         assert t.link_count.dtype == np.int64 and t.link_count[0, 1] == 2
         assert not t.link_count.flags.writeable
 
@@ -36,20 +35,20 @@ class TestTopologyType:
     ])
     def test_bad_link_counts_rejected(self, counts, match):
         with pytest.raises(ValueError, match=match):
-            Topology(counts, 1.0, "x", degree_budget=2)
+            Topology(counts, 1.0, "x")
 
     @pytest.mark.parametrize("capacity", [0.0, np.inf, np.nan])
     def test_link_capacity_must_be_finite_and_positive(self, capacity):
         with pytest.raises(ValueError, match="finite and positive"):
-            Topology(np.eye(2, dtype=int), capacity, "x", degree_budget=1)
+            Topology(np.eye(2, dtype=int), capacity, "x")
 
     def test_routable_counts_drop_diagonal(self):
-        t = Topology(np.ones((3, 3), dtype=int), 1.0, "x", degree_budget=3)
+        t = Topology(np.ones((3, 3), dtype=int), 1.0, "x")
         assert t.routable_counts()[1, 1] == 0
         assert t.link_count[1, 1] == 1
 
     def test_json_keys(self):
-        t = Topology(np.eye(2, dtype=int), 2.5, "one-shot", degree_budget=1)
+        t = Topology(np.eye(2, dtype=int), 2.5, "one-shot")
         payload = t.to_json_dict()
         assert set(payload) == {"n", "link_capacity", "class", "link_count"}
         assert payload["link_count"] == [1, 0, 0, 1]
@@ -180,7 +179,7 @@ class TestDemandAwarePeriodic:
         np.testing.assert_array_equal(topo.link_count.sum(axis=0), 6)
         np.testing.assert_array_equal(schedule.union_counts(), topo.link_count)
 
-    def test_floor_over_the_degree_budget_names_the_node(self):
+    def test_floor_over_the_budget_names_the_node(self):
         # 2 links of c*u/n = 0.5 from each other node into node 2: 6 > n = 4
         p = NetworkParams(4, 2, 1.0)
         entries = np.zeros((4, 4))
@@ -192,14 +191,14 @@ class TestDemandAwarePeriodic:
 
 class TestSynthesizeSchedule:
     def test_two_switches_two_slots(self):
-        t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic", degree_budget=4)
+        t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic")
         schedule = synthesize_schedule(t, 2, seed=0)
         assert schedule.u == 2
         assert schedule.period == 2
         np.testing.assert_array_equal(schedule.union_counts(), t.link_count)
 
     def test_one_matching_per_switch_when_u_equals_n(self):
-        t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic", degree_budget=4)
+        t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic")
         schedule = synthesize_schedule(t, 4, seed=0)
         assert schedule.period == 1
         assert all(len(slots) == 1 for slots in schedule.switches)
@@ -207,28 +206,28 @@ class TestSynthesizeSchedule:
     def test_irregular_topology_rejected(self):
         counts = np.ones((4, 4), dtype=int)
         counts[0, 1] = 0
-        t = Topology(counts, 1.0, "x", degree_budget=4)
+        t = Topology(counts, 1.0, "x")
         with pytest.raises(ValueError, match="regular"):
             synthesize_schedule(t, 2, seed=0)
 
     def test_wrong_degree_rejected(self):
-        t = Topology(np.eye(4, dtype=int), 1.0, "x", degree_budget=4)
+        t = Topology(np.eye(4, dtype=int), 1.0, "x")
         with pytest.raises(ValueError, match="degree"):
             synthesize_schedule(t, 2, seed=0)
 
     def test_indivisible_u_rejected(self):
-        t = Topology(np.ones((4, 4), dtype=int), 1.0, "x", degree_budget=4)
+        t = Topology(np.ones((4, 4), dtype=int), 1.0, "x")
         with pytest.raises(ValueError, match="divisible"):
             synthesize_schedule(t, 3, seed=0)
 
     @pytest.mark.parametrize("u", [0, -1, 5])
     def test_u_out_of_range_rejected(self, u):
-        t = Topology(np.ones((4, 4), dtype=int), 1.0, "x", degree_budget=4)
+        t = Topology(np.ones((4, 4), dtype=int), 1.0, "x")
         with pytest.raises(ValueError, match=rf"u={u} must satisfy 1 <= u <= n=4"):
             synthesize_schedule(t, u, seed=0)
 
     def test_schedule_json_keys(self):
-        t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic", degree_budget=4)
+        t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic")
         payload = synthesize_schedule(t, 2, seed=0).to_json_dict()
         assert set(payload) == {"u", "gamma", "slot_duration_s", "reconfig_duration_s", "switches"}
         assert payload["gamma"] == 2
@@ -257,11 +256,42 @@ class TestOneShotInteger:
         with pytest.raises(ValueError, match="not integral"):
             build_one_shot_integer(DemandMatrix(entries), p)
 
-    def test_links_over_the_degree_budget_rejected(self):
+    def test_floor_links_over_the_budget_rejected(self):
         p = NetworkParams(4, 1, 1.0)
         m = generate("permutation", NetworkParams(4, 2, 1.0))  # 2 links per row
-        with pytest.raises(ValueError, match="degree budget 1 exceeded: max out 2, max in 2"):
+        with pytest.raises(ValueError, match=r"^node 0 needs 2 floor links, over the "
+                                             r"degree budget 1$"):
             build_one_shot_integer(m, p)
+
+
+@st.composite
+def hose_cells(draw):
+    """(m, p, seed): a suite or random-saturated matrix at n in 2..16, u in
+    1..n, scaled by s in (0, 1], so within the hose bound c*u."""
+    n = draw(st.integers(2, 16))
+    p = NetworkParams(n, draw(st.integers(1, n)), draw(st.sampled_from([1.0, 25e9])))
+    kind = draw(st.sampled_from(["random-saturated", "uniform", "permutation", "mix"]
+                                + ["chessboard"] * (n % 2 == 0)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    m = generate(kind, p, alpha=draw(st.floats(0, 1)), seed=seed)
+    return m.scaled(draw(st.floats(0, 1, exclude_min=True))), p, seed
+
+
+class TestBuildDegrees:
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(hose_cells())
+    def test_builds_stay_within_their_link_budget(self, cell):
+        m, p, seed = cell
+        one_shot = DemandMatrix(np.floor(m.entries / p.c) * p.c)  # integral in links of c
+        for net_class, t in [("static", build_static_expander(p, seed=seed)),
+                             ("da-static", build_demand_aware_static(m, p, seed=seed)),
+                             ("one-shot", build_one_shot_integer(one_shot, p))]:
+            budget = link_budget(net_class, p)[1]
+            assert t.link_count.sum(axis=1).max() <= budget, net_class
+            assert t.link_count.sum(axis=0).max() <= budget, net_class
+        for t in (build_oblivious_equivalent(p), build_demand_aware_emulated(m, p, seed=seed)):
+            np.testing.assert_array_equal(t.link_count.sum(axis=1), p.n)
+            np.testing.assert_array_equal(t.link_count.sum(axis=0), p.n)
 
 
 class TestPadToRegular:
