@@ -47,18 +47,13 @@ class _Capacity(click.types.FloatParamType):
         return c
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _outdir(out) -> Path:
-    """The output directory, made if missing; an input error when it cannot be."""
+    """The output directory, made if missing; a ValueError when it cannot be."""
     path = Path(out if out is not None else os.environ.get(OUT_ENV_VAR, "."))
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        _fail(EXIT_INPUT, f"cannot make output directory {path}: {exc.strerror}")
+        raise ValueError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -89,18 +84,15 @@ def _apply_config(ctx, param, path):
     range-checked by its own option here, so an error names the file."""
     if path is None:
         return
-    try:
-        values = read_config(path)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
+    values = read_config(path)
     options = {opt.name: opt for opt in ctx.command.params}
     for key, raw in values.items():
         if key not in CONFIG_KEYS:
-            _fail(EXIT_INPUT, f"{path}: unknown config key {key!r}")
+            raise ValueError(f"{path}: unknown config key {key!r}")
         try:
             values[key] = options[key].type_cast_value(ctx, raw)
         except click.BadParameter as exc:
-            _fail(EXIT_INPUT, f"{path}: {exc.format_message()}")
+            raise ValueError(f"{path}: {exc.format_message()}") from None
     ctx.default_map = values
 
 
@@ -114,7 +106,23 @@ def fig4_degrees(n: int) -> list:
     return degrees if n in degrees else degrees + [n]
 
 
-@click.group()
+class _Main(click.Group):
+    """The CLI's one error boundary. A ValueError, or an OSError that names a
+    file, is an input error (exit 2) and a SolverError a solver error (exit 3),
+    each reported as one `error:` line on stderr. Any other exception, an
+    OSError with no file among them, keeps click's handling or its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError, flowlp.SolverError) as exc:
+            if isinstance(exc, OSError) and exc.filename is None:
+                raise
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_SOLVER if isinstance(exc, flowlp.SolverError) else EXIT_INPUT)
+
+
+@click.group(cls=_Main)
 def main():
     """Synthesize reconfigurable-datacenter topologies and compute LP throughput."""
 
@@ -132,15 +140,12 @@ def main():
 @click.option("--name", default=None, help="Output file name [default: <kind>.csv].")
 def gen(kind, n, u, c, alpha, shift, seed, out, name):
     """Generate a demand matrix CSV and print a hose-validation summary."""
-    try:
-        params = NetworkParams(n, u if u is not None else n, c)
-        matrix = generate(kind, params, alpha=alpha, shift=shift, seed=seed)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    params = NetworkParams(n, u if u is not None else n, c)
+    matrix = generate(kind, params, alpha=alpha, shift=shift, seed=seed)
     path = _outdir(out) / (name or f"{kind}.csv")
-    comment = f"kind={kind} n={params.n} u={params.u} c={params.c:.17g} seed={seed}" + (
-        f" alpha={alpha}" if kind == "mix" else ""
-    )
+    comment = f"kind={kind} n={params.n} u={params.u} c={params.c:.17g} seed={seed}"
+    comment += f" alpha={alpha}" if kind == "mix" else ""
+    comment += f" shift={shift}" if kind in ("permutation", "mix") else ""
     save_csv(matrix, path, comment=comment)
     report = validate_hose(matrix, params)
     rows = matrix.row_sums()
@@ -162,12 +167,9 @@ def gen(kind, n, u, c, alpha, shift, seed, out, name):
 @click.option("--out", type=click.Path(), default=None)
 def decompose(matrix_path, c, normalized, out):
     """Split a matrix into integer floor + residual parts and classify its residual."""
-    try:
-        m = load_csv(matrix_path)
-        work = m if normalized else normalize(m, c)
-        dec = decompose_integer_residual(work)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    m = load_csv(matrix_path)
+    work = m if normalized else normalize(m, c)
+    dec = decompose_integer_residual(work)
     cls = classify_uniform_residual(dec)
     stem = Path(matrix_path).stem
     outdir = _outdir(out)
@@ -198,18 +200,12 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
     The build seed comes from --seed and the file's stem, as for a sweep cell
     of the same label (`reproduce --matrix-csv`).
     """
-    try:
-        m = load_csv(matrix_path)
-        if normalized:
-            m = DemandMatrix(m.entries * c)
-        p = NetworkParams(m.n, u, c)
-        outdir = _outdir(out) if emit_topo else None  # before any solve
-        cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except flowlp.SolverError as exc:
-        _fail(EXIT_SOLVER, str(exc))
-
+    m = load_csv(matrix_path)
+    if normalized:
+        m = DemandMatrix(m.entries * c)
+    p = NetworkParams(m.n, u, c)
+    outdir = _outdir(out) if emit_topo else None  # before any solve
+    cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)
     click.echo(f"theta({net_class}, {Path(matrix_path).name}) = {cell.theta:.6g}")
     if trace and cell.trace is not None:
         click.echo(json.dumps(cell.trace.to_json_dict(), indent=2))
@@ -247,18 +243,11 @@ def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, o
               help="Flat key=value config file (flags take precedence).")
 def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
-    try:
-        degrees = [u] if figure == "fig3" else fig4_degrees(n)
-        p = NetworkParams(n, degrees[0], c)
-        suite = evaluation.build_suite(p, csv_paths=matrix_csv)  # reads every --matrix-csv
-        outdir = _outdir(out)  # after the inputs, before any solve
-        if figure == "fig3":
-            result = evaluation.sweep_matrices(p, suite, seed=seed, jobs=jobs)
-        else:
-            result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs,
-                                             csv_paths=matrix_csv)
-    except ValueError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    degrees = [u] if figure == "fig3" else fig4_degrees(n)
+    p = NetworkParams(n, degrees[0], c)
+    suite = evaluation.build_suite(p, csv_paths=matrix_csv)  # reads every --matrix-csv
+    outdir = _outdir(out)  # after the inputs, before any solve
+    result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs, csv_paths=matrix_csv)
     for matrix, net_class, degree, message in result.errors:
         click.echo(f"cell ({matrix}, {net_class}, u={degree}) failed: {message}", err=True)
 

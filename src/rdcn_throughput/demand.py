@@ -46,6 +46,9 @@ class NetworkParams:
     c: float
 
     def __post_init__(self):
+        for name in ("n", "u"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.n < 2:
             raise ValueError(f"need at least 2 ToRs, got n={self.n}")
         if not 1 <= self.u <= self.n:

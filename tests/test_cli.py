@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import click
 import numpy as np
@@ -20,7 +24,7 @@ from rdcn_throughput import (
     solve_max_throughput,
     verify_solution,
 )
-from rdcn_throughput import evaluation
+from rdcn_throughput import cli, evaluation
 from rdcn_throughput.cli import CONFIG_KEYS, fig4_degrees, main, read_config, reproduce
 from rdcn_throughput.evaluation import LANDSCAPE_CRITERIA, OBJECTIVE_REACHED, check_landscape
 from rdcn_throughput.svg import grouped_bar_chart
@@ -94,6 +98,51 @@ class TestOutDir:
         assert "Traceback" not in result.output
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("args, occupied", [
+        (["gen", "--kind", "uniform", "--n", "4"], "uniform.csv"),
+        (["decompose", "{matrix}"], "perm_int.csv"),
+        (["eval", "{matrix}", "--class", "da-periodic", "--u", "2", "--c", "1e9",
+          "--emit-topo"], "topology.json"),
+        (["eval", "{matrix}", "--class", "da-periodic", "--u", "2", "--c", "1e9",
+          "--emit-topo"], "schedule.json"),
+        (["reproduce", "fig3", "--n", "4", "--u", "2", "--c", "1e9"], "fig3.csv"),
+    ], ids=["gen", "decompose", "eval-topology", "eval-schedule", "reproduce"])
+    def test_directory_at_an_output_file_exits_two(self, runner, tmp_path, args, occupied):
+        matrix = str(write_small_permutation(tmp_path))
+        out = tmp_path / "out"
+        (out / occupied).mkdir(parents=True)
+        result = runner.invoke(main, [a.format(matrix=matrix) for a in args]
+                               + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert str(out / occupied) in result.stderr
+
+    def test_unwritable_file_exits_two_in_a_real_process(self, tmp_path):
+        # click's CliRunner catches exceptions itself; the interpreter does not
+        (tmp_path / "uniform.csv").mkdir()
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "rdcn_throughput.cli", "gen", "--kind",
+                               "uniform", "--n", "4", "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(tmp_path / "uniform.csv") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("exc", [BrokenPipeError(), RuntimeError("a programming error")],
+                             ids=["os-error-without-file", "runtime-error"])
+    def test_other_exceptions_pass_the_boundary(self, runner, tmp_path, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate", fail)
+        result = runner.invoke(main, ["gen", "--kind", "uniform", "--n", "4",
+                                      "--out", str(tmp_path)])
+        assert result.exception is exc and "error:" not in result.output
+
 
 class TestGen:
     def test_chessboard_rows_sum_to_node_capacity(self, runner, tmp_path):
@@ -116,6 +165,33 @@ class TestGen:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert "even" in result.output
+
+    def test_shift_and_name(self, runner, tmp_path):
+        result = runner.invoke(main, ["gen", "--kind", "permutation", "--n", "4", "--u", "2",
+                                      "--c", "1", "--shift", "3", "--name", "p3.csv",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p3.csv"]
+        expected = np.zeros((4, 4))
+        expected[np.arange(4), (np.arange(4) + 3) % 4] = 2
+        np.testing.assert_array_equal(load_csv(tmp_path / "p3.csv").entries, expected)
+        comment = (tmp_path / "p3.csv").read_text().splitlines()[0]
+        assert comment == "# kind=permutation n=4 u=2 c=1 seed=0 shift=3"
+
+    def test_mix_comment_records_alpha_and_shift(self, runner, tmp_path):
+        result = runner.invoke(main, ["gen", "--kind", "mix", "--alpha", "0.5", "--n", "4",
+                                      "--u", "2", "--c", "1", "--shift", "2",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        comment = (tmp_path / "mix.csv").read_text().splitlines()[0]
+        assert comment == "# kind=mix n=4 u=2 c=1 seed=0 alpha=0.5 shift=2"
+
+    def test_shift_zero_mod_n_exits_two(self, runner, tmp_path):
+        result = runner.invoke(main, ["gen", "--kind", "permutation", "--n", "4",
+                                      "--shift", "4", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == "error: shift=4 is 0 mod n=4: would demand self-traffic\n"
+        assert not (tmp_path / "permutation.csv").exists()
 
     def test_out_env_var_used(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("RDCN_THROUGHPUT_OUT", str(tmp_path))

@@ -33,10 +33,17 @@ class TestNetworkParams:
         (4, 2, 0.0),        # zero capacity
         (4, 2, np.inf),     # infinite capacity
         (4, 2, np.nan),     # no capacity at all
+        (16, 4.5, 1.0),     # fractional degree
+        (16.0, 4, 1.0),     # float ToR count
     ])
     def test_rejects_bad_params(self, n, u, c):
         with pytest.raises(ValueError):
             NetworkParams(n, u, c)
+
+    def test_integer_fields_take_numpy_integers_and_name_a_float(self):
+        assert NetworkParams(np.int64(8), np.int64(4), 1.0).node_capacity == 4.0
+        with pytest.raises(ValueError, match=r"^u must be an integer, got 4\.5$"):
+            NetworkParams(16, 4.5, 1.0)
 
     def test_non_dividing_degree_allowed(self):
         p = NetworkParams(16, 12, 1.0)
