@@ -39,7 +39,6 @@ from .evaluation import (
 from .flowlp import (
     SolverError,
     ThroughputResult,
-    export_lp,
     solve_max_throughput,
     verify_solution,
 )

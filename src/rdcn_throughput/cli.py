@@ -247,13 +247,14 @@ def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     p = NetworkParams(n, degrees[0], c)
     suite = evaluation.build_suite(p, csv_paths=matrix_csv)  # reads every --matrix-csv
     outdir = _outdir(out)  # after the inputs, before any solve
+    csv_path, json_path, svg_path = (outdir / f"{figure}.{ext}" for ext in ("csv", "json", "svg"))
+    for path in (csv_path, json_path, svg_path):  # claimed before any solve; "a" keeps old bytes
+        open(path, "a", encoding="utf-8").close()
     result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs, csv_paths=matrix_csv)
     for matrix, net_class, degree, message in result.errors:
         click.echo(f"cell ({matrix}, {net_class}, u={degree}) failed: {message}", err=True)
 
-    csv_path = outdir / f"{figure}.csv"
     csv_path.write_text(result.to_csv_text(), encoding="utf-8")
-    json_path = outdir / f"{figure}.json"
     json_path.write_text(json.dumps(result.to_json_dict(), indent=2, allow_nan=False) + "\n",
                          encoding="utf-8")
 
@@ -267,7 +268,6 @@ def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
         series = {cls: [result.worst_case(cls, d)[0] for d in groups] for cls in classes}
         title = f"worst-case throughput per degree (n={n})"
     checks = evaluation.check_landscape(result, suite, p, figure=figure)
-    svg_path = outdir / f"{figure}.svg"
     svg_path.write_text(svg.grouped_bar_chart([str(g) for g in groups], series, title=title),
                         encoding="utf-8")
     click.echo(f"wrote {csv_path}, {json_path}, {svg_path}")

@@ -31,8 +31,7 @@ in one `_FlowLP` record. `solve_max_throughput` hands it to HiGHS through
 `linprog`, one direct call into the binding that scipy bundles, and returns
 its flow columns as a sources x arcs block together with the record.
 `verify_solution` checks that block against the record's arcs and rows
-without touching its matrices, returning a `demand.Report` of `Violation`s,
-and `export_lp` renders the rows as text.
+without touching its matrices, returning a `demand.Report` of `Violation`s.
 `throughput_upper_bound` bounds the LP's optimum from the topology alone,
 without solving it.
 """
@@ -88,8 +87,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class _FlowLP:
-    """The LP of m on t, built once by `_assemble_lp`: what HiGHS solves,
-    `verify_solution` checks a flow block against and `export_lp` renders.
+    """The LP of m on t, built once by `_assemble_lp`: what HiGHS solves and
+    `verify_solution` checks a flow block against.
     Column 0 is theta; column 1 + k*len(arcs) + a is the flow of sources[k]
     on arcs[a]."""
 
@@ -101,10 +100,6 @@ class _FlowLP:
     c: np.ndarray
     A_ub: sp.csr_matrix  # one cap row per arc, <= capacity
     A_eq: sp.csr_matrix  # one bal row per (s, v) of balance, == 0
-
-    def column_names(self) -> list:
-        i, j = self.arcs.T.tolist()
-        return ["theta"] + [f"f_{s}_{a}_{b}" for s in self.sources.tolist() for a, b in zip(i, j)]
 
 
 @dataclass(frozen=True, eq=False)  # == on an array field would raise; compare fields
@@ -419,38 +414,3 @@ def verify_solution(r: ThroughputResult) -> Report:
                 "conservation", f"source {s_q} unbalanced at node {v_q} by {gap[q]:.9g}",
                 abs(float(gap[q]))))
     return Report(tuple(violations))
-
-
-def _lp_expr(cols, coefs, names) -> str:
-    terms = []
-    for col, coef in zip(cols.tolist(), coefs.tolist()):
-        body = names[col] if abs(coef) == 1 else f"{abs(coef):.17g} {names[col]}"
-        terms.append(f"{'-' if coef < 0 else '+'} {body}")
-    text = " ".join(terms)
-    return text[2:] if text.startswith("+ ") else text
-
-
-def export_lp(t: Topology, m: DemandMatrix) -> str:
-    """Render the assembled LP of m (bits/s) on t as text: columns theta and
-    f_<s>_<i>_<j>, rows cap_<i>_<j> then bal_<s>_<v> in link units, in the
-    order the solver receives them."""
-    lp = _assemble_lp(t, m)
-    names = lp.column_names()
-    objective = np.flatnonzero(lp.c)
-    lines = [
-        f"\\ max-throughput LP for a {t.net_class!r} network, n={t.n}",
-        "Maximize",
-        f" obj: {_lp_expr(objective, -lp.c[objective], names)}",
-        "Subject To",
-    ]
-    blocks = (
-        (lp.A_ub, (f"cap_{i}_{j}" for i, j in lp.arcs.tolist()), "<=", lp.capacity),
-        (lp.A_eq, (f"bal_{s}_{v}" for s, v in lp.balance.tolist()), "=", np.zeros(len(lp.balance))),
-    )
-    for matrix, row_names, sense, rhs in blocks:
-        for row, name in enumerate(row_names):
-            span = slice(matrix.indptr[row], matrix.indptr[row + 1])
-            expr = _lp_expr(matrix.indices[span], matrix.data[span], names)
-            lines.append(f" {name}: {expr} {sense} {rhs[row]:.17g}")
-    lines += ["Bounds", " theta >= 0", "End", ""]
-    return "\n".join(lines)

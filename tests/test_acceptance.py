@@ -3,8 +3,8 @@
 One test per criterion; each prints its own [PASS]/[FAIL] line with the
 measured values. Criteria 1-7 read their landscape bounds from the criteria
 table that `reproduce` prints too. The degree sweep backing them runs once per
-session and takes the bulk of the time (5.1 s at two workers on a 2-core host,
-of 9.0 s for the module).
+session and takes the bulk of the time (4.5 s at two workers on a 2-core host,
+of 7.6 s for the module).
 """
 
 import os

@@ -106,8 +106,17 @@ class TestOutDir:
         (["eval", "{matrix}", "--class", "da-periodic", "--u", "2", "--c", "1e9",
           "--emit-topo"], "schedule.json"),
         (["reproduce", "fig3", "--n", "4", "--u", "2", "--c", "1e9"], "fig3.csv"),
-    ], ids=["gen", "decompose", "eval-topology", "eval-schedule", "reproduce"])
-    def test_directory_at_an_output_file_exits_two(self, runner, tmp_path, args, occupied):
+        (["reproduce", "fig3", "--n", "4", "--u", "2", "--c", "1e9"], "fig3.json"),
+        (["reproduce", "fig3", "--n", "4", "--u", "2", "--c", "1e9"], "fig3.svg"),
+    ], ids=["gen", "decompose", "eval-topology", "eval-schedule", "reproduce",
+            "reproduce-json", "reproduce-svg"])
+    def test_directory_at_an_output_file_exits_two(self, runner, tmp_path, monkeypatch, args,
+                                                   occupied):
+        def sweep_degree(*args, **kwargs):
+            raise RuntimeError("reproduce reached the sweep")
+
+        # reproduce claims its figure files before the sweep, so it never gets there
+        monkeypatch.setattr(evaluation, "sweep_degree", sweep_degree)
         matrix = str(write_small_permutation(tmp_path))
         out = tmp_path / "out"
         (out / occupied).mkdir(parents=True)

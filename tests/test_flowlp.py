@@ -20,7 +20,6 @@ from rdcn_throughput import (
     SolverError,
     Topology,
     build_oblivious_equivalent,
-    export_lp,
     generate,
     solve_max_throughput,
     verify_solution,
@@ -668,28 +667,6 @@ class TestHighsSeam:
         assert [solver for solver, *_ in calls] == ["simplex", "ipm"]
 
 
-def _parse_lp_rows(text):
-    """{row name: ({column name: coefficient}, sense, rhs)} for every constraint
-    row, in the text's order."""
-    body = text.split("Subject To\n", 1)[1].split("Bounds\n", 1)[0]
-    rows = {}
-    for line in body.splitlines():
-        name, expr = line.strip().split(": ", 1)
-        *tokens, sense, rhs = expr.split()
-        coefs, sign, scale = {}, 1.0, 1.0
-        for token in tokens:
-            if token in "+-":
-                sign = -1.0 if token == "-" else 1.0
-            elif token[0].isdigit():
-                scale = float(token)
-            else:
-                assert token not in coefs, f"{name}: {token} appears twice"
-                coefs[token] = sign * scale
-                sign, scale = 1.0, 1.0
-        rows[name] = (coefs, sense, float(rhs))
-    return rows
-
-
 class TestAssembleLp:
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(random_instances())
@@ -704,40 +681,28 @@ class TestAssembleLp:
                     if v != s and (demand[s, v] > 0 or v in touched)]
         assert lp.balance.tolist() == [list(row) for row in expected]
 
-
-class TestExportLp:
-    def test_stable_naming_and_structure(self):
-        # Every text row is the matching row of the matrices handed to HiGHS.
+    def test_rows_of_a_hand_instance(self):
+        # arcs 0->1, 1->2 (two links), 2->3, 3->0; sources 0 and 2
         counts = np.zeros((4, 4), dtype=int)
         counts[0, 1] = counts[2, 3] = counts[3, 0] = 1
         counts[1, 2] = 2
-        t = Topology(counts, 1.0, "ring")
         entries = np.zeros((4, 4))
         entries[0, 2] = 1.5
         entries[0, 3] = 0.25
         entries[2, 1] = 0.75
-        m = DemandMatrix(entries)
-        text = export_lp(t, m)
-        assert "Maximize" in text and "obj: theta" in text
-        assert text.rstrip().endswith("End")
+        lp = solve_max_throughput(Topology(counts, 1.0, "ring"), DemandMatrix(entries)).lp
+        arcs = [tuple(arc) for arc in lp.arcs.tolist()]
 
-        lp = solve_max_throughput(t, m).lp
-        names = lp.column_names()
-        assert names[0] == "theta" and names[1] == "f_0_0_1"
-        # linprog hands HiGHS the cap rows, then the bal rows: [A_ub; A_eq]
-        dense = sp.vstack((lp.A_ub, lp.A_eq)).toarray()
-        row_names = ([f"cap_{i}_{j}" for i, j in lp.arcs.tolist()]
-                     + [f"bal_{s}_{v}" for s, v in lp.balance.tolist()])
-        senses = ["<="] * len(lp.arcs) + ["="] * len(lp.balance)
-        rhs = lp.capacity.tolist() + [0.0] * len(lp.balance)
-        expected = [
-            (name, ({names[c]: dense[row, c] for c in np.flatnonzero(dense[row])},
-                    senses[row], rhs[row]))
-            for row, name in enumerate(row_names)
-        ]
-        assert list(_parse_lp_rows(text).items()) == expected
-        # one cap row per arc, and 2 sources x 3 other nodes.
-        assert len(expected) == 4 + 2 * 3
-        rows = dict(expected)
-        assert rows["bal_0_2"][0] == {"theta": -1.5, "f_0_1_2": 1.0, "f_0_2_3": -1.0}
-        assert rows["cap_1_2"] == ({"f_0_1_2": 1.0, "f_2_1_2": 1.0}, "<=", 2.0)
+        def col(s, arc):
+            return 1 + lp.sources.tolist().index(s) * len(arcs) + arcs.index(arc)
+
+        def terms(matrix, row):
+            return {c: v for c, v in enumerate(matrix[row].toarray().ravel().tolist()) if v}
+
+        # one cap row per arc, and 2 sources x 3 other nodes
+        assert (lp.A_ub.shape[0], lp.A_eq.shape[0], len(lp.balance)) == (4, 2 * 3, 2 * 3)
+        bal = lp.balance.tolist().index([0, 2])
+        assert terms(lp.A_eq, bal) == {0: -1.5, col(0, (1, 2)): 1.0, col(0, (2, 3)): -1.0}
+        cap = arcs.index((1, 2))
+        assert terms(lp.A_ub, cap) == {col(0, (1, 2)): 1.0, col(2, (1, 2)): 1.0}
+        assert lp.capacity[cap] == 2.0

@@ -1,9 +1,15 @@
-"""The repository's pytest settings let a failing property test fail like any
-other test: it must not end the session before the tests after it run."""
+"""The repository's pyproject.toml: its pytest settings let a failing property
+test fail like any other test, so that it does not end the session before the
+tests after it run, and its Python floor is one its dependencies install on."""
 
+import re
 import subprocess
 import sys
+import tomllib
+from importlib.metadata import metadata
 from pathlib import Path
+
+from packaging.version import Version  # a pytest dependency
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -33,3 +39,14 @@ def test_failing_given_test_does_not_stop_the_session(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def _floor(spec):
+    """The version that a Requires-Python specifier's `>=` clause names."""
+    return Version(re.search(r">=\s*([\d.]+)", spec).group(1))
+
+
+def test_python_floor_is_not_below_scipys():
+    # scipy's own floor is the lowest interpreter that its release installs on
+    ours = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["requires-python"]
+    assert _floor(ours) >= _floor(metadata("scipy")["Requires-Python"])
