@@ -3,7 +3,6 @@
 from .demand import (
     DemandMatrix,
     IntegerResidualDecomposition,
-    MatrixParseError,
     NetworkParams,
     Report,
     UniformResidualClass,
@@ -12,7 +11,6 @@ from .demand import (
     decompose_integer_residual,
     generate,
     load_csv,
-    normalize,
     save_csv,
     validate_hose,
 )

@@ -23,7 +23,6 @@ from .demand import (
     decompose_integer_residual,
     generate,
     load_csv,
-    normalize,
     save_csv,
     validate_hose,
 )
@@ -162,14 +161,11 @@ def gen(kind, n, u, c, alpha, shift, seed, out, name):
 @main.command()
 @click.argument("matrix_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--c", type=_Capacity(), default=25e9, show_default=True,
-              help="Capacity used to normalize raw bits/s entries.")
-@click.option("--normalized", is_flag=True, help="Entries are already capacity-normalized.")
+              help="Link capacity (bits/s); the parts are in links of it.")
 @click.option("--out", type=click.Path(), default=None)
-def decompose(matrix_path, c, normalized, out):
+def decompose(matrix_path, c, out):
     """Split a matrix into integer floor + residual parts and classify its residual."""
-    m = load_csv(matrix_path)
-    work = m if normalized else normalize(m, c)
-    dec = decompose_integer_residual(work)
+    dec = decompose_integer_residual(load_csv(matrix_path), c)
     cls = classify_uniform_residual(dec)
     stem = Path(matrix_path).stem
     outdir = _outdir(out)
@@ -189,20 +185,17 @@ def decompose(matrix_path, c, normalized, out):
               type=click.Choice(evaluation.NETWORK_CLASSES))
 @click.option("--u", type=int, default=4, show_default=True)
 @click.option("--c", type=_Capacity(), default=25e9, show_default=True)
-@click.option("--normalized", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trace", is_flag=True, help="Print the heuristic trace as JSON.")
 @click.option("--emit-topo", is_flag=True, help="Write topology (and schedule) JSON.")
 @click.option("--out", type=click.Path(), default=None)
-def eval_cmd(matrix_path, net_class, u, c, normalized, seed, trace, emit_topo, out):
+def eval_cmd(matrix_path, net_class, u, c, seed, trace, emit_topo, out):
     """Compute throughput of one matrix on one network class.
 
     The build seed comes from --seed and the file's stem, as for a sweep cell
     of the same label (`reproduce --matrix-csv`).
     """
     m = load_csv(matrix_path)
-    if normalized:
-        m = DemandMatrix(m.entries * c)
     p = NetworkParams(m.n, u, c)
     outdir = _outdir(out) if emit_topo else None  # before any solve
     cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)

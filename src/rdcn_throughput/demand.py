@@ -1,7 +1,7 @@
 """Demand matrices: validation, generation and integer-residual decomposition.
 
-All rates are bits/s unless a matrix has been normalized, in which case entries
-are dimensionless multiples of the chosen unit (usually link capacity).
+Every `DemandMatrix` holds bits/s. A function that needs demand in links, as
+`decompose_integer_residual` does, divides by the unit it is given.
 
 `Report`, a tuple of `Violation`s, is what every check of the package returns:
 `validate_hose` here and `flowlp.verify_solution`.
@@ -19,19 +19,6 @@ import numpy as np
 INT_SNAP_TOL = 1e-9
 
 
-class MatrixParseError(ValueError):
-    """Raised when a CSV matrix file is malformed (non-square, non-numeric, non-finite,
-    negative)."""
-
-    def __init__(self, message, row=None, col=None):
-        loc = ""
-        if row is not None:
-            loc = f" at row {row}" + (f", column {col}" if col is not None else "")
-        super().__init__(message + loc)
-        self.row = row
-        self.col = col
-
-
 @dataclass(frozen=True)
 class NetworkParams:
     """Physical fabric parameters: n ToRs, u links per ToR, per-link capacity c (bits/s).
@@ -47,8 +34,9 @@ class NetworkParams:
 
     def __post_init__(self):
         for name in ("n", "u"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
         if self.n < 2:
             raise ValueError(f"need at least 2 ToRs, got n={self.n}")
         if not 1 <= self.u <= self.n:
@@ -138,7 +126,8 @@ class UniformResidualClass(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegerResidualDecomposition:
-    """Split of a normalized matrix into an integer floor part and a fractional residual.
+    """Split of a matrix, in links of some unit, into an integer floor part and
+    a fractional residual; both parts are in links.
 
     ``row_ratios[i]`` is the share of row i's total demand carried by the residual
     (0 for all-zero rows); ``col_ratios`` analogously.
@@ -174,23 +163,20 @@ def validate_hose(m: DemandMatrix, p: NetworkParams) -> Report:
     return Report(tuple(violations))
 
 
-def normalize(m: DemandMatrix, unit: float) -> DemandMatrix:
-    """Divide every entry by `unit` (e.g. link capacity), making the matrix dimensionless."""
-    if not 0 < unit < np.inf:
-        raise ValueError(f"normalization unit must be finite and positive, got {unit}")
-    return DemandMatrix(m.entries / unit)
-
-
-def decompose_integer_residual(m: DemandMatrix) -> IntegerResidualDecomposition:
-    """Floor a normalized matrix into integer + residual parts with per-row/col ratios.
+def decompose_integer_residual(m: DemandMatrix, unit: float) -> IntegerResidualDecomposition:
+    """Floor m (bits/s), in links of `unit` (e.g. link capacity), into integer +
+    residual parts with per-row/col ratios. The unit must be finite and positive.
 
     Entries within 1e-9 of an integer are snapped to it before flooring.
     """
-    nearest = np.rint(m.entries)
-    snapped = np.where(np.abs(m.entries - nearest) <= INT_SNAP_TOL, nearest, m.entries)
+    if not 0 < unit < np.inf:
+        raise ValueError(f"link unit must be finite and positive, got {unit}")
+    links = m.entries / unit
+    nearest = np.rint(links)
+    snapped = np.where(np.abs(links - nearest) <= INT_SNAP_TOL, nearest, links)
     int_part = np.floor(snapped).astype(np.int64)
     res_part = np.maximum(snapped - int_part, 0.0)
-    row_tot, col_tot = m.row_sums(), m.col_sums()
+    row_tot, col_tot = links.sum(axis=1), links.sum(axis=0)
     row_ratios = np.divide(res_part.sum(axis=1), row_tot, out=np.zeros(m.n), where=row_tot > 0)
     col_ratios = np.divide(res_part.sum(axis=0), col_tot, out=np.zeros(m.n), where=col_tot > 0)
     return IntegerResidualDecomposition(int_part, res_part, row_ratios, col_ratios)
@@ -308,38 +294,39 @@ def generate(kind: str, p: NetworkParams, *, alpha: float | None = None,
 
 
 def load_csv(path) -> DemandMatrix:
-    """Read a matrix from comma-separated text: one row per line, '#' starts a comment.
-    A leading byte-order mark, as spreadsheets write, is skipped."""
+    """Read a matrix in bits/s from comma-separated text: one row per line, '#'
+    starts a comment. A leading byte-order mark, as spreadsheets write, is
+    skipped. A malformed file is a ValueError naming `path`, and `path:line`
+    where one line is at fault."""
     rows = []
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            text = line.split("#", 1)[0].strip()
+            if not text:
                 continue
-            values = []
-            for colno, tok in enumerate(text.split(",")):
-                tok = tok.strip()
+            where, values = f"{path}:{lineno}", []
+            for col, tok in enumerate((tok.strip() for tok in text.split(",")), start=1):
                 try:
                     val = float(tok)
                 except ValueError:
-                    raise MatrixParseError(f"non-numeric entry {tok!r}", row=lineno, col=colno) from None
+                    raise ValueError(f"{where}: non-numeric entry {tok!r} in column {col}") from None
                 if not np.isfinite(val):
-                    raise MatrixParseError(f"non-finite entry {tok!r}", row=lineno, col=colno)
+                    raise ValueError(f"{where}: non-finite entry {tok!r} in column {col}")
                 if val < 0:
-                    raise MatrixParseError(f"negative entry {val}", row=lineno, col=colno)
+                    raise ValueError(f"{where}: negative entry {tok!r} in column {col}")
                 values.append(val)
-            rows.append((lineno, values))
+            if rows and len(values) != len(rows[0]):
+                raise ValueError(f"{where}: non-square: row has {len(values)} entries, "
+                                 f"expected {len(rows[0])}")
+            rows.append(values)
     if not rows:
-        raise MatrixParseError("empty matrix file")
-    width = len(rows[0][1])
-    for lineno, values in rows:
-        if len(values) != width:
-            raise MatrixParseError(
-                f"non-square: row has {len(values)} entries, expected {width}", row=lineno
-            )
-    if len(rows) != width:
-        raise MatrixParseError(f"non-square: {len(rows)} rows of {width} columns")
-    return DemandMatrix(np.array([values for _, values in rows]))
+        raise ValueError(f"{path}: empty matrix file")
+    if len(rows) != len(rows[0]):
+        raise ValueError(f"{path}: non-square: {len(rows)} rows of {len(rows[0])} columns")
+    try:
+        return DemandMatrix(np.array(rows))
+    except ValueError as exc:  # the diagonal: every entry is already checked
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_csv(m: DemandMatrix, path, comment: str | None = None) -> None:

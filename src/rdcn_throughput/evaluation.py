@@ -30,7 +30,6 @@ from .demand import (
     decompose_integer_residual,
     generate,
     load_csv,
-    normalize,
 )
 from .flowlp import (
     SolverError,
@@ -460,7 +459,7 @@ def _uniform_residual_floor(result, suite, p):
     bound = 2.0 / 3.0 - 0.01
     thetas = {
         label: result.theta(label, "da-periodic", p.u) for label, matrix in suite
-        if classify_uniform_residual(decompose_integer_residual(normalize(matrix, p.c)))
+        if classify_uniform_residual(decompose_integer_residual(matrix, p.c))
         is not UniformResidualClass.NOT_UNIFORM
     }
     # np.min reports a NaN cell as the minimum, and `not >=` makes it a failure

@@ -65,6 +65,7 @@ _HIGHS_OPTIONS = {
     "simplex_strategy": 1,  # dual simplex
     "primal_feasibility_tolerance": DEFAULT_TOL,
     "dual_feasibility_tolerance": DEFAULT_TOL,
+    "small_matrix_value": 1e-9,  # HiGHS's default: smaller coefficients are dropped
 }
 # The HiGHS solver follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
 # (every sweep cell at n=8) dual simplex takes about two thirds of the
@@ -121,12 +122,17 @@ class ThroughputResult:
 
 def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
     """m's entries (bits/s) in units of t's link capacity, once m is checked to
-    fit t and to hold some positive demand."""
+    fit t and to hold some demand that HiGHS does not drop as too small."""
     if t.n != m.n:
         raise ValueError(f"dimension mismatch: topology n={t.n}, demand n={m.n}")
     demand = m.entries / t.link_capacity
-    if not (demand > 0).any():
+    i, j = np.unravel_index(np.argmax(demand), demand.shape)
+    if not demand[i, j] > 0:
         raise ValueError("demand matrix has no positive entries; throughput is unbounded")
+    limit = _HIGHS_OPTIONS["small_matrix_value"]
+    if demand[i, j] < limit:
+        raise ValueError(f"largest demand, {demand[i, j]:.6g} link units at ({i}, {j}), is "
+                         f"below {limit:g}, HiGHS's small_matrix_value, so the LP would drop it")
     return demand
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import edge_color_regular, link_counts, random_regular_digraph
-from .demand import DemandMatrix, NetworkParams, decompose_integer_residual, normalize, validate_hose
+from .demand import DemandMatrix, NetworkParams, decompose_integer_residual, validate_hose
 
 # The slot and reconfiguration times every schedule.json states; no schedule
 # carries its own.
@@ -123,7 +123,7 @@ def _floor(m: DemandMatrix, p: NetworkParams, unit: float, budget: int):
     exceed `budget` is a ValueError naming it."""
     if m.n != p.n:
         raise ValueError(f"dimension mismatch: matrix is {m.n}x{m.n}, params say n={p.n}")
-    dec = decompose_integer_residual(normalize(m, unit))
+    dec = decompose_integer_residual(m, unit)
     used = np.maximum(dec.int_part.sum(axis=1), dec.int_part.sum(axis=0))
     i = int(np.argmax(used))
     if used[i] > budget:
@@ -270,10 +270,10 @@ def synthesize_schedule(t: Topology, u: int, seed=0) -> PeriodicSchedule:
 
 
 def build_one_shot_integer(m: DemandMatrix, p: NetworkParams) -> Topology:
-    """Topology with exactly floor(m/c) links per pair, for integer-valued normalized demand.
+    """Topology with exactly floor(m/c) links per pair, for demand that is whole links of c.
 
     Every demand is routable in one hop at full throughput. Raises ValueError
-    when a node needs over u links or the normalized matrix has fractional entries.
+    when a node needs over u links or m/c has fractional entries.
     """
     dec, _ = _floor(m, p, p.c, p.u)
     if np.any(dec.res_part > 0):

@@ -3,8 +3,8 @@
 One test per criterion; each prints its own [PASS]/[FAIL] line with the
 measured values. Criteria 1-7 read their landscape bounds from the criteria
 table that `reproduce` prints too. The degree sweep backing them runs once per
-session and takes the bulk of the time (4.5 s at two workers on a 2-core host,
-of 7.6 s for the module).
+session and takes the bulk of the time (3.6 s at two workers on a 2-core host,
+of 5.9 s for the module).
 """
 
 import os
@@ -24,7 +24,6 @@ from rdcn_throughput import (
     build_suite,
     bvn_decompose,
     generate,
-    normalize,
     random_regular_digraph,
     solve_max_throughput,
     sweep_degree,
@@ -92,14 +91,14 @@ def _all_heavy_topology(p):
     return Topology(2 * heavy, p.c * p.u / p.n, "all-heavy")
 
 
-def _two_hop_theta(topo, demand):
-    """Largest theta at which theta*demand fits the graph's link units when each
-    unit takes one link unit while its pair's direct links last and two after:
+def _two_hop_theta(topo, d):
+    """Largest theta at which theta*d, an array in link units, fits the graph's
+    link units when each unit takes one link unit while its pair's direct links
+    last and two after:
     theta*sum(D) + sum(max(0, theta*D - L)) <= sum(L), self-loops excluded.
     An upper bound on the LP's theta for any topology."""
     links = np.array(topo.link_count, dtype=float)
     np.fill_diagonal(links, 0.0)
-    d = demand.entries
     lo, hi = 0.0, links.sum() / d.sum()
     for _ in range(60):
         mid = (lo + hi) / 2
@@ -113,7 +112,7 @@ def _two_hop_theta(topo, demand):
 def test_criterion_02_chessboard_upper_bound(landscape):
     p = NetworkParams(N, 4, CAPACITY)
     chess = generate("chessboard", p)
-    demand = normalize(chess, p.c * p.u / p.n)  # 1.5 on heavy pairs, 4/7 on light
+    demand = chess.entries / (p.c * p.u / p.n)  # 1.5 on heavy pairs, 4/7 on light
 
     # The 4/5: with 2 links on each of a node's 8 heavy partners, the heavy
     # demand takes 12*theta of the node's 16 link units in one hop and the light

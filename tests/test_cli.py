@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from rdcn_throughput import (
+    DemandMatrix,
     NetworkParams,
     SolverError,
     SweepResult,
@@ -50,9 +52,8 @@ class TestCapacity:
         ["gen", "--kind", "uniform", "--n", "4"],
         ["decompose", "{matrix}"],
         ["eval", "{matrix}", "--class", "oblivious", "--u", "2"],
-        ["eval", "{matrix}", "--class", "oblivious", "--u", "2", "--normalized"],
         ["reproduce", "fig3", "--n", "4", "--u", "2"],
-    ], ids=["gen", "decompose", "eval", "eval-normalized", "reproduce"])
+    ], ids=["gen", "decompose", "eval", "reproduce"])
     def test_non_finite_or_non_positive_capacity_exits_two(self, runner, tmp_path, args, c):
         matrix = str(write_small_permutation(tmp_path))
         out = tmp_path / "out"
@@ -233,7 +234,7 @@ class TestDecompose:
     def test_mixed_ratios_are_not_uniform(self, runner, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1.5,0\n0.2,0,1.0\n1.0,0.2,0\n")
-        result = runner.invoke(main, ["decompose", str(path), "--normalized",
+        result = runner.invoke(main, ["decompose", str(path), "--c", "1",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert "not-uniform" in result.output
@@ -241,7 +242,7 @@ class TestDecompose:
     def test_parts_are_written_with_round_trip_digits(self, runner, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1.5,0\n0.2,0,1.0\n1.0,0.2,0\n")
-        result = runner.invoke(main, ["decompose", str(path), "--normalized",
+        result = runner.invoke(main, ["decompose", str(path), "--c", "1",
                                       "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "m_int.csv").read_bytes() == b"0,1,0\n0,0,1\n1,0,0\n"
@@ -358,9 +359,34 @@ class TestEval:
         path = tmp_path / "nan.csv"
         path.write_text("0,nan,1\n1,0,1\n1,1,0\n")
         result = runner.invoke(main, ["eval", str(path), "--class", "oblivious", "--u", "2",
-                                      "--c", "1", "--normalized"])
+                                      "--c", "1"])
         assert result.exit_code == 2
-        assert "non-finite entry 'nan' at row 1, column 1" in result.output
+        assert result.output == f"error: {path}:1: non-finite entry 'nan' in column 2\n"
+
+    @pytest.mark.parametrize("net_class", evaluation.NETWORK_CLASSES)
+    def test_link_units_at_c_one_match_bits_per_second(self, runner, tmp_path, net_class):
+        # A matrix in links is read at --c 1: the same stem in two directories
+        # gives both files the same build seed, and so the same theta line.
+        chess = generate("chessboard", NetworkParams(8, 4, 25e9))
+        (tmp_path / "bits").mkdir()
+        (tmp_path / "links").mkdir()
+        save_csv(chess, tmp_path / "bits" / "chessboard.csv")
+        save_csv(DemandMatrix(chess.entries / 25e9), tmp_path / "links" / "chessboard.csv")
+        lines = [runner.invoke(main, ["eval", str(tmp_path / unit / "chessboard.csv"),
+                                      "--class", net_class, "--c", c]).output
+                 for unit, c in (("bits", "25e9"), ("links", "1"))]
+        assert lines[0] == lines[1] and lines[0].startswith(f"theta({net_class}, chessboard.csv)")
+
+    @pytest.mark.parametrize("net_class", evaluation.NETWORK_CLASSES)
+    def test_demand_too_small_for_the_lp_exits_two(self, runner, tmp_path, net_class):
+        # 1 bit/s over links of 25e9 or 12.5e9 bits/s: below HiGHS's
+        # small_matrix_value, which would drop every demand coefficient
+        path = tmp_path / "tiny.csv"
+        path.write_text("0,1\n1,0\n")
+        result = runner.invoke(main, ["eval", str(path), "--class", net_class, "--u", "1"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: largest demand, ")
+        assert "small_matrix_value" in result.output and result.output.count("\n") == 1
 
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", str(tmp_path / "nope.csv"),
@@ -669,6 +695,21 @@ class TestReproduce:
         assert result.output == f"error: {small}: 3x3 matrix, but the network has n=4\n"
         assert not (tmp_path / f"{figure}.csv").exists()
 
+    def test_bad_matrix_csv_is_named_by_path_and_line(self, runner, tmp_path, monkeypatch):
+        def sweep_degree(*args, **kwargs):
+            raise RuntimeError("reproduce reached the sweep")
+
+        monkeypatch.setattr(evaluation, "sweep_degree", sweep_degree)
+        monkeypatch.chdir(tmp_path)
+        save_csv(generate("uniform", NetworkParams(8, 4, 25e9)), "good.csv")
+        Path("bad.csv").write_text("0,1,1,1,1,1,1,1\nx,0,1,1,1,1,1,1\n")
+        result = runner.invoke(main, ["reproduce", "fig3", "--n", "8", "--u", "4",
+                                      "--matrix-csv", "good.csv", "--matrix-csv", "bad.csv",
+                                      "--out", "out"])
+        assert result.exit_code == 2
+        assert result.output == "error: bad.csv:2: non-numeric entry 'x' in column 1\n"
+        assert not Path("out").exists()
+
 
 class TestFig3Checks:
     """The fig3 entries of the landscape criteria table on hand-built sweeps:
@@ -771,3 +812,12 @@ class TestFig4Checks:
     ])
     def test_fig4_sweeps_n_as_its_top_degree(self, n, degrees):
         assert fig4_degrees(n) == degrees
+
+
+@pytest.mark.parametrize("command", [reproduce, cli.eval_cmd], ids=["reproduce", "eval"])
+def test_readme_flag_lists_match_the_commands(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(rf"`{command.name}` flags: (.*?)[;.]", readme, re.DOTALL).group(1)
+    options = [name for param in command.params if isinstance(param, click.Option)
+               for name in param.opts]
+    assert re.findall(r"`(--[\w-]+)`", listed) == options

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from rdcn_throughput import (
     DemandMatrix,
-    MatrixParseError,
     NetworkParams,
     UniformResidualClass,
     classify_uniform_residual,
     decompose_integer_residual,
     generate,
     load_csv,
-    normalize,
     save_csv,
     validate_hose,
 )
@@ -35,6 +33,7 @@ class TestNetworkParams:
         (4, 2, np.nan),     # no capacity at all
         (16, 4.5, 1.0),     # fractional degree
         (16.0, 4, 1.0),     # float ToR count
+        (4, True, 1.0),     # a bool is an int to isinstance, but not a degree
     ])
     def test_rejects_bad_params(self, n, u, c):
         with pytest.raises(ValueError):
@@ -44,6 +43,10 @@ class TestNetworkParams:
         assert NetworkParams(np.int64(8), np.int64(4), 1.0).node_capacity == 4.0
         with pytest.raises(ValueError, match=r"^u must be an integer, got 4\.5$"):
             NetworkParams(16, 4.5, 1.0)
+        with pytest.raises(ValueError, match=r"^u must be an integer, got True$"):
+            NetworkParams(4, True, 1.0)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got True$"):
+            NetworkParams(True, 1, 1.0)
 
     def test_non_dividing_degree_allowed(self):
         p = NetworkParams(16, 12, 1.0)
@@ -104,42 +107,48 @@ class TestValidateHose:
 
 
 class TestNormalize:
+    """Demand in links of a unit: `decompose_integer_residual` divides the
+    bits/s matrix by the unit it is given, once."""
+
     def test_divides_by_unit(self):
-        m = normalize(DemandMatrix([[0, 25e9], [25e9, 0]]), 25e9)
-        np.testing.assert_array_equal(m.entries, [[0, 1], [1, 0]])
+        dec = decompose_integer_residual(DemandMatrix([[0, 25e9], [25e9, 0]]), 25e9)
+        np.testing.assert_array_equal(dec.int_part, [[0, 1], [1, 0]])
+        assert not dec.res_part.any()
 
     def test_unit_one_is_identity(self):
         m = DemandMatrix([[0, 3.5], [1.25, 0]])
-        np.testing.assert_array_equal(normalize(m, 1.0).entries, m.entries)
+        dec = decompose_integer_residual(m, 1.0)
+        np.testing.assert_array_equal(dec.int_part + dec.res_part, m.entries)
 
     def test_bad_unit(self):
         with pytest.raises(ValueError):
-            normalize(DemandMatrix(np.zeros((2, 2))), 0.0)
+            decompose_integer_residual(DemandMatrix(np.zeros((2, 2))), 0.0)
 
     @pytest.mark.parametrize("unit", [np.inf, np.nan])
     def test_non_finite_unit(self, unit):
         # dividing by inf would turn every demand into 0 without a word
         with pytest.raises(ValueError, match="finite and positive"):
-            normalize(DemandMatrix([[0, 1.0], [1.0, 0]]), unit)
+            decompose_integer_residual(DemandMatrix([[0, 1.0], [1.0, 0]]), unit)
 
     def test_chessboard_alternates_half_and_three_halves(self):
         # The opposite-parity cells sit exactly at 1.5; same-parity cells carry
         # 0.5 plus an equal share of the folded-back diagonal mass.
         p = NetworkParams(16, 16, 25e9)
-        m = normalize(generate("chessboard", p), 25e9)
+        dec = decompose_integer_residual(generate("chessboard", p), 25e9)
+        links = dec.int_part + dec.res_part
         i, j = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
         odd = (i + j) % 2 == 1
         same = ((i + j) % 2 == 0) & (i != j)
-        np.testing.assert_allclose(m.entries[odd], 1.5)
-        np.testing.assert_allclose(m.entries[same], 0.5 + 0.5 / 7)
-        assert np.all(np.diagonal(m.entries) == 0)
-        np.testing.assert_allclose(m.row_sums(), 16.0, rtol=1e-12)
+        np.testing.assert_allclose(links[odd], 1.5)
+        np.testing.assert_allclose(links[same], 0.5 + 0.5 / 7)
+        assert np.all(np.diagonal(links) == 0)
+        np.testing.assert_allclose(links.sum(axis=1), 16.0, rtol=1e-12)
 
 
 class TestDecomposeIntegerResidual:
     def test_half_three_half_matrix(self):
         m = DemandMatrix([[0, 0.5, 1.5], [1.5, 0, 0.5], [0.5, 1.5, 0]])
-        dec = decompose_integer_residual(m)
+        dec = decompose_integer_residual(m, 1.0)
         np.testing.assert_array_equal(dec.int_part, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
         np.testing.assert_allclose(dec.res_part, 0.5 * (1 - np.eye(3)))
         np.testing.assert_allclose(dec.row_ratios, 0.5)
@@ -147,7 +156,7 @@ class TestDecomposeIntegerResidual:
 
     def test_integer_matrix_has_zero_residual(self):
         m = DemandMatrix([[0, 2.0, 1.0], [1.0, 0, 2.0], [2.0, 1.0, 0]])
-        dec = decompose_integer_residual(m)
+        dec = decompose_integer_residual(m, 1.0)
         np.testing.assert_array_equal(dec.int_part, [[0, 2, 1], [1, 0, 2], [2, 1, 0]])
         assert not np.any(dec.res_part)
         assert not np.any(dec.row_ratios)
@@ -155,7 +164,7 @@ class TestDecomposeIntegerResidual:
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstruction_and_bounds(self, seed):
         m = sinkhorn_doubly_stochastic(8, seed, target=8.0, zero_diagonal=True)
-        dec = decompose_integer_residual(DemandMatrix(m))
+        dec = decompose_integer_residual(DemandMatrix(m), 1.0)
         np.testing.assert_allclose(dec.int_part + dec.res_part, m, atol=1e-12)
         assert np.all(dec.res_part >= 0) and np.all(dec.res_part < 1)
         # floor sums never exceed the matrix sums
@@ -163,22 +172,23 @@ class TestDecomposeIntegerResidual:
         assert np.all(dec.int_part.sum(axis=0) <= m.sum(axis=0) + 1e-12)
 
     def test_serialization_noise_snaps_to_integer(self):
-        dec = decompose_integer_residual(DemandMatrix([[0.0, 1.9999999999], [3.0000000001, 0.0]]))
+        m = DemandMatrix([[0.0, 1.9999999999], [3.0000000001, 0.0]])
+        dec = decompose_integer_residual(m, 1.0)
         np.testing.assert_array_equal(dec.int_part, [[0, 2], [3, 0]])
         assert not np.any(dec.res_part)
 
     # The input check is DemandMatrix's: no decomposition sees an entry it rejects.
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match=r"negative demand -0.1 at \(0, 0\)"):
-            decompose_integer_residual(DemandMatrix([[-0.1, 0.0], [0.0, 0.0]]))
+            decompose_integer_residual(DemandMatrix([[-0.1, 0.0], [0.0, 0.0]]), 1.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected_with_location(self, value):
         with pytest.raises(ValueError, match=r"non-finite demand .* at \(0, 1\)"):
-            decompose_integer_residual(DemandMatrix([[0.0, value], [1.0, 0.0]]))
+            decompose_integer_residual(DemandMatrix([[0.0, value], [1.0, 0.0]]), 1.0)
 
     def test_zero_rows_get_zero_ratio(self):
-        dec = decompose_integer_residual(DemandMatrix([[0.0, 0.0], [0.5, 0.0]]))
+        dec = decompose_integer_residual(DemandMatrix([[0.0, 0.0], [0.5, 0.0]]), 1.0)
         assert dec.row_ratios[0] == 0.0
         assert dec.col_ratios[1] == 0.0
 
@@ -194,17 +204,18 @@ def _fake_decomposition(row_ratios, col_ratios):
 class TestClassifyUniformResidual:
     def test_integer_matrix_is_interval_low(self):
         m = DemandMatrix([[0, 2.0, 1.0], [1.0, 0, 2.0], [2.0, 1.0, 0]])
-        dec = decompose_integer_residual(m)
+        dec = decompose_integer_residual(m, 1.0)
         assert classify_uniform_residual(dec) is UniformResidualClass.INTERVAL_LOW
 
     def test_generated_chessboard_is_interval_high(self):
         # independent ratio computation: residual row sum over total row sum
         p = NetworkParams(16, 16, 25e9)
-        m = normalize(generate("chessboard", p), 25e9)
-        res = m.entries - np.floor(m.entries)
-        ratios = res.sum(axis=1) / m.row_sums()
+        chess = generate("chessboard", p)
+        m = chess.entries / 25e9
+        res = m - np.floor(m)
+        ratios = res.sum(axis=1) / m.sum(axis=1)
         np.testing.assert_allclose(ratios, 0.5, atol=1e-12)
-        dec = decompose_integer_residual(m)
+        dec = decompose_integer_residual(chess, 25e9)
         assert classify_uniform_residual(dec) is UniformResidualClass.INTERVAL_HIGH
 
     def test_ratios_spanning_intervals_are_not_uniform(self):
@@ -228,8 +239,8 @@ class TestClassifyUniformResidual:
         m = sinkhorn_doubly_stochastic(6, 5, target=3.0, zero_diagonal=True)
         perm = rng.permutation(6)
         permuted = m[np.ix_(perm, perm)]
-        assert classify_uniform_residual(decompose_integer_residual(DemandMatrix(m))) is \
-            classify_uniform_residual(decompose_integer_residual(DemandMatrix(permuted)))
+        assert classify_uniform_residual(decompose_integer_residual(DemandMatrix(m), 1.0)) is \
+            classify_uniform_residual(decompose_integer_residual(DemandMatrix(permuted), 1.0))
 
 
 class TestGenerate:
@@ -288,7 +299,7 @@ class TestGenerate:
 
     def test_permutation_classifies_interval_low(self):
         p = NetworkParams(8, 4, 2.5e9)
-        dec = decompose_integer_residual(normalize(generate("permutation", p), p.c))
+        dec = decompose_integer_residual(generate("permutation", p), p.c)
         assert classify_uniform_residual(dec) is UniformResidualClass.INTERVAL_LOW
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -318,43 +329,53 @@ class TestCsvRoundTrip:
         loaded = load_csv(path)
         np.testing.assert_array_equal(loaded.entries, m.entries)
 
+    # Every malformed file is a ValueError naming it, and the line at fault where
+    # there is one, as `path:line: ...`; columns count from 1.
     def test_non_square(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1,2,3\n1,0,2,3\n2,1,0,3\n")
-        with pytest.raises(MatrixParseError, match="non-square"):
+        with pytest.raises(ValueError) as err:
             load_csv(path)
+        assert str(err.value) == f"{path}: non-square: 3 rows of 4 columns"
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n1\n")
-        with pytest.raises(MatrixParseError, match="non-square"):
+        with pytest.raises(ValueError) as err:
             load_csv(path)
+        assert str(err.value) == f"{path}:2: non-square: row has 1 entries, expected 2"
 
     def test_negative_entry_with_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n-1.0,0\n")
-        with pytest.raises(MatrixParseError, match="negative") as err:
+        with pytest.raises(ValueError) as err:
             load_csv(path)
-        assert err.value.row == 2
-        assert err.value.col == 0
+        assert str(err.value) == f"{path}:2: negative entry '-1.0' in column 1"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_entry_with_location(self, tmp_path, token):
         path = tmp_path / "bad.csv"
         path.write_text(f"0,1,1\n1,0,{token}\n1,1,0\n")
-        with pytest.raises(MatrixParseError, match="non-finite") as err:
+        with pytest.raises(ValueError) as err:
             load_csv(path)
-        assert (err.value.row, err.value.col) == (2, 2)
+        assert str(err.value) == f"{path}:2: non-finite entry '{token}' in column 3"
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,x\n1,0\n")
-        with pytest.raises(MatrixParseError, match="non-numeric"):
+        with pytest.raises(ValueError) as err:
             load_csv(path)
+        assert str(err.value) == f"{path}:1: non-numeric entry 'x' in column 2"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("# demand\n\n0,2.5\n1.5,0\n")
+        np.testing.assert_array_equal(load_csv(path).entries, [[0, 2.5], [1.5, 0]])
+
+    def test_trailing_comment_dropped(self, tmp_path):
+        # as in a config file, '#' starts a comment anywhere on a line
+        path = tmp_path / "ok.csv"
+        path.write_text("0,2.5 # to ToR 1\n1.5,0#\n")
         np.testing.assert_array_equal(load_csv(path).entries, [[0, 2.5], [1.5, 0]])
 
     def test_byte_order_mark_and_crlf(self, tmp_path):
@@ -366,12 +387,13 @@ class TestCsvRoundTrip:
     def test_comments_only_is_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# no rows\n\n  # still none\n")
-        with pytest.raises(MatrixParseError, match="^empty matrix file$") as err:
+        with pytest.raises(ValueError) as err:
             load_csv(path)
-        assert (err.value.row, err.value.col) == (None, None)
+        assert str(err.value) == f"{path}: empty matrix file"
 
     def test_nonzero_diagonal_rejected(self, tmp_path):
         path = tmp_path / "diag.csv"
         path.write_text("1,2\n2,1\n")
-        with pytest.raises(ValueError, match="self-demand"):
+        with pytest.raises(ValueError) as err:
             load_csv(path)
+        assert str(err.value) == f"{path}: self-demand not allowed: nonzero diagonal at (0, 0)"
