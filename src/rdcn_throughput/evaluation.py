@@ -4,11 +4,13 @@ criteria they are checked against.
 
 The demand-aware heuristic scales the demand matrix by `iter` descending from
 1 in steps of DEFAULT_STEP, rebuilds the demand-aware topology for each scaled
-matrix, and stops at the first iter whose LP objective reaches 1; that iter is
-the reported throughput (granularity = one step). The scan starts at the first
-step that the demand alone (`demand_upper_bound`) leaves room to reach 1, and
-a step whose topology bounds the objective below 1 (`throughput_upper_bound`)
-is rejected without its LP.
+matrix, and stops at the first iter whose scaled matrix routes at theta = 1;
+that iter is the reported throughput (granularity = one step). Each step is
+decided on the demand its direct links leave (`solve_max_throughput` with
+`direct_first`), which routes exactly when the full matrix does. The scan
+starts at the first step that the demand alone (`demand_upper_bound`) leaves
+room to reach 1, and a step whose topology bounds the full LP's objective
+below 1 (`throughput_upper_bound`) is rejected without an LP.
 """
 
 from __future__ import annotations
@@ -77,10 +79,14 @@ class HeuristicTrace:
     scan starts at the first step whose scale B leaves room to reach an
     objective of 1; every earlier step is one whose own bound rules it out.
     Scanned step k scaled the demand by iter_values[k], on a topology built
-    with seeds[k] whose upper bound on the LP objective is bounds[k].
-    objectives[k] is the LP optimum, or None where the bound fell below
-    OBJECTIVE_REACHED - SKIP_MARGIN and the LP was skipped. When chosen_theta
-    > 0, the last step was solved and its topology certifies it.
+    with seeds[k] whose upper bound on the full LP's objective is bounds[k].
+    objectives[k] is lambda, the optimum of the residual LP of
+    `solve_max_throughput(..., direct_first=True)`, or None where no LP was
+    solved: a step whose bound fell below OBJECTIVE_REACHED - SKIP_MARGIN was
+    skipped, and at the accepted step None means the direct links carried all
+    the demand. When chosen_theta > 0, the last step is the accepted one, and
+    its topology certifies it: the flows that decided it pass
+    `verify_solution` on the full LP at theta = 1.
     """
 
     iter_values: tuple
@@ -218,11 +224,17 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     naming its largest violation.
     """
     result = solve_max_throughput(t, m)
+    _require_verified(result)
+    return result.theta
+
+
+def _require_verified(result) -> None:
+    """SolverError naming the largest violation unless `verify_solution` finds
+    none in result."""
     report = verify_solution(result)
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.magnitude)
         raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
-    return result.theta
 
 
 def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
@@ -231,18 +243,24 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     trace is the HeuristicTrace and whose topology is the last step's build.
 
     net_class is "da-static" (one-shot topology, degree u) or "da-periodic"
-    (emulated degree-n graph at capacity c*u/n). The reported theta is the first scan
-    value whose LP objective reaches 1, hence a multiple of DEFAULT_STEP with
-    uncertainty one step, and the last step's build certifies it; 0.0 if no
-    scan value succeeds. m must meet the hose bound at full scale: this is the
-    cell's one hose check, so the builds of the scanned steps make none.
+    (emulated degree-n graph at capacity c*u/n). The reported theta is the
+    first scan value whose scaled m routes at theta = 1 on its build, hence a
+    multiple of DEFAULT_STEP with uncertainty one step; 0.0 if no scan value
+    succeeds. A step is accepted when its direct links carry all of the
+    demand, or when the max-throughput lambda of what they leave reaches
+    OBJECTIVE_REACHED (`solve_max_throughput` with `direct_first`), as the
+    full LP would decide. The accepted step's build certifies theta: the flows
+    that decided it must pass `verify_solution` on the full LP at theta = 1,
+    or SolverError names the largest violation. m must meet the hose bound at
+    full scale: this is the cell's one hose check, so the builds of the
+    scanned steps make none.
 
     The scan starts at the first step whose scale the demand-only bound B
     (`demand_upper_bound`, once per cell) leaves room to reach 1: B bounds
     each step's own topology bound, so every step before is one that bound
     rejects, and B >= 1/2 on a hose-feasible m keeps some step. Every
     scanned step builds its topology from its own seed, `_seed_int(seed,
-    "iter", k)` with k counted from scale 1, but solves its LP only if the
+    "iter", k)` with k counted from scale 1, but solves an LP only if the
     topology's upper bound leaves the objective room to reach 1; so neither
     skip changes a theta or a certifying build. A schedule takes no part in
     theta, so da-periodic steps build only the emulated graph, and none is
@@ -265,14 +283,17 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         else:
             topo = build_demand_aware_emulated(scaled, p, seed=iter_seed)
         bound = throughput_upper_bound(topo, scaled)
-        objective = None
+        objective, accepted = None, False
         if bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
-            objective = throughput_static(topo, scaled)
+            step = solve_max_throughput(topo, scaled, direct_first=True)
+            objective = step.objective
+            accepted = objective is None or objective >= OBJECTIVE_REACHED
         iter_values.append(scale)
         bounds.append(bound)
         objectives.append(objective)
         seeds.append(iter_seed)
-        if objective is not None and objective >= OBJECTIVE_REACHED:
+        if accepted:
+            _require_verified(step.at_one())
             theta = scale
             break
     trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta,

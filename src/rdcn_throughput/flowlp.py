@@ -26,14 +26,28 @@ The balance rows are equalities, so net flow is what counts: a cycle through
 an endpoint delivers nothing, and a flow that over-delivers at a destination
 does not meet its row.
 
-`_assemble_lp` builds the LP once per call, index sets and sparse matrices
-in one `_FlowLP` record. `solve_max_throughput` hands it to HiGHS through
-`linprog`, one direct call into the binding that scipy bundles, and returns
-its flow columns as a sources x arcs block together with the record.
-`verify_solution` checks that block against the record's arcs and rows
-without touching its matrices, returning a `demand.Report` of `Violation`s.
-`throughput_upper_bound` bounds the LP's optimum from the topology alone,
-without solving it.
+`_assemble_lp` builds the LP of a link-unit demand on a per-pair capacity
+once per call, index sets and sparse matrices in one `_FlowLP` record.
+`solve_max_throughput` hands it to HiGHS through `linprog`, one direct call
+into the binding that scipy bundles, and returns its flow columns as a
+sources x arcs block together with the record. `verify_solution` checks that
+block against the record's arcs and rows without touching its matrices,
+returning a `demand.Report` of `Violation`s. `throughput_upper_bound` bounds
+the LP's optimum from the topology alone, without solving it.
+
+Whether theta = 1 is feasible, the one question of a demand-aware heuristic
+step, has a smaller LP (`solve_max_throughput(..., direct_first=True)`).
+Exchange lemma: if demand x routes on capacity L, some routing sends each
+pair's first min(x_ij, L_ij) over its own arc (i, j). Where the arc has
+slack, move the pair's indirect flow onto it; where transit flow
+a->...->i->j->...->b fills it, swap delta of that flow with delta of the
+pair's own path P from i to j: the transit flow takes P, the pair goes
+direct, and no arc's load changes. So x routes at theta = 1 exactly when the
+residual demand x' = x - min(x, L) routes on the residual capacity
+L' = L - min(x, L), that is when x' = 0 (no LP at all) or the max-throughput
+lambda of x' on L' is at least 1. Its flows divided by lambda, plus each
+pair's direct min(x, L), are a flow block of the full LP at theta = 1
+(`DirectFirstResult.at_one`), which `verify_solution` checks as any other.
 """
 
 from __future__ import annotations
@@ -88,13 +102,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class _FlowLP:
-    """The LP of m on t, built once by `_assemble_lp`: what HiGHS solves and
-    `verify_solution` checks a flow block against.
+    """The LP of a demand on a capacity, built once by `_assemble_lp`: what
+    HiGHS solves and `verify_solution` checks a flow block against.
     Column 0 is theta; column 1 + k*len(arcs) + a is the flow of sources[k]
     on arcs[a]."""
 
-    arcs: np.ndarray  # (A, 2) routable arcs (i, j), row-major
-    capacity: np.ndarray  # (A,) link count of each arc: the cap rows' bounds
+    arcs: np.ndarray  # (A, 2) arcs (i, j) of positive capacity, row-major
+    capacity: np.ndarray  # (A,) capacity of each arc in link units: the cap rows' bounds
     demand: np.ndarray  # (n, n) demand in link units: -theta's coefficient in each bal row
     sources: np.ndarray  # (S,) nodes with positive demand
     balance: np.ndarray  # (R, 2) the (s, v) of each bal row
@@ -111,7 +125,8 @@ class ThroughputResult:
     flows[k, a] is the flow that lp's k-th source sends over its a-th arc, in
     link-capacity units, summed over all of the source's destinations: the
     solver's flow columns in their own order. The sources are the nodes with
-    positive demand, ascending; the arcs are the routable (i, j), row-major.
+    positive demand, ascending; the arcs are the (i, j) of positive capacity
+    (on a topology, the routable ones), row-major.
     `solve_max_throughput` returns the block read-only.
     """
 
@@ -122,27 +137,28 @@ class ThroughputResult:
 
 def _link_units(t: Topology, m: DemandMatrix) -> np.ndarray:
     """m's entries (bits/s) in units of t's link capacity, once m is checked to
-    fit t and to hold some demand that HiGHS does not drop as too small."""
+    fit t and to hold some demand, none of it so small that HiGHS would drop
+    its coefficient and leave the pair out of the LP unseen."""
     if t.n != m.n:
         raise ValueError(f"dimension mismatch: topology n={t.n}, demand n={m.n}")
     demand = m.entries / t.link_capacity
-    i, j = np.unravel_index(np.argmax(demand), demand.shape)
-    if not demand[i, j] > 0:
+    if not (demand > 0).any():
         raise ValueError("demand matrix has no positive entries; throughput is unbounded")
     limit = _HIGHS_OPTIONS["small_matrix_value"]
-    if demand[i, j] < limit:
-        raise ValueError(f"largest demand, {demand[i, j]:.6g} link units at ({i}, {j}), is "
-                         f"below {limit:g}, HiGHS's small_matrix_value, so the LP would drop it")
+    small = np.argwhere((demand > 0) & (demand < limit))
+    if small.size:
+        i, j = small[0]
+        raise ValueError(f"demand at ({i}, {j}), {demand[i, j]:.6g} link units, is below "
+                         f"{limit:g}, HiGHS's small_matrix_value, so the LP would drop it")
     return demand
 
 
-def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
-    """m's LP on t. A bal row (s, v), v != s, exists where it has a term: s
-    demands at v, or v touches a routable arc."""
-    n = t.n
-    demand = _link_units(t, m)
-    counts = t.routable_counts()
-    tail, head = np.nonzero(counts > 0)
+def _assemble_lp(capacity: np.ndarray, demand: np.ndarray) -> _FlowLP:
+    """The LP of `demand` on `capacity`, both (n, n) in link units; the arcs
+    are the pairs of positive capacity. A bal row (s, v), v != s, exists where
+    it has a term: s demands at v, or v touches an arc."""
+    n = len(demand)
+    tail, head = np.nonzero(capacity > 0)
     sources = np.flatnonzero((demand > 0).any(axis=1))
     touched = np.zeros(n, dtype=bool)
     touched[tail] = touched[head] = True
@@ -170,7 +186,7 @@ def _assemble_lp(t: Topology, m: DemandMatrix) -> _FlowLP:
     A_ub = sp.csr_matrix((np.ones(var.size), (a, var)), shape=(n_arcs, nvar))
     c = np.zeros(nvar)
     c[0] = -1.0
-    return _FlowLP(arcs=np.column_stack((tail, head)), capacity=counts[tail, head].astype(float),
+    return _FlowLP(arcs=np.column_stack((tail, head)), capacity=capacity[tail, head],
                    demand=demand, sources=sources, balance=np.column_stack((src, node)),
                    c=c, A_ub=A_ub, A_eq=A_eq)
 
@@ -222,16 +238,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver) -> LPResult:
                     highs.modelStatusToString(status))
 
 
-def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
-    """Maximize theta such that theta*m admits a feasible flow on t.
-
-    `m` is in bits/s; the flows come back in link units. The LP goes to
-    HiGHS through `linprog`, once per attempt, with `_HIGHS_OPTIONS`:
-    dual simplex below SIMPLEX_MAX_COLUMNS columns, interior point from there.
-    If that solver fails, the other is tried once; if that fails too,
-    SolverError names the model status and its message.
-    """
-    lp = _assemble_lp(t, m)
+def _solve(lp: _FlowLP) -> ThroughputResult:
+    """lp's optimum, as `solve_max_throughput` describes."""
     solvers = ("simplex", "ipm") if lp.c.size < SIMPLEX_MAX_COLUMNS else ("ipm", "simplex")
     for solver in solvers:
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver=solver)
@@ -246,6 +254,77 @@ def solve_max_throughput(t: Topology, m: DemandMatrix) -> ThroughputResult:
     flows.setflags(write=False)
     theta = float(res.x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
     return ThroughputResult(theta, flows, lp)
+
+
+@dataclass(frozen=True, eq=False)
+class DirectFirstResult:
+    """Demand x on capacity L (both (n, n), link units) decided direct links
+    first, as `solve_max_throughput(..., direct_first=True)` returns it.
+
+    `residual` is the optimum lambda (its theta) of the demand left once each
+    pair takes min(x, L) on its own links, x' = x - min(x, L) with entries
+    below HiGHS's small_matrix_value zeroed, on the capacity left,
+    L' = L - min(x, L); None when x' = 0 and no LP was solved. By the exchange
+    lemma (module docstring), x routes on L at theta = 1 exactly when
+    `objective` is None or at least 1.
+    """
+
+    capacity: np.ndarray
+    demand: np.ndarray
+    residual: ThroughputResult | None
+
+    @property
+    def objective(self) -> float | None:
+        """lambda, or None when the direct links carry all of x."""
+        return None if self.residual is None else self.residual.theta
+
+    def at_one(self) -> ThroughputResult:
+        """The full LP of x on L at theta = 1, with the flow block that sends
+        each pair's min(x, L) over its own arc and adds the residual flows
+        divided by lambda. The block meets the LP's rows when lambda >= 1 (to
+        solver tolerance), the case it certifies; `verify_solution` checks it.
+        lambda must be positive."""
+        lp = _assemble_lp(self.capacity, self.demand)
+        n = len(self.demand)
+        arc = np.full((n, n), -1)
+        arc[tuple(lp.arcs.T)] = np.arange(len(lp.arcs))
+        source = np.full(n, -1)
+        source[lp.sources] = np.arange(len(lp.sources))
+        flows = np.zeros((len(lp.sources), len(lp.arcs)))
+        direct = np.minimum(self.demand, self.capacity)
+        s, v = np.nonzero(direct)
+        flows[source[s], arc[s, v]] = direct[s, v]
+        if self.residual is not None:
+            r = self.residual
+            flows[np.ix_(source[r.lp.sources], arc[tuple(r.lp.arcs.T)])] += r.flows / r.theta
+        flows.setflags(write=False)
+        return ThroughputResult(1.0, flows, lp)
+
+
+def solve_max_throughput(t: Topology, m: DemandMatrix, *,
+                         direct_first: bool = False) -> ThroughputResult | DirectFirstResult:
+    """Maximize theta such that theta*m admits a feasible flow on t.
+
+    `m` is in bits/s; the flows come back in link units. The LP goes to
+    HiGHS through `linprog`, once per attempt, with `_HIGHS_OPTIONS`:
+    dual simplex below SIMPLEX_MAX_COLUMNS columns, interior point from there.
+    If that solver fails, the other is tried once; if that fails too,
+    SolverError names the model status and its message.
+
+    With `direct_first`, it answers only whether theta = 1 is feasible, and
+    returns a `DirectFirstResult`: the max-throughput LP of the demand that
+    each pair's direct links leave on the capacity they leave, or no LP when
+    they leave none.
+    """
+    demand = _link_units(t, m)
+    capacity = t.routable_counts().astype(float)
+    if not direct_first:
+        return _solve(_assemble_lp(capacity, demand))
+    direct = np.minimum(demand, capacity)
+    left = demand - direct
+    left[left < _HIGHS_OPTIONS["small_matrix_value"]] = 0.0
+    residual = _solve(_assemble_lp(capacity - direct, left)) if left.any() else None
+    return DirectFirstResult(capacity, demand, residual)
 
 
 def _hops(adjacent: np.ndarray) -> np.ndarray:

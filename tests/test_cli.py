@@ -385,7 +385,18 @@ class TestEval:
         path.write_text("0,1\n1,0\n")
         result = runner.invoke(main, ["eval", str(path), "--class", net_class, "--u", "1"])
         assert result.exit_code == 2
-        assert result.output.startswith("error: largest demand, ")
+        assert result.output.startswith("error: demand at (0, 1), ")
+        assert "small_matrix_value" in result.output and result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("net_class", evaluation.NETWORK_CLASSES)
+    def test_one_entry_too_small_for_the_lp_exits_two(self, runner, tmp_path, net_class):
+        # 1e-10 links from 0 to 3 beside a whole link's worth from 0 to 1
+        path = tmp_path / "tiny.csv"
+        path.write_text("0,1,0,1e-10\n1,0,0,0\n0,0,0,1\n0,0,1,0\n")
+        result = runner.invoke(main, ["eval", str(path), "--class", net_class, "--u", "2",
+                                      "--c", "1"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: demand at (0, 3), ")
         assert "small_matrix_value" in result.output and result.output.count("\n") == 1
 
     def test_missing_file_exits_two(self, runner, tmp_path):
@@ -531,12 +542,12 @@ class TestReproduce:
     @pytest.mark.parametrize("args, digests", [
         (["fig4", "--n", "8"], (
             "370453f03a9a500e9fe718837db3d7baf4eaf51e38b07a90d947342de2cf00d3",
-            "c456895bb11d2dcd723ddd1ca10515ce87bd62e755a40d6fc328132c506a0fee",
+            "761431c5f2afc39ebec368911f19c0c7b700d49ba729e29a4b769eeed7912328",
             "7e279ac15639bc3fade91b45268cc3bc957097529c4835a0df51e913484b911a",
             "7ccc2edd543a2fb4489b0f0df2e732bb68b535d8eb42d29cb474f0dfeab84422")),
         (["fig3", "--n", "16", "--u", "4"], (
             "e0372cca1792f495325e649e26bfc2b245e83d11020005af6c4cfaca7cc7166a",
-            "0c46758f0958408e5d3025a1d021d582524ac926d6abf8d4b1592cd8facde7b4",
+            "6d5362a510db5fdf7c35fa40adb02165dd031b9e6c2af635f5f74177d263679a",
             "6ab6db93addb56674d21f3052da70126fc3ff7a75b7de8db601642a92d0f927f",
             "a61e03b414b210bad62b71b3f780d5a95df22efcc58dd77e41db6e5dd721b640")),
     ], ids=["fig4-n8", "fig3-n16-u4"])

@@ -28,7 +28,7 @@ from rdcn_throughput import (
     throughput_demand_aware,
     throughput_static,
 )
-from rdcn_throughput import evaluation, topology
+from rdcn_throughput import evaluation, flowlp, topology
 from rdcn_throughput.cli import fig4_degrees
 from rdcn_throughput.evaluation import (
     NETWORK_CLASSES,
@@ -81,12 +81,13 @@ class TestThroughputFunctions:
 
 class TestDemandAwareHeuristic:
     def test_permutation_stops_at_first_iter(self):
+        # each pair's demand fits its own links: accepted with no LP
         theta, trace, _topo = throughput_demand_aware(
             generate("permutation", SMALL), SMALL, "da-periodic")
         assert theta == 1.0
         assert trace.iter_values == (1.0,)
-        assert trace.objectives[0] >= 1.0 - 1e-9
-        assert trace.bounds[0] >= trace.objectives[0] - 1e-9
+        assert trace.objectives == (None,)
+        assert trace.bounds[0] >= OBJECTIVE_REACHED - SKIP_MARGIN
         assert trace.chosen_theta == 1.0
 
     def test_trace_records_descending_multiples_of_step(self):
@@ -160,13 +161,17 @@ class TestBoundGuidedScan:
         for trace in self._scans():
             assert trace.chosen_theta > 0
             assert len(trace.bounds) == len(trace.objectives) == len(trace.iter_values)
-            assert trace.objectives[-1] is not None  # the accepted step is solved
-            for objective, bound in zip(trace.objectives, trace.bounds):
+            *rejected, (objective, bound) = zip(trace.objectives, trace.bounds)
+            # the accepted step is solved; None there: its direct links carry all
+            assert bound >= OBJECTIVE_REACHED - SKIP_MARGIN
+            assert objective is None or objective >= OBJECTIVE_REACHED
+            for objective, bound in rejected:
                 if objective is None:
                     skipped += 1
                     assert bound < OBJECTIVE_REACHED - SKIP_MARGIN
                 else:
-                    assert objective <= bound + 1e-9
+                    assert bound >= OBJECTIVE_REACHED - SKIP_MARGIN
+                    assert objective < OBJECTIVE_REACHED
         assert skipped > 0
 
     def test_same_scan_as_solving_every_step(self, monkeypatch):
@@ -212,6 +217,71 @@ class TestBoundGuidedScan:
         for net_class in ("da-static", "da-periodic"):
             with pytest.raises(ValueError, match=r"violates hose model: row 0 sums to 1\.5e\+11"):
                 throughput_demand_aware(hot, p, net_class)
+
+
+class TestDirectFirstDecision:
+    """Each heuristic step is decided on the demand its direct links leave
+    (`solve_max_throughput(..., direct_first=True)`); the full max-theta LP
+    stays the reference for that decision and for its certificate."""
+
+    BUILDS = {"da-static": topology.build_demand_aware_static,
+              "da-periodic": topology.build_demand_aware_emulated}
+
+    def _check_scan(self, m, p, net_class, seed):
+        cell = throughput_demand_aware(m, p, net_class, seed=seed)
+        trace = cell.trace
+        for k, (scale, step_seed) in enumerate(zip(trace.iter_values, trace.seeds)):
+            scaled = m.scaled(scale)
+            topo = self.BUILDS[net_class](scaled, p, seed=step_seed)
+            step = solve_max_throughput(topo, scaled, direct_first=True)
+            accepted = step.objective is None or step.objective >= OBJECTIVE_REACHED
+            full = solve_max_throughput(topo, scaled).theta
+            assert accepted == (full >= OBJECTIVE_REACHED), (net_class, seed, scale, full)
+            assert accepted == (k == len(trace.iter_values) - 1 and cell.theta > 0)
+            if trace.objectives[k] is not None:
+                assert trace.objectives[k] == step.objective
+            if accepted:
+                certificate = step.at_one()
+                assert certificate.theta == 1.0 and evaluation.verify_solution(certificate).ok
+        return len(trace.iter_values)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_n8_suite_steps(self, seed):
+        p = NetworkParams(8, 4, 25e9)
+        steps = sum(self._check_scan(m, p, net_class, evaluation._seed_int(seed, label))
+                    for label, m in build_suite(p) for net_class in ("da-static", "da-periodic"))
+        assert steps > 24  # more than one step per scan
+
+    def test_n16_chessboard_steps(self):
+        p = NetworkParams(16, 4, 25e9)
+        m = generate("chessboard", p)
+        for seed in range(10):
+            self._check_scan(m, p, "da-periodic", evaluation._seed_int(seed, "chessboard"))
+
+    def test_accepted_step_must_verify(self, monkeypatch):
+        # a lambda twice the solver's: the residual flows divided by it fall short
+        real = evaluation.solve_max_throughput
+
+        def inflated(t, m, **kwargs):
+            step = real(t, m, **kwargs)
+            return replace(step, residual=replace(step.residual, theta=2 * step.objective))
+
+        monkeypatch.setattr(evaluation, "solve_max_throughput", inflated)
+        p = NetworkParams(16, 4, 25e9)
+        with pytest.raises(SolverError, match="failed verification: demand: "):
+            throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_exactly_one_is_accepted_without_an_lp(self, n, monkeypatch):
+        # the fig3 steps whose full-LP optimum is exactly 1.0
+        calls = []
+        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["solver"]))
+        p = NetworkParams(n, 4, 25e9)
+        for label, net_class in (("permutation", "da-static"), ("permutation", "da-periodic"),
+                                 ("uniform", "da-periodic")):
+            cell = evaluate_cell(generate(label, p), p, net_class, seed=0, label=label)
+            assert (cell.theta, cell.trace.objectives) == (1.0, (None,)), (label, net_class)
+        assert calls == []
 
 
 def reference_thetas(workload: str, seed: int) -> dict:
@@ -575,15 +645,23 @@ class TestSweepResultSerialization:
         assert [("trace" in r) for r in rows] == [False, True, False, True]
 
     def test_sweep_json_trace_certifies_theta(self):
-        payload = sweep_matrices(SMALL, build_suite(SMALL)[:2], seed=0).to_json_dict()
+        suite = build_suite(SMALL)[:2]
+        payload = sweep_matrices(SMALL, suite, seed=0).to_json_dict()
+        builds = {"da-static": topology.build_demand_aware_static,
+                  "da-periodic": topology.build_demand_aware_emulated}
         for row in payload["rows"]:
             if row["class"] in ("da-static", "da-periodic"):
                 trace = row["trace"]
                 assert trace["chosen_theta"] == row["theta"] == trace["iter_values"][-1]
-                assert trace["objectives"][-1] >= OBJECTIVE_REACHED
+                objective = trace["objectives"][-1]
+                assert objective is None or objective >= OBJECTIVE_REACHED
+                # the last step's seed rebuilds a topology whose full LP reaches 1
+                scaled = dict(suite)[row["matrix"]].scaled(row["theta"])
+                topo = builds[row["class"]](scaled, SMALL, seed=trace["seeds"][-1])
+                assert throughput_static(topo, scaled) >= OBJECTIVE_REACHED
             else:
                 assert "trace" not in row
-        json.dumps(payload)
+        json.dumps(payload, allow_nan=False)
 
     def test_json_worst_case(self):
         payload = self._result().to_json_dict()

@@ -45,6 +45,11 @@ def complete_topology(n, cap=1.0):
     return Topology(counts, cap, "test")
 
 
+def _lp_of(t, m):
+    """The LP `solve_max_throughput(t, m)` solves: m in link units on t's routable links."""
+    return _assemble_lp(t.routable_counts().astype(float), m.entries / t.link_capacity)
+
+
 def unit_uniform_demand(n):
     entries = np.ones((n, n))
     np.fill_diagonal(entries, 0.0)
@@ -124,18 +129,22 @@ class TestSolveMaxThroughput:
         assert solve_max_throughput(t2, DemandMatrix(entries)).theta >= base - 1e-7
 
     def test_methods_agree(self, monkeypatch):
-        # every LP that the n=8 sweep of all four classes solves, by both methods
+        # every LP that the n=8 sweep of all four classes solves, by both
+        # methods: the full LP of an LP class, a heuristic step's residual one
         solve = evaluation.solve_max_throughput
         gaps = []
 
-        def both(t, m):
+        def both(t, m, **kwargs):
             with monkeypatch.context() as size_rule:
                 size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", 0)  # interior point
-                a = solve(t, m).theta
+                a = solve(t, m, **kwargs)
                 size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf)  # dual simplex
-                b = solve(t, m).theta
-            gaps.append(abs(a - b))
-            return solve(t, m)
+                b = solve(t, m, **kwargs)
+            if kwargs.get("direct_first"):
+                a, b = a.residual, b.residual
+            if a is not None:
+                gaps.append(abs(a.theta - b.theta))
+            return solve(t, m, **kwargs)
 
         monkeypatch.setattr(evaluation, "solve_max_throughput", both)
         sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
@@ -159,6 +168,102 @@ class TestSolveMaxThroughput:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             solve_max_throughput(complete_topology(3), unit_uniform_demand(4))
+
+    def test_demand_below_small_matrix_value_is_named(self):
+        # Links 0->1->2->0 and 3->0: no path reaches 3, so theta is 0. HiGHS
+        # would drop the 1e-10 coefficient and report the pair (0, 1)'s 1.0.
+        counts = np.zeros((4, 4), dtype=int)
+        counts[0, 1] = counts[1, 2] = counts[2, 0] = counts[3, 0] = 1
+        t = Topology(counts, 1.0, "test")
+        entries = np.zeros((4, 4))
+        entries[0, 1], entries[0, 3] = 1.0, 1e-10
+        message = (r"demand at \(0, 3\), 1e-10 link units, is below 1e-09, HiGHS's "
+                   r"small_matrix_value, so the LP would drop it")
+        for solve in (solve_max_throughput, throughput_upper_bound):
+            with pytest.raises(ValueError, match=message):
+                solve(t, DemandMatrix(entries))
+        entries[0, 3] = 1e-3
+        assert solve_max_throughput(t, DemandMatrix(entries)).theta == 0.0
+
+
+@st.composite
+def near_one_instances(draw):
+    """A random instance whose demand is rescaled so that its full-LP theta*
+    is 1/factor, within a factor of 1.25 of 1 but more than 1e-6 from it; a
+    theta* of 0 (some demand has no path) stays 0."""
+    t, m = draw(random_instances())
+    theta = solve_max_throughput(t, m).theta
+    factor = draw(st.floats(0.8, 1.25))
+    assume(abs(1 / factor - 1) > 1e-6)
+    return t, m.scaled(theta * factor) if theta > 0 else m
+
+
+class TestDirectFirst:
+    """A step decided on the demand its direct links leave: the same yes/no
+    as the full LP's theta* >= 1, and a full-LP flow block at theta = 1 that
+    verifies when the answer is yes."""
+
+    @staticmethod
+    def _line():
+        # 0->1, 1->2 and 0->2, one link each
+        counts = np.zeros((3, 3), dtype=int)
+        counts[0, 1] = counts[1, 2] = counts[0, 2] = 1
+        return Topology(counts, 1.0, "line")
+
+    @staticmethod
+    def _demand(x):
+        entries = np.zeros((3, 3))
+        entries[0, 2] = x
+        return DemandMatrix(entries)
+
+    def test_no_lp_when_the_direct_links_carry_all(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["solver"]))
+        result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4),
+                                      direct_first=True)
+        assert (result.residual, result.objective, calls) == (None, None, [])
+        full = result.at_one()
+        assert full.theta == 1.0 and verify_solution(full).ok
+        # each source sends 1 on each of its own arcs, nothing else
+        assert np.array_equal(full.flows, (full.lp.arcs[:, 0] == full.lp.sources[:, None]) * 1.0)
+
+    def test_residual_lp_and_its_certificate(self):
+        # 1 of the 1.5 goes direct; the other 0.5 fits 0->1->2 twice over
+        result = solve_max_throughput(self._line(), self._demand(1.5), direct_first=True)
+        assert result.objective == pytest.approx(2.0, abs=1e-9)
+        assert result.residual.lp.arcs.tolist() == [[0, 1], [1, 2]]
+        full = result.at_one()
+        assert verify_solution(full).ok
+        assert full.lp.arcs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert full.flows == pytest.approx(np.array([[0.5, 1.0, 0.5]]), abs=1e-9)
+
+    def test_certificate_of_a_rejected_step_fails(self):
+        # 3 from 0 to 2: 1 direct, and the path carries 1 of the other 2
+        result = solve_max_throughput(self._line(), self._demand(3.0), direct_first=True)
+        assert result.objective == pytest.approx(0.5, abs=1e-9)
+        assert solve_max_throughput(self._line(), self._demand(3.0)).theta == pytest.approx(
+            2 / 3, abs=1e-9)
+        kinds = {v.kind for v in verify_solution(result.at_one()).violations}
+        assert kinds == {"capacity"}
+
+    def test_no_arc_left_gives_zero(self):
+        # the direct link is full, and no other arc leaves 0
+        counts = np.zeros((3, 3), dtype=int)
+        counts[0, 2] = counts[2, 1] = 1
+        result = solve_max_throughput(Topology(counts, 1.0, "test"), self._demand(1.5),
+                                      direct_first=True)
+        assert result.objective == 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(near_one_instances())
+    def test_decides_as_the_full_lp(self, instance):
+        t, m = instance
+        reached = evaluation.OBJECTIVE_REACHED
+        result = solve_max_throughput(t, m, direct_first=True)
+        accepted = result.objective is None or result.objective >= reached
+        assert accepted == (solve_max_throughput(t, m).theta >= reached)
+        if accepted:
+            assert verify_solution(result.at_one()).ok
 
 
 class TestPathOracleEquivalence:
@@ -499,7 +604,7 @@ class TestSolverFallback:
         plus theta, 3,841 columns."""
         p = NetworkParams(16, 4, 1.0)
         t, m = build_oblivious_equivalent(p), generate("uniform", p)
-        assert _assemble_lp(t, m).c.size == 3841 > flowlp.SIMPLEX_MAX_COLUMNS
+        assert _lp_of(t, m).c.size == 3841 > flowlp.SIMPLEX_MAX_COLUMNS
         return t, m
 
     def test_method_follows_the_lp_size(self, monkeypatch):
@@ -553,7 +658,7 @@ def _solve_by(method, t, m):
 
 def _scipy_linprog_x(method, t, m):
     """The same LP through scipy's public linprog, at the seam's tolerances."""
-    lp = _assemble_lp(t, m)
+    lp = _lp_of(t, m)
     tolerances = {k: v for k, v in flowlp._HIGHS_OPTIONS.items() if k.endswith("_tolerance")}
     res = scipy.optimize.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq,
                                  b_eq=np.zeros(lp.A_eq.shape[0]), bounds=(0, None), method=method,
@@ -673,7 +778,7 @@ class TestAssembleLp:
     def test_balance_rows_are_the_rows_with_a_term(self, instance):
         # a row exists exactly where it has a term: no empty row is kept, none dropped
         t, m = instance
-        lp = _assemble_lp(t, m)
+        lp = _lp_of(t, m)
         assert np.all(np.diff(lp.A_eq.indptr) > 0)
         touched = set(lp.arcs.reshape(-1).tolist())
         demand = m.entries / t.link_capacity
