@@ -7,6 +7,7 @@ check failure.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -54,6 +55,16 @@ def _outdir(out) -> Path:
     except OSError as exc:
         raise ValueError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
+
+
+def _require_writable(path: Path) -> None:
+    """The OSError that writing `path` would raise for a directory there, or
+    for a file or directory that forbids writing, raised now, without making
+    the file."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
 
 def read_config(path) -> dict:
@@ -197,23 +208,26 @@ def eval_cmd(matrix_path, net_class, u, c, seed, trace, emit_topo, out):
     """
     m = load_csv(matrix_path)
     p = NetworkParams(m.n, u, c)
-    outdir = _outdir(out) if emit_topo else None  # before any solve
+    with_schedule = net_class == "da-periodic" and p.n % p.u == 0
+    if emit_topo:  # its files are checked before any solve, and made after
+        outdir = _outdir(out)
+        topo_path, sched_path = outdir / "topology.json", outdir / "schedule.json"
+        for path in (topo_path, sched_path)[:1 + with_schedule]:
+            _require_writable(path)
     cell = evaluation.evaluate_cell(m, p, net_class, seed=seed, label=Path(matrix_path).stem)
     click.echo(f"theta({net_class}, {Path(matrix_path).name}) = {cell.theta:.6g}")
     if trace and cell.trace is not None:
         click.echo(json.dumps(cell.trace.to_json_dict(), indent=2))
     if emit_topo:
-        topo_path = outdir / "topology.json"
         topo_path.write_text(json.dumps(cell.topology.to_json_dict(), indent=2) + "\n",
                              encoding="utf-8")
         click.echo(f"wrote {topo_path}")
-        if net_class == "da-periodic" and p.n % p.u:
+        if net_class == "da-periodic" and not with_schedule:
             click.echo(f"note: no schedule.json: u={p.u} does not divide n={p.n}, so the "
                        "emulated graph has no switch schedule of period n/u", err=True)
-        elif net_class == "da-periodic":
+        elif with_schedule:
             # the certifying build's schedule, as build_demand_aware_periodic lays it out
             schedule = synthesize_schedule(cell.topology, p.u, seed=cell.trace.seeds[-1])
-            sched_path = outdir / "schedule.json"
             sched_path.write_text(json.dumps(schedule.to_json_dict(), indent=2) + "\n",
                                   encoding="utf-8")
             click.echo(f"wrote {sched_path}")

@@ -34,6 +34,7 @@ from .demand import (
     load_csv,
 )
 from .flowlp import (
+    OBJECTIVE_REACHED,
     SolverError,
     demand_upper_bound,
     solve_max_throughput,
@@ -58,7 +59,6 @@ from .topology import (  # noqa: F401
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
 # The heuristic's granularity: every demand-aware theta is a multiple of it.
 DEFAULT_STEP = 0.01
-OBJECTIVE_REACHED = 1.0 - 1e-9
 # A step's LP is skipped when its upper bound lies below OBJECTIVE_REACHED by
 # more than this: ten times the solver's feasibility tolerance, so a step the
 # LP could accept is always solved. The scan starts at the first step whose
@@ -84,9 +84,13 @@ class HeuristicTrace:
     `solve_max_throughput(..., direct_first=True)`, or None where no LP was
     solved: a step whose bound fell below OBJECTIVE_REACHED - SKIP_MARGIN was
     skipped, and at the accepted step None means the direct links carried all
-    the demand. When chosen_theta > 0, the last step is the accepted one, and
-    its topology certifies it: the flows that decided it pass
-    `verify_solution` on the full LP at theta = 1.
+    the demand. Where the residual LP has SIMPLEX_MAX_COLUMNS columns or more,
+    lambda is lambda_p, the theta column of the crossover-free interior-point
+    solve that decided the step, or the exact optimum where that solve left
+    the step undecided (`flowlp`'s docstring); either way it lies on the
+    step's side of OBJECTIVE_REACHED. When chosen_theta > 0, the last step
+    is the accepted one, and its topology certifies it: the flows that
+    decided it pass `verify_solution` on the full LP at theta = 1.
     """
 
     iter_values: tuple
@@ -248,10 +252,11 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     multiple of DEFAULT_STEP with uncertainty one step; 0.0 if no scan value
     succeeds. A step is accepted when its direct links carry all of the
     demand, or when the max-throughput lambda of what they leave reaches
-    OBJECTIVE_REACHED (`solve_max_throughput` with `direct_first`), as the
-    full LP would decide. The accepted step's build certifies theta: the flows
-    that decided it must pass `verify_solution` on the full LP at theta = 1,
-    or SolverError names the largest violation. m must meet the hose bound at
+    OBJECTIVE_REACHED (`solve_max_throughput` with `direct_first`, whose
+    `accepted` decides), as the full LP would decide. The accepted step's
+    build certifies theta: the flows that decided it must pass
+    `verify_solution` on the full LP at theta = 1, or SolverError names the
+    largest violation. m must meet the hose bound at
     full scale: this is the cell's one hose check, so the builds of the
     scanned steps make none.
 
@@ -286,8 +291,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         objective, accepted = None, False
         if bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
             step = solve_max_throughput(topo, scaled, direct_first=True)
-            objective = step.objective
-            accepted = objective is None or objective >= OBJECTIVE_REACHED
+            objective, accepted = step.objective, step.accepted
         iter_values.append(scale)
         bounds.append(bound)
         objectives.append(objective)

@@ -48,6 +48,32 @@ L' = L - min(x, L), that is when x' = 0 (no LP at all) or the max-throughput
 lambda of x' on L' is at least 1. Its flows divided by lambda, plus each
 pair's direct min(x, L), are a flow block of the full LP at theta = 1
 (`DirectFirstResult.at_one`), which `verify_solution` checks as any other.
+
+A step needs only that yes/no, not lambda's vertex, so a residual LP of
+SIMPLEX_MAX_COLUMNS columns or more is first solved by interior point
+without crossover (`linprog(..., crossover=False)`): a near-optimal point,
+whose theta column is the primal estimate lambda_p, and the duals y of its
+cap rows. Any arc lengths l >= 0 bound lambda from above. A routing of
+lambda * x' sends each of its units from s to v along a path no shorter than
+dist_l(s, v), and each arc carries at most L', so
+lambda * sum x' * dist_l <= sum L' * l, that is
+lambda* <= lambda_d = sum L' * l / sum x' * dist_l
+(Shahrokhi and Matula 1990; Garg and Koenemann 1998). With l = max(-y, 0),
+lambda_d tends to lambda* as y tends to an optimal dual (y <= 0 on a cap row
+of this minimization); whatever y is, lambda_d is a bound, computed here in
+numpy (`_dual_bound`: Floyd-Warshall, in which an arc of zero length is an
+arc). lambda_p is no such bound: the point meets the rows only to the
+feasibility tolerance DEFAULT_TOL, and its theta was seen to exceed lambda*
+by up to 3.6e-8 on small random instances. So the step is decided as follows:
+  - accept when lambda_p >= OBJECTIVE_REACHED + DEFAULT_TOL and the flow
+    block that `at_one` builds from the point passes `verify_solution`;
+  - reject when lambda_p and lambda_d are both below OBJECTIVE_REACHED,
+    lambda_d proving lambda* < 1;
+  - otherwise (a bracket [lambda_p, lambda_d] across OBJECTIVE_REACHED or
+    its margin, a status other than optimal, or a candidate that fails the
+    check) solve the residual LP again exactly, by `_solve`, and decide on
+    its lambda.
+A smaller residual LP goes to `_solve` (dual simplex) at once.
 """
 
 from __future__ import annotations
@@ -81,12 +107,20 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": DEFAULT_TOL,
     "small_matrix_value": 1e-9,  # HiGHS's default: smaller coefficients are dropped
 }
+# What `linprog(..., crossover=False)` sets on top: HiGHS's interior point
+# returns its own point and duals, with no presolve to undo and no crossover.
+_INTERIOR_ONLY = {"presolve": "off", "run_crossover": "off"}
 # The HiGHS solver follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
 # (every sweep cell at n=8) dual simplex takes about two thirds of the
 # interior point time; above it interior point with crossover is the faster
-# (the n=16 chessboard scan LP, 3,105 columns). Both return the same vertex
-# optima to rounding. A solver that fails is retried once with the other.
+# (the n=16 chessboard full LP, 3,105 columns). Both return the same vertex
+# optima to rounding. A solver that fails is retried once with the other. From
+# this size on a heuristic step's residual LP (2,049 columns in the n=16
+# chessboard scan) is first solved without crossover (module docstring).
 SIMPLEX_MAX_COLUMNS = 1500
+# A heuristic step is accepted when its lambda reaches this: 1 up to a margin
+# far below the solver's 1e-7 feasibility tolerance.
+OBJECTIVE_REACHED = 1.0 - 1e-9
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
 # How SolverError names the model status of a failed solve; any other is
 # numerical-trouble.
@@ -198,18 +232,24 @@ class LPResult(NamedTuple):
     x: np.ndarray | None  # the column values; None unless status is _OPTIMAL
     nit: int  # simplex iterations, or interior-point ones if there were none
     message: str
+    # the duals of the A_ub rows; None unless status is _OPTIMAL and crossover off
+    ub_dual: np.ndarray | None = None
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, solver) -> LPResult:
+def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
     """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == 0 and x >= 0, by
     HiGHS's own binding that scipy ships: the module's only solver call.
 
-    `solver` is HiGHS's option value: "simplex" (dual simplex) or "ipm"
-    (interior point with crossover). The other options are `_HIGHS_OPTIONS`,
-    the ones `scipy.optimize.linprog` passes, so the two give the same x bit
-    for bit. The name and the keywords A_ub and A_eq stay because the
-    benchmark traces `flowlp.linprog` by attribute and reads c, A_ub, A_eq and
-    `nit` off the call.
+    Three modes. `solver` is HiGHS's option value: "simplex" (dual simplex)
+    or "ipm" (interior point with crossover); both return a vertex. The other
+    options are `_HIGHS_OPTIONS`, the ones `scipy.optimize.linprog` passes, so
+    these two give the same x as it does with highs-ds or highs-ipm, bit for
+    bit. "ipm" with `crossover` False adds `_INTERIOR_ONLY`: it returns the
+    interior point as HiGHS's interior-point solver leaves it, near-optimal
+    but no vertex and not scipy's, and reads back `ub_dual` as well. The name
+    and the keywords A_ub and A_eq stay because the benchmark traces
+    `flowlp.linprog` by attribute and reads c, A_ub, A_eq and `nit` off the
+    call.
     """
     A = sp.vstack((A_ub, A_eq), format="csr")
     lp = _highs.HighsLp()
@@ -225,7 +265,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver) -> LPResult:
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
 
     highs = _highs._Highs()
-    for name, value in {**_HIGHS_OPTIONS, "solver": solver}.items():
+    options = {**_HIGHS_OPTIONS, "solver": solver, **({} if crossover else _INTERIOR_ONLY)}
+    for name, value in options.items():
         if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
             raise SolverError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(lp) == _highs.HighsStatus.kError:
@@ -233,9 +274,14 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver) -> LPResult:
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
-    x = np.array(highs.getSolution().col_value) if status == _OPTIMAL else None
+    x = ub_dual = None
+    if status == _OPTIMAL:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        if not crossover:
+            ub_dual = np.array(solution.row_dual[:b_ub.size])
     return LPResult(status, x, info.simplex_iteration_count or info.ipm_iteration_count,
-                    highs.modelStatusToString(status))
+                    highs.modelStatusToString(status), ub_dual)
 
 
 def _solve(lp: _FlowLP) -> ThroughputResult:
@@ -249,11 +295,34 @@ def _solve(lp: _FlowLP) -> ThroughputResult:
     if res.status != _OPTIMAL:
         raise SolverError(f"solver returned {_FAILURE.get(res.status, 'numerical-trouble')}: "
                           f"{res.message}")
+    return _result(lp, res.x)
 
-    flows = res.x[1:].reshape(len(lp.sources), len(lp.arcs))
+
+def _result(lp: _FlowLP, x: np.ndarray) -> ThroughputResult:
+    """The ThroughputResult of lp's column values x."""
+    flows = x[1:].reshape(len(lp.sources), len(lp.arcs))
     flows.setflags(write=False)
-    theta = float(res.x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
+    theta = float(x[0]) + 0.0  # HiGHS may return -0.0 when some demand has no route
     return ThroughputResult(theta, flows, lp)
+
+
+def _dual_bound(lp: _FlowLP, ub_dual: np.ndarray) -> float:
+    """lambda_d, the bound on lp's optimum that the arc lengths
+    l = max(-ub_dual, 0) give (module docstring): sum(capacity * l) over
+    sum(demand * dist_l). Shortest paths are by Floyd-Warshall on a dense
+    matrix where only a missing arc is inf, so an arc of length 0 stays an
+    arc. 0.0 when some demand has no path; inf when l leaves every demand a
+    path of length 0."""
+    length = np.maximum(-ub_dual, 0.0)
+    n = len(lp.demand)
+    dist = np.full((n, n), np.inf)
+    dist[tuple(lp.arcs.T)] = length
+    np.fill_diagonal(dist, 0.0)
+    for v in range(n):
+        np.minimum(dist, dist[:, v, None] + dist[v], out=dist)
+    pair = lp.demand > 0
+    need = float(lp.demand[pair] @ dist[pair])
+    return float(lp.capacity @ length) / need if need > 0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,17 +335,29 @@ class DirectFirstResult:
     below HiGHS's small_matrix_value zeroed, on the capacity left,
     L' = L - min(x, L); None when x' = 0 and no LP was solved. By the exchange
     lemma (module docstring), x routes on L at theta = 1 exactly when
-    `objective` is None or at least 1.
+    `objective` is None or at least 1, and `accepted` is that decision.
+
+    Where the residual LP was decided from its crossover-free interior point
+    (module docstring), `residual` holds that point, lambda_p as its theta,
+    and `dual_bound` is lambda_d; elsewhere `residual` is the exact optimum
+    and `dual_bound` None.
     """
 
     capacity: np.ndarray
     demand: np.ndarray
     residual: ThroughputResult | None
+    dual_bound: float | None = None
 
     @property
     def objective(self) -> float | None:
         """lambda, or None when the direct links carry all of x."""
         return None if self.residual is None else self.residual.theta
+
+    @property
+    def accepted(self) -> bool:
+        """Whether x routes on L at theta = 1: lambda is None or reaches
+        OBJECTIVE_REACHED."""
+        return self.objective is None or self.objective >= OBJECTIVE_REACHED
 
     def at_one(self) -> ThroughputResult:
         """The full LP of x on L at theta = 1, with the flow block that sends
@@ -314,7 +395,10 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     With `direct_first`, it answers only whether theta = 1 is feasible, and
     returns a `DirectFirstResult`: the max-throughput LP of the demand that
     each pair's direct links leave on the capacity they leave, or no LP when
-    they leave none.
+    they leave none. From SIMPLEX_MAX_COLUMNS columns on, that LP is decided
+    from one crossover-free interior-point solve where its bracket and
+    certificate settle it, and solved as above where they do not (module
+    docstring).
     """
     demand = _link_units(t, m)
     capacity = t.routable_counts().astype(float)
@@ -323,8 +407,31 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     direct = np.minimum(demand, capacity)
     left = demand - direct
     left[left < _HIGHS_OPTIONS["small_matrix_value"]] = 0.0
-    residual = _solve(_assemble_lp(capacity - direct, left)) if left.any() else None
-    return DirectFirstResult(capacity, demand, residual)
+    if not left.any():
+        return DirectFirstResult(capacity, demand, None)
+    lp = _assemble_lp(capacity - direct, left)
+    if lp.c.size >= SIMPLEX_MAX_COLUMNS:
+        step = _decide_interior(lp, capacity, demand)
+        if step is not None:
+            return step
+    return DirectFirstResult(capacity, demand, _solve(lp))
+
+
+def _decide_interior(lp: _FlowLP, capacity: np.ndarray,
+                     demand: np.ndarray) -> DirectFirstResult | None:
+    """The step of demand on capacity whose residual LP is lp, decided from
+    lp's crossover-free interior point as the module docstring says, or None
+    for the exact solve to decide."""
+    res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
+                  crossover=False)
+    if res.status != _OPTIMAL:
+        return None
+    step = DirectFirstResult(capacity, demand, _result(lp, res.x), _dual_bound(lp, res.ub_dual))
+    if step.objective >= OBJECTIVE_REACHED + DEFAULT_TOL:
+        settled = verify_solution(step.at_one()).ok
+    else:
+        settled = step.objective < OBJECTIVE_REACHED and step.dual_bound < OBJECTIVE_REACHED
+    return step if settled else None
 
 
 def _hops(adjacent: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from rdcn_throughput import (
     solve_max_throughput,
     verify_solution,
 )
-from rdcn_throughput import cli, evaluation
+from rdcn_throughput import cli, evaluation, flowlp
 from rdcn_throughput.cli import CONFIG_KEYS, fig4_degrees, main, read_config, reproduce
 from rdcn_throughput.evaluation import LANDSCAPE_CRITERIA, OBJECTIVE_REACHED, check_landscape
 from rdcn_throughput.svg import grouped_bar_chart
@@ -127,6 +127,25 @@ class TestOutDir:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert str(out / occupied) in result.stderr
+
+    @pytest.mark.parametrize("occupied", ["topology.json", "schedule.json"])
+    def test_eval_checks_its_files_before_any_solve(self, runner, tmp_path, monkeypatch,
+                                                    occupied):
+        # the n=8 chessboard's da-periodic scan solves an LP; none is reached,
+        # and neither file is made
+        solves = []
+        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: solves.append(k))
+        path = tmp_path / "chessboard.csv"
+        save_csv(generate("chessboard", NetworkParams(8, 4, 25e9)), path)
+        out = tmp_path / "out"
+        (out / occupied).mkdir(parents=True)
+        result = runner.invoke(main, ["eval", str(path), "--class", "da-periodic", "--u", "4",
+                                      "--emit-topo", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"error: [Errno 21] Is a directory: "
+                                 f"'{out / occupied}'\n")
+        assert solves == []
+        assert sorted(p.name for p in out.iterdir()) == [occupied]
 
     def test_unwritable_file_exits_two_in_a_real_process(self, tmp_path):
         # click's CliRunner catches exceptions itself; the interpreter does not
@@ -547,7 +566,7 @@ class TestReproduce:
             "7ccc2edd543a2fb4489b0f0df2e732bb68b535d8eb42d29cb474f0dfeab84422")),
         (["fig3", "--n", "16", "--u", "4"], (
             "e0372cca1792f495325e649e26bfc2b245e83d11020005af6c4cfaca7cc7166a",
-            "6d5362a510db5fdf7c35fa40adb02165dd031b9e6c2af635f5f74177d263679a",
+            "eec7c2d416cc3955b41e7617d68c93075a0a3bd29575ad6ee1adb7851979c8db",
             "6ab6db93addb56674d21f3052da70126fc3ff7a75b7de8db601642a92d0f927f",
             "a61e03b414b210bad62b71b3f780d5a95df22efcc58dd77e41db6e5dd721b640")),
     ], ids=["fig4-n8", "fig3-n16-u4"])

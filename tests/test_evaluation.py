@@ -258,6 +258,38 @@ class TestDirectFirstDecision:
         for seed in range(10):
             self._check_scan(m, p, "da-periodic", evaluation._seed_int(seed, "chessboard"))
 
+    def test_n16_steps_decide_as_the_exact_solve(self, monkeypatch):
+        # Every LP step of the n=16 suite's demand-aware cells at u=4, and of
+        # the n=16 chessboard scan at seeds 0-9, against the exact vertex solve
+        # of the same residual LP; and how many interior-point solves left
+        # their step to an exact re-solve.
+        real, decide = evaluation.solve_max_throughput, flowlp._decide_interior
+        settled, lp_steps = [], []
+
+        def recorded(*args):
+            step = decide(*args)
+            settled.append(step is not None)
+            return step
+
+        def compared(t, m, **kwargs):
+            step = real(t, m, **kwargs)
+            with monkeypatch.context() as exact:
+                exact.setattr(flowlp, "_decide_interior", lambda *args: None)
+                assert step.accepted == real(t, m, **kwargs).accepted
+            lp_steps.append(step.residual is not None)
+            return step
+
+        monkeypatch.setattr(flowlp, "_decide_interior", recorded)
+        monkeypatch.setattr(evaluation, "solve_max_throughput", compared)
+        p = NetworkParams(16, 4, 25e9)
+        for label, m in build_suite(p):
+            for net_class in ("da-static", "da-periodic"):
+                evaluate_cell(m, p, net_class, seed=0, label=label)
+        for seed in range(10):
+            evaluate_cell(generate("chessboard", p), p, "da-periodic", seed=seed,
+                          label="chessboard")
+        assert (sum(lp_steps), len(settled), settled.count(False)) == (80, 19, 0)
+
     def test_accepted_step_must_verify(self, monkeypatch):
         # a lambda twice the solver's: the residual flows divided by it fall short
         real = evaluation.solve_max_throughput

@@ -28,12 +28,13 @@ from rdcn_throughput import (
 from rdcn_throughput import evaluation, flowlp
 from rdcn_throughput.evaluation import build_suite, sweep_degree
 from rdcn_throughput.flowlp import (
+    OBJECTIVE_REACHED,
     _assemble_lp,
     _hops,
     demand_upper_bound,
     throughput_upper_bound,
 )
-from rdcn_throughput.topology import link_budget
+from rdcn_throughput.topology import build_demand_aware_emulated, link_budget
 
 from conftest import sinkhorn_doubly_stochastic
 from lp_oracle import path_lp_throughput
@@ -130,12 +131,14 @@ class TestSolveMaxThroughput:
 
     def test_methods_agree(self, monkeypatch):
         # every LP that the n=8 sweep of all four classes solves, by both
-        # methods: the full LP of an LP class, a heuristic step's residual one
+        # exact methods: the full LP of an LP class, and a heuristic step's
+        # residual one on the exact path an undecided interior point falls to
         solve = evaluation.solve_max_throughput
         gaps = []
 
         def both(t, m, **kwargs):
             with monkeypatch.context() as size_rule:
+                size_rule.setattr(flowlp, "_decide_interior", lambda *args: None)
                 size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", 0)  # interior point
                 a = solve(t, m, **kwargs)
                 size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf)  # dual simplex
@@ -317,6 +320,101 @@ class TestRandomInstances:
         assert result.theta == pytest.approx(
             path_lp_throughput(t.routable_counts(), m.entries), abs=1e-6)
         assert verify_solution(result).ok
+
+
+def _interior(lp):
+    """lp's crossover-free interior point: (lambda_p, lambda_d)."""
+    res = flowlp.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
+                         crossover=False)
+    assert res.status == HighsModelStatus.kOptimal
+    return res.x[0], flowlp._dual_bound(lp, res.ub_dual)
+
+
+def _chessboard_step(scale):
+    """The topology and demand of the n=16, u=4 chessboard scan's step at
+    `scale` (0.86 and 0.85 are rejected, 0.84 accepted), at seed 0."""
+    p = NetworkParams(16, 4, 25e9)
+    m = generate("chessboard", p).scaled(scale)
+    k = round((1 - scale) / evaluation.DEFAULT_STEP)
+    seed = evaluation._seed_int(evaluation._seed_int(0, "chessboard"), "iter", k)
+    return build_demand_aware_emulated(m, p, seed=seed), m
+
+
+class TestDecisionBracket:
+    """A large step's residual LP is decided from its crossover-free interior
+    point: accepted on lambda_p and a verified certificate, rejected on the
+    dual bound lambda_d, and solved exactly when neither settles it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.one_of(random_instances(), near_one_instances()))
+    def test_bracket_holds_the_optimum(self, instance):
+        # lambda_d is a bound, and near-optimal duals make it tight;
+        # lambda_p is a point feasible to DEFAULT_TOL only
+        lp = _lp_of(*instance)
+        optimum = flowlp._solve(lp).theta
+        primal, dual = _interior(lp)
+        assert primal <= optimum + flowlp.DEFAULT_TOL
+        assert optimum <= dual + 1e-9
+        assert dual <= optimum * (1 + 1e-6) + 1e-9
+
+    def test_arcs_of_zero_length_stay_arcs(self):
+        # 0->1 (10 links) and 1->2 (1 link) carry 1 from 0 to 2: lambda* = 1.
+        # The optimal duals price 0->1, which has slack, at 0.
+        counts = np.zeros((3, 3), dtype=int)
+        counts[0, 1], counts[1, 2] = 10, 1
+        entries = np.zeros((3, 3))
+        entries[0, 2] = 1.0
+        lp = _lp_of(Topology(counts, 1.0, "test"), DemandMatrix(entries))
+        assert lp.arcs.tolist() == [[0, 1], [1, 2]]
+        optimal = np.array([0.0, -1.0])
+        assert flowlp._dual_bound(lp, optimal) == 1.0
+        # csgraph reads a dense zero as no arc: 2 looks unreachable, bound 0
+        dense = np.zeros((3, 3))
+        dense[tuple(lp.arcs.T)] = -optimal
+        assert np.isinf(shortest_path(dense)[0, 2])
+        primal, dual = _interior(lp)
+        assert primal <= 1.0 + 1e-9 <= dual + 2e-9
+
+    def _decide(self, monkeypatch, scale, tamper=lambda res: res):
+        """The step at `scale`, with each crossover-free result passed through
+        `tamper`, and the (solver, crossover) of each HiGHS call it made."""
+        calls = []
+        real = flowlp.linprog
+
+        def linprog(*args, crossover=True, **kwargs):
+            calls.append((kwargs["solver"], crossover))
+            res = real(*args, crossover=crossover, **kwargs)
+            return res if crossover else tamper(res)
+
+        monkeypatch.setattr(flowlp, "linprog", linprog)
+        return solve_max_throughput(*_chessboard_step(scale), direct_first=True), calls
+
+    def test_straddling_bracket_is_solved_exactly(self, monkeypatch):
+        untouched, calls = self._decide(monkeypatch, 0.86)
+        assert calls == [("ipm", False)]
+        assert not untouched.accepted and untouched.dual_bound < OBJECTIVE_REACHED
+        # a dual bound of 2 leaves lambda_p < 1 <= lambda_d undecided
+        monkeypatch.setattr(flowlp, "_dual_bound", lambda lp, ub_dual: 2.0)
+        step, calls = self._decide(monkeypatch, 0.86)
+        assert calls == [("ipm", False), ("ipm", True)]
+        assert not step.accepted and step.dual_bound is None
+        assert step.objective == flowlp._solve(step.residual.lp).theta
+
+    @pytest.mark.parametrize("scale, accepted", [(0.86, False), (0.84, True)])
+    def test_candidate_that_fails_verification_is_solved_exactly(self, monkeypatch, scale,
+                                                                 accepted):
+        # lambda_p doubled: the point's flows divided by it fall short
+        def doubled(res):
+            x = res.x.copy()
+            x[0] *= 2
+            return res._replace(x=x)
+
+        step, calls = self._decide(monkeypatch, scale, doubled)
+        assert calls == [("ipm", False), ("ipm", True)]
+        assert step.accepted == accepted and step.dual_bound is None
+        assert step.objective == flowlp._solve(step.residual.lp).theta
+        if accepted:
+            assert verify_solution(step.at_one()).ok
 
 
 def hop_volume_bisection(t, m):
