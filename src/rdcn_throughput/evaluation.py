@@ -9,8 +9,8 @@ that iter is the reported throughput (granularity = one step). Each step is
 decided on the demand its direct links leave (`solve_max_throughput` with
 `direct_first`), which routes exactly when the full matrix does. The scan
 starts at the first step that the demand alone (`demand_upper_bound`) leaves
-room to reach 1, and a step whose topology bounds the full LP's objective
-below 1 (`throughput_upper_bound`) is rejected without an LP.
+room to reach 1, and a step whose residual LP is bounded below 1 from its
+topology's hop counts (`residual_upper_bound`) is rejected without an LP.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .demand import (
     DemandMatrix,
     NetworkParams,
+    Report,
     UniformResidualClass,
     classify_uniform_residual,
     decompose_integer_residual,
@@ -37,8 +38,8 @@ from .flowlp import (
     OBJECTIVE_REACHED,
     SolverError,
     demand_upper_bound,
+    residual_upper_bound,
     solve_max_throughput,
-    throughput_upper_bound,
     verify_solution,
 )
 # Nothing here calls build_demand_aware_periodic; the benchmark traces it as
@@ -59,12 +60,12 @@ from .topology import (  # noqa: F401
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
 # The heuristic's granularity: every demand-aware theta is a multiple of it.
 DEFAULT_STEP = 0.01
-# A step's LP is skipped when its upper bound lies below OBJECTIVE_REACHED by
-# more than this: ten times the solver's feasibility tolerance, so a step the
-# LP could accept is always solved. The scan starts at the first step whose
-# demand-only bound reaches OBJECTIVE_REACHED - 2 * SKIP_MARGIN: that bound is
-# computed by other arithmetic than the per-step one, and the second margin
-# covers the difference.
+# A step's LP is skipped when the upper bound on its lambda lies below
+# OBJECTIVE_REACHED by more than this: ten times the solver's feasibility
+# tolerance, so a step the LP could accept is always solved. The scan starts at
+# the first step whose demand-only bound reaches OBJECTIVE_REACHED -
+# 2 * SKIP_MARGIN: that bound is computed by other arithmetic than the per-step
+# one, and the second margin covers the difference.
 SKIP_MARGIN = 1e-6
 
 _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -79,12 +80,14 @@ class HeuristicTrace:
     scan starts at the first step whose scale B leaves room to reach an
     objective of 1; every earlier step is one whose own bound rules it out.
     Scanned step k scaled the demand by iter_values[k], on a topology built
-    with seeds[k] whose upper bound on the full LP's objective is bounds[k].
-    objectives[k] is lambda, the optimum of the residual LP of
-    `solve_max_throughput(..., direct_first=True)`, or None where no LP was
-    solved: a step whose bound fell below OBJECTIVE_REACHED - SKIP_MARGIN was
-    skipped, and at the accepted step None means the direct links carried all
-    the demand. Where the residual LP has SIMPLEX_MAX_COLUMNS columns or more,
+    with seeds[k]. objectives[k] is lambda, the optimum of the residual LP of
+    `solve_max_throughput(..., direct_first=True)`, and bounds[k] is
+    `residual_upper_bound`'s lambda_b >= lambda; both are None where the
+    direct links carried all the demand and there is no residual, which
+    happens only at the accepted step. objectives[k] alone is None where the
+    LP was skipped because bounds[k] fell below
+    OBJECTIVE_REACHED - SKIP_MARGIN. Where the residual LP has
+    SIMPLEX_MAX_COLUMNS columns or more,
     lambda is lambda_p, the theta column of the crossover-free interior-point
     solve that decided the step, or the exact optimum where that solve left
     the step undecided (`flowlp`'s docstring); either way it lies on the
@@ -228,14 +231,13 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     naming its largest violation.
     """
     result = solve_max_throughput(t, m)
-    _require_verified(result)
+    _require_verified(verify_solution(result))
     return result.theta
 
 
-def _require_verified(result) -> None:
-    """SolverError naming the largest violation unless `verify_solution` finds
-    none in result."""
-    report = verify_solution(result)
+def _require_verified(report: Report) -> None:
+    """SolverError naming the largest violation unless `verify_solution`'s
+    report is ok."""
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.magnitude)
         raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
@@ -255,19 +257,22 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     OBJECTIVE_REACHED (`solve_max_throughput` with `direct_first`, whose
     `accepted` decides), as the full LP would decide. The accepted step's
     build certifies theta: the flows that decided it must pass
-    `verify_solution` on the full LP at theta = 1, or SolverError names the
-    largest violation. m must meet the hose bound at
+    `verify_solution` on the full LP at theta = 1 (`DirectFirstResult.report`,
+    the check an interior-point decision already made where there was one),
+    or SolverError names the largest violation. m must meet the hose bound at
     full scale: this is the cell's one hose check, so the builds of the
     scanned steps make none.
 
     The scan starts at the first step whose scale the demand-only bound B
-    (`demand_upper_bound`, once per cell) leaves room to reach 1: B bounds
-    each step's own topology bound, so every step before is one that bound
-    rejects, and B >= 1/2 on a hose-feasible m keeps some step. Every
+    (`demand_upper_bound`, once per cell) leaves room to reach 1. B bounds
+    the hop-volume bound of each step's topology, and a step that bound puts
+    below 1 has its residual bound below 1 too (each residual unit crosses
+    at least max(2, hop) arcs), so every step before is one the per-step
+    skip rejects; and B >= 1/2 on a hose-feasible m keeps some step. Every
     scanned step builds its topology from its own seed, `_seed_int(seed,
-    "iter", k)` with k counted from scale 1, but solves an LP only if the
-    topology's upper bound leaves the objective room to reach 1; so neither
-    skip changes a theta or a certifying build. A schedule takes no part in
+    "iter", k)` with k counted from scale 1, but solves an LP only if
+    `residual_upper_bound` leaves lambda room to reach 1; so neither skip
+    changes a theta or a certifying build. A schedule takes no part in
     theta, so da-periodic steps build only the emulated graph, and none is
     synthesized here.
     """
@@ -287,9 +292,9 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
             topo = build_demand_aware_static(scaled, p, seed=iter_seed)
         else:
             topo = build_demand_aware_emulated(scaled, p, seed=iter_seed)
-        bound = throughput_upper_bound(topo, scaled)
+        bound = residual_upper_bound(topo, scaled)
         objective, accepted = None, False
-        if bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
+        if bound is None or bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
             step = solve_max_throughput(topo, scaled, direct_first=True)
             objective, accepted = step.objective, step.accepted
         iter_values.append(scale)
@@ -297,7 +302,7 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         objectives.append(objective)
         seeds.append(iter_seed)
         if accepted:
-            _require_verified(step.at_one())
+            _require_verified(step.report)
             theta = scale
             break
     trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta,

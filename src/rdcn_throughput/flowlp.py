@@ -32,8 +32,7 @@ once per call, index sets and sparse matrices in one `_FlowLP` record.
 into the binding that scipy bundles, and returns its flow columns as a
 sources x arcs block together with the record. `verify_solution` checks that
 block against the record's arcs and rows without touching its matrices,
-returning a `demand.Report` of `Violation`s. `throughput_upper_bound` bounds
-the LP's optimum from the topology alone, without solving it.
+returning a `demand.Report` of `Violation`s.
 
 Whether theta = 1 is feasible, the one question of a demand-aware heuristic
 step, has a smaller LP (`solve_max_throughput(..., direct_first=True)`).
@@ -47,7 +46,8 @@ residual demand x' = x - min(x, L) routes on the residual capacity
 L' = L - min(x, L), that is when x' = 0 (no LP at all) or the max-throughput
 lambda of x' on L' is at least 1. Its flows divided by lambda, plus each
 pair's direct min(x, L), are a flow block of the full LP at theta = 1
-(`DirectFirstResult.at_one`), which `verify_solution` checks as any other.
+(`DirectFirstResult.at_one`), which `verify_solution` checks as any other,
+once per result (`DirectFirstResult.report`).
 
 A step needs only that yes/no, not lambda's vertex, so a residual LP of
 SIMPLEX_MAX_COLUMNS columns or more is first solved by interior point
@@ -58,7 +58,10 @@ lambda * x' sends each of its units from s to v along a path no shorter than
 dist_l(s, v), and each arc carries at most L', so
 lambda * sum x' * dist_l <= sum L' * l, that is
 lambda* <= lambda_d = sum L' * l / sum x' * dist_l
-(Shahrokhi and Matula 1990; Garg and Koenemann 1998). With l = max(-y, 0),
+(Shahrokhi and Matula 1990; Garg and Koenemann 1998). With every l = 1 the
+bound needs no LP at all: lambda_b = sum L' / sum x' * hop', hop' the BFS
+distance in the arcs of L', is `residual_upper_bound`, which a heuristic
+scan reads before it pays for the LP. With l = max(-y, 0),
 lambda_d tends to lambda* as y tends to an optimal dual (y <= 0 on a cap row
 of this minimization); whatever y is, lambda_d is a bound, computed here in
 numpy (`_dual_bound`: Floyd-Warshall, in which an arc of zero length is an
@@ -80,6 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -381,6 +385,28 @@ class DirectFirstResult:
         flows.setflags(write=False)
         return ThroughputResult(1.0, flows, lp)
 
+    @cached_property
+    def report(self) -> Report:
+        """`verify_solution` of `at_one()`, built and checked once however
+        often it is read: the interior-point decision and the heuristic's
+        certificate check read the same report. A `dataclasses.replace` copy
+        builds and checks its own."""
+        return verify_solution(self.at_one())
+
+
+def _residual(t: Topology, m: DemandMatrix):
+    """(L, x, L', x'): t's routable link counts L and m in link units x, and
+    what each pair's min(x, L) on its own links leaves of them,
+    L' = L - min(x, L) and x' = x - min(x, L) with entries below HiGHS's
+    small_matrix_value zeroed. `solve_max_throughput(..., direct_first=True)`
+    solves the LP of x' on L', and `residual_upper_bound` bounds it."""
+    demand = _link_units(t, m)
+    capacity = t.routable_counts().astype(float)
+    direct = np.minimum(demand, capacity)
+    left = demand - direct
+    left[left < _HIGHS_OPTIONS["small_matrix_value"]] = 0.0
+    return capacity, demand, capacity - direct, left
+
 
 def solve_max_throughput(t: Topology, m: DemandMatrix, *,
                          direct_first: bool = False) -> ThroughputResult | DirectFirstResult:
@@ -400,16 +426,12 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     certificate settle it, and solved as above where they do not (module
     docstring).
     """
-    demand = _link_units(t, m)
-    capacity = t.routable_counts().astype(float)
     if not direct_first:
-        return _solve(_assemble_lp(capacity, demand))
-    direct = np.minimum(demand, capacity)
-    left = demand - direct
-    left[left < _HIGHS_OPTIONS["small_matrix_value"]] = 0.0
+        return _solve(_assemble_lp(t.routable_counts().astype(float), _link_units(t, m)))
+    capacity, demand, room, left = _residual(t, m)
     if not left.any():
         return DirectFirstResult(capacity, demand, None)
-    lp = _assemble_lp(capacity - direct, left)
+    lp = _assemble_lp(room, left)
     if lp.c.size >= SIMPLEX_MAX_COLUMNS:
         step = _decide_interior(lp, capacity, demand)
         if step is not None:
@@ -428,7 +450,7 @@ def _decide_interior(lp: _FlowLP, capacity: np.ndarray,
         return None
     step = DirectFirstResult(capacity, demand, _result(lp, res.x), _dual_bound(lp, res.ub_dual))
     if step.objective >= OBJECTIVE_REACHED + DEFAULT_TOL:
-        settled = verify_solution(step.at_one()).ok
+        settled = step.report.ok
     else:
         settled = step.objective < OBJECTIVE_REACHED and step.dual_bound < OBJECTIVE_REACHED
     return step if settled else None
@@ -454,36 +476,25 @@ def _hops(adjacent: np.ndarray) -> np.ndarray:
     return hop
 
 
-def throughput_upper_bound(t: Topology, m: DemandMatrix) -> float:
-    """Upper bound on `solve_max_throughput(t, m).theta` (m in bits/s), without
-    an LP.
+def residual_upper_bound(t: Topology, m: DemandMatrix) -> float | None:
+    """Upper bound lambda_b on the residual LP's lambda, the `objective` of
+    `solve_max_throughput(t, m, direct_first=True)` (m in bits/s), without
+    an LP; None when the direct links carry all of m and there is no LP.
 
-    A pair's flow beyond its own direct links takes a path of at least
-    h = max(2, hop) arcs, hop being its BFS distance in the routable graph, so
-    delivering theta*x needs sum(theta*x + (h - 1) * max(0, theta*x - L)) link
-    units, and the network has sum(L). The left side is convex and piecewise
-    linear in theta with breakpoints L/x; the largest theta that fits is read
-    off the sorted breakpoints. 0.0 when some positive demand has no path.
+    x' and L' come from `_residual`, as in that call, so the bound is always
+    on the LP it stands for. Every unit of x' from s to v crosses at least
+    hop'(s, v) arcs of L', its BFS distance in the arcs of positive L', so
+    lambda * sum(x' * hop') <= sum(L'): the arc-length bound of the module
+    docstring with every length 1. 0.0 when some pair of x' has no path.
     """
-    demand = _link_units(t, m)
-    links = t.routable_counts().astype(float)
-    pair = demand > 0  # off the diagonal: a DemandMatrix has none there
-    hop = _hops(links > 0)[pair]
+    _, _, room, left = _residual(t, m)
+    if not left.any():
+        return None
+    pair = left > 0
+    hop = _hops(room > 0)[pair]
     if not np.isfinite(hop).all():
         return 0.0
-    x, cap = demand[pair], links[pair]
-    weight = np.maximum(hop, 2.0) - 1.0
-    breaks = cap / x
-    order = np.argsort(breaks, kind="stable")
-    x, cap, weight, breaks = x[order], cap[order], weight[order], breaks[order]
-    # Past breaks[j - 1] and up to breaks[j], the j pairs sorted first have used
-    # up their direct links: units(theta) = (sum(x) + slope[j]) * theta - offset[j].
-    slope = np.concatenate(([0.0], np.cumsum(weight * x)))
-    offset = np.concatenate(([0.0], np.cumsum(weight * cap)))
-    budget = links.sum()
-    over = (x.sum() + slope[1:]) * breaks - offset[1:] > budget
-    j = int(np.argmax(over)) if over.any() else x.size
-    return float((budget + offset[j]) / (x.sum() + slope[j]))
+    return float(room.sum() / (left[pair] @ hop))
 
 
 # demand_upper_bound stops once |g(theta)| is within this share of the link
@@ -512,13 +523,16 @@ def demand_upper_bound(m: DemandMatrix, link_capacity: float, degree: int) -> fl
     every topology t of `link_capacity` links whose routable out-degree is at
     most `degree`, from the demand alone.
 
-    It relaxes `throughput_upper_bound` over the topology: every excess is
-    weighted 1, not h - 1 >= 1, and the links are chosen for the bound. A link
-    count L_ij cuts pair (i, j)'s 2*theta*x_ij link units by min(theta*x_ij,
-    L_ij), its k-th link by min(1, max(0, theta*x_ij - (k - 1))); row i's
-    `degree` links cut at most its top `degree` single-link cuts, top_i(theta):
-    the whole ones, floor(theta*x_ij) per pair, then the largest fractional
-    parts. So theta fits a topology only if
+    It relaxes the hop-volume bound of one topology (Jyothi et al., SC'16):
+    there, a pair's flow beyond its own L_ij links takes at least
+    h = max(2, hop) arcs, so theta fits only if
+    sum(theta*x + (h - 1) * max(0, theta*x - L)) <= sum(L). Here every excess
+    is weighted 1, not h - 1 >= 1, and the links are chosen for the bound. A
+    link count L_ij cuts pair (i, j)'s 2*theta*x_ij link units by
+    min(theta*x_ij, L_ij), its k-th link by min(1, max(0, theta*x_ij - (k - 1)));
+    row i's `degree` links cut at most its top `degree` single-link cuts,
+    top_i(theta): the whole ones, floor(theta*x_ij) per pair, then the largest
+    fractional parts. So theta fits a topology only if
     g(theta) = sum_i [2*sum_j theta*x_ij - top_i(theta) - degree] <= 0, and B
     is the root of g. g is piecewise linear with slopes in [X, 2X], X = sum(x),
     so B lies in [n*degree/(2X), n*degree/X]. It is found by Newton steps on

@@ -561,12 +561,12 @@ class TestReproduce:
     @pytest.mark.parametrize("args, digests", [
         (["fig4", "--n", "8"], (
             "370453f03a9a500e9fe718837db3d7baf4eaf51e38b07a90d947342de2cf00d3",
-            "761431c5f2afc39ebec368911f19c0c7b700d49ba729e29a4b769eeed7912328",
+            "6cc688491543dfdf7638c99a5c719606397f8540495aab7f20c94ad73f22f9dc",
             "7e279ac15639bc3fade91b45268cc3bc957097529c4835a0df51e913484b911a",
             "7ccc2edd543a2fb4489b0f0df2e732bb68b535d8eb42d29cb474f0dfeab84422")),
         (["fig3", "--n", "16", "--u", "4"], (
             "e0372cca1792f495325e649e26bfc2b245e83d11020005af6c4cfaca7cc7166a",
-            "eec7c2d416cc3955b41e7617d68c93075a0a3bd29575ad6ee1adb7851979c8db",
+            "ff86842a70158bfe11388acfb18c636eaab113276c708a32f785afcf947d1b70",
             "6ab6db93addb56674d21f3052da70126fc3ff7a75b7de8db601642a92d0f927f",
             "a61e03b414b210bad62b71b3f780d5a95df22efcc58dd77e41db6e5dd721b640")),
     ], ids=["fig4-n8", "fig3-n16-u4"])
@@ -580,6 +580,23 @@ class TestReproduce:
                          if not line.startswith("wrote "))
         files = [(tmp_path / f"{args[0]}.{ext}").read_bytes() for ext in ("csv", "json", "svg")]
         assert tuple(hashlib.sha256(b).hexdigest() for b in files + [stdout.encode()]) == digests
+
+    def test_fig4_n8_lp_count_is_pinned(self, runner, tmp_path, monkeypatch):
+        # every HiGHS call of the landscape sweep at n=8, seed 0, in this
+        # process: a change that makes the scan solve skipped steps again
+        # shows here before it shows in the timings
+        calls = []
+        real = flowlp.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["solver"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowlp, "linprog", counted)
+        result = runner.invoke(main, ["reproduce", "fig4", "--n", "8", "--seed", "0",
+                                      "--jobs", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 75
 
     @pytest.mark.parametrize("args, message", [
         (["fig3", "--n", "3", "--u", "1"], "chessboard needs even n"),

@@ -30,6 +30,7 @@ from rdcn_throughput import (
 )
 from rdcn_throughput import evaluation, flowlp, topology
 from rdcn_throughput.cli import fig4_degrees
+from rdcn_throughput.flowlp import DEFAULT_TOL
 from rdcn_throughput.evaluation import (
     NETWORK_CLASSES,
     OBJECTIVE_REACHED,
@@ -87,7 +88,7 @@ class TestDemandAwareHeuristic:
         assert theta == 1.0
         assert trace.iter_values == (1.0,)
         assert trace.objectives == (None,)
-        assert trace.bounds[0] >= OBJECTIVE_REACHED - SKIP_MARGIN
+        assert trace.bounds == (None,)  # no residual demand, so nothing to bound
         assert trace.chosen_theta == 1.0
 
     def test_trace_records_descending_multiples_of_step(self):
@@ -144,7 +145,7 @@ class TestDemandAwareHeuristic:
 
 
 class TestBoundGuidedScan:
-    """A step is skipped only when its topology's bound proves the LP objective
+    """A step is skipped only when the bound on its residual LP proves lambda
     short of OBJECTIVE_REACHED, so the scan reports what solving every step would."""
 
     P8 = NetworkParams(8, 4, 25e9)
@@ -162,23 +163,36 @@ class TestBoundGuidedScan:
             assert trace.chosen_theta > 0
             assert len(trace.bounds) == len(trace.objectives) == len(trace.iter_values)
             *rejected, (objective, bound) = zip(trace.objectives, trace.bounds)
-            # the accepted step is solved; None there: its direct links carry all
-            assert bound >= OBJECTIVE_REACHED - SKIP_MARGIN
-            assert objective is None or objective >= OBJECTIVE_REACHED
+            # the accepted step is solved; None in both: its direct links carry all
+            assert (objective is None) == (bound is None)
+            if objective is not None:
+                assert bound >= OBJECTIVE_REACHED - SKIP_MARGIN
+                assert OBJECTIVE_REACHED <= objective <= bound + DEFAULT_TOL
             for objective, bound in rejected:
+                assert bound is not None
                 if objective is None:
                     skipped += 1
                     assert bound < OBJECTIVE_REACHED - SKIP_MARGIN
                 else:
                     assert bound >= OBJECTIVE_REACHED - SKIP_MARGIN
                     assert objective < OBJECTIVE_REACHED
+                    assert objective <= bound + DEFAULT_TOL
         assert skipped > 0
 
     def test_same_scan_as_solving_every_step(self, monkeypatch):
         suite = build_suite(self.P8)[:6]
+        calls = []
+        real = flowlp.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["solver"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowlp, "linprog", counted)
         scans = {(label, cls): throughput_demand_aware(m, self.P8, cls, seed=3)
                  for label, m in suite for cls in ("da-static", "da-periodic")}
-        monkeypatch.setattr(evaluation, "throughput_upper_bound", lambda t, m: float("inf"))
+        skipping = len(calls)
+        monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: float("inf"))
         for (label, cls), cell in scans.items():
             full = throughput_demand_aware(dict(suite)[label], self.P8, cls, seed=3)
             assert (cell.theta, cell.trace.iter_values, cell.trace.seeds) == (
@@ -186,10 +200,12 @@ class TestBoundGuidedScan:
             assert np.array_equal(cell.topology.link_count, full.topology.link_count)
             for objective, solved in zip(cell.trace.objectives, full.trace.objectives):
                 assert objective is None or objective == solved
+        # the patch reached the scan: solving every step took more LPs
+        assert len(calls) - skipping > skipping
 
     def test_demand_bound_start_drops_only_rejected_steps(self, monkeypatch):
         # Every step before the start, scanned from scale 1 with its own seed,
-        # is rejected on its topology's bound; the scan from the start is the
+        # is rejected on its residual bound; the scan from the start is the
         # tail of that full scan, step for step.
         suite = dict(build_suite(self.P8))
         scans = {(label, cls): throughput_demand_aware(m, self.P8, cls, seed=3)
@@ -259,10 +275,11 @@ class TestDirectFirstDecision:
             self._check_scan(m, p, "da-periodic", evaluation._seed_int(seed, "chessboard"))
 
     def test_n16_steps_decide_as_the_exact_solve(self, monkeypatch):
-        # Every LP step of the n=16 suite's demand-aware cells at u=4, and of
-        # the n=16 chessboard scan at seeds 0-9, against the exact vertex solve
-        # of the same residual LP; and how many interior-point solves left
-        # their step to an exact re-solve.
+        # Every scanned step of the n=16 suite's demand-aware cells at u=4, and
+        # of the n=16 chessboard scan at seeds 0-9, with the bound's skip
+        # patched off, against the exact vertex solve of the same residual LP;
+        # and how many interior-point solves left their step to an exact
+        # re-solve.
         real, decide = evaluation.solve_max_throughput, flowlp._decide_interior
         settled, lp_steps = [], []
 
@@ -281,6 +298,7 @@ class TestDirectFirstDecision:
 
         monkeypatch.setattr(flowlp, "_decide_interior", recorded)
         monkeypatch.setattr(evaluation, "solve_max_throughput", compared)
+        monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: float("inf"))
         p = NetworkParams(16, 4, 25e9)
         for label, m in build_suite(p):
             for net_class in ("da-static", "da-periodic"):
@@ -288,7 +306,7 @@ class TestDirectFirstDecision:
         for seed in range(10):
             evaluate_cell(generate("chessboard", p), p, "da-periodic", seed=seed,
                           label="chessboard")
-        assert (sum(lp_steps), len(settled), settled.count(False)) == (80, 19, 0)
+        assert (sum(lp_steps), len(settled), settled.count(False)) == (229, 49, 0)
 
     def test_accepted_step_must_verify(self, monkeypatch):
         # a lambda twice the solver's: the residual flows divided by it fall short
@@ -302,6 +320,41 @@ class TestDirectFirstDecision:
         p = NetworkParams(16, 4, 25e9)
         with pytest.raises(SolverError, match="failed verification: demand: "):
             throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
+
+    @pytest.mark.parametrize("n, interior", [(8, False), (16, True)])
+    def test_accepted_step_is_certified_once(self, monkeypatch, n, interior):
+        # the chessboard da-periodic scan accepts its last step by dual simplex
+        # at n=8 and from the interior point at n=16; either way the full LP at
+        # theta = 1 is assembled once and verified once
+        steps, full_demands, checked = [], [], []
+        real_solve, real_assemble = evaluation.solve_max_throughput, flowlp._assemble_lp
+
+        def solve(t, m, **kwargs):
+            steps.append(real_solve(t, m, **kwargs))
+            return steps[-1]
+
+        def assemble(capacity, demand):
+            full_demands.append(demand)
+            return real_assemble(capacity, demand)
+
+        def counted(verify):
+            def check(result):
+                checked.append(result)
+                return verify(result)
+            return check
+
+        monkeypatch.setattr(evaluation, "solve_max_throughput", solve)
+        monkeypatch.setattr(flowlp, "_assemble_lp", assemble)
+        for module in (flowlp, evaluation):
+            monkeypatch.setattr(module, "verify_solution", counted(module.verify_solution))
+        p = NetworkParams(n, 4, 25e9)
+        cell = throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
+        step = steps[-1]
+        assert cell.theta > 0 and step.accepted and step.residual is not None
+        assert (step.dual_bound is not None) == interior
+        assert sum(demand is step.demand for demand in full_demands) == 1
+        assert len(checked) == 1
+        assert checked[0].theta == 1.0 and checked[0].lp.demand is step.demand
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_exactly_one_is_accepted_without_an_lp(self, n, monkeypatch):

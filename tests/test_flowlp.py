@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from rdcn_throughput.flowlp import (
     _assemble_lp,
     _hops,
     demand_upper_bound,
-    throughput_upper_bound,
+    residual_upper_bound,
 )
 from rdcn_throughput.topology import build_demand_aware_emulated, link_budget
 
@@ -150,6 +151,8 @@ class TestSolveMaxThroughput:
             return solve(t, m, **kwargs)
 
         monkeypatch.setattr(evaluation, "solve_max_throughput", both)
+        # every scanned step reaches its LP
+        monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: math.inf)
         sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
         assert len(gaps) > 100
         assert max(gaps) <= 1e-9
@@ -162,7 +165,7 @@ class TestSolveMaxThroughput:
         result = solve_max_throughput(t, m)
         assert result.theta == pytest.approx(1.0, abs=1e-9)
         assert verify_solution(result).ok
-        assert throughput_upper_bound(t, m) == pytest.approx(1.0, abs=1e-9)
+        assert residual_upper_bound(t, m) is None  # each pair fits its own links
 
     def test_zero_demand_rejected(self):
         with pytest.raises(ValueError, match="no positive entries"):
@@ -182,7 +185,8 @@ class TestSolveMaxThroughput:
         entries[0, 1], entries[0, 3] = 1.0, 1e-10
         message = (r"demand at \(0, 3\), 1e-10 link units, is below 1e-09, HiGHS's "
                    r"small_matrix_value, so the LP would drop it")
-        for solve in (solve_max_throughput, throughput_upper_bound):
+        for solve in (solve_max_throughput, partial(solve_max_throughput, direct_first=True),
+                      residual_upper_bound):
             with pytest.raises(ValueError, match=message):
                 solve(t, DemandMatrix(entries))
         entries[0, 3] = 1e-3
@@ -444,27 +448,94 @@ def hop_volume_bisection(t, m):
     return lo
 
 
+def residual_hop_bound(t, m):
+    """lambda_b by plain loops: the residual x' and L' pair by pair, BFS hops
+    in the arcs of positive L', and sum(L') / sum(x' * hops); None when x' is
+    0, 0.0 when some pair of x' has no path."""
+    links = t.routable_counts().astype(float)
+    x = m.entries / t.link_capacity
+    n = t.n
+    room = np.zeros((n, n))
+    left = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            direct = min(x[i, j], links[i, j])
+            room[i, j] = links[i, j] - direct
+            left[i, j] = x[i, j] - direct if x[i, j] - direct >= 1e-9 else 0.0
+    if not left.any():
+        return None
+    volume = 0.0
+    for s in range(n):
+        hop, frontier, k = {s: 0}, [s], 0
+        while frontier:
+            k += 1
+            frontier = [v for u in frontier for v in range(n) if room[u, v] > 0 and v not in hop]
+            hop.update((v, k) for v in frontier)
+        for v in range(n):
+            if left[s, v] > 0:
+                if v not in hop:
+                    return 0.0
+                volume += left[s, v] * hop[v]
+    return room.sum() / volume
+
+
 class TestThroughputUpperBound:
-    """The hop-volume bound the heuristic uses to skip LPs: never below the LP
-    optimum, and the exact solution of its own inequality."""
+    """The LP-free bound the heuristic uses to skip steps, `residual_upper_bound`:
+    never below the residual LP's lambda, the exact value of its own formula,
+    and never above the skip threshold where the full LP's hop-volume bound
+    is below it."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(random_instances())
     def test_never_below_the_lp(self, instance):
         t, m = instance
-        bound = throughput_upper_bound(t, m)
-        assert bound >= solve_max_throughput(t, m).theta - 1e-9
-        assert bound == pytest.approx(hop_volume_bisection(t, m), rel=1e-12, abs=1e-12)
+        bound = residual_upper_bound(t, m)
+        objective = solve_max_throughput(t, m, direct_first=True).objective
+        assert (bound is None) == (objective is None)  # x' = 0: no LP to bound
+        if bound is not None:
+            assert bound >= objective - 1e-9
+            assert bound == pytest.approx(residual_hop_bound(t, m), rel=1e-12, abs=1e-12)
 
-    def test_tight_on_the_all_heavy_chessboard_graph(self):
-        # criterion 2's 4/5: 2 links on every opposite-parity pair at n=16, u=4
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(near_one_instances())
+    def test_rules_out_every_step_the_hop_volume_bound_does(self, instance):
+        # each residual unit crosses hop' >= max(2, hop) arcs of L' (x' > 0
+        # leaves its own arc no room), so it skips where the full LP's bound did
+        t, m = instance
+        skip = OBJECTIVE_REACHED - evaluation.SKIP_MARGIN
+        if hop_volume_bisection(t, m) < skip:
+            bound = residual_upper_bound(t, m)
+            assert bound is not None and bound < skip
+
+    def test_none_exactly_when_the_direct_links_carry_all(self):
+        counts = np.zeros((3, 3), dtype=int)
+        counts[0, 1] = counts[1, 2] = counts[0, 2] = 1
+        t = Topology(counts, 1.0, "line")
+        entries = np.zeros((3, 3))
+        entries[0, 2] = 1.0
+        assert residual_upper_bound(t, DemandMatrix(entries)) is None
+        # what is left below HiGHS's small_matrix_value is no demand
+        entries[0, 2] = 1.0 + 5e-10
+        assert residual_upper_bound(t, DemandMatrix(entries)) is None
+        # 0.5 left over 0->1->2: 2 units of room over 2 hops per unit
+        entries[0, 2] = 1.5
+        assert residual_upper_bound(t, DemandMatrix(entries)) == 2.0
+        assert residual_upper_bound(complete_topology(4), unit_uniform_demand(4)) is None
+
+    def test_tight_on_the_all_heavy_chessboard_graph(self, monkeypatch):
+        # 2 links on every opposite-parity pair at n=16, u=4: those pairs send
+        # their 1.5 direct and leave 0.5 of room on each of 128 arcs; the 112
+        # same-parity pairs have no link, and their 4/7 each needs 2 hops per
+        # unit, so lambda = 64 / 128 (the full LP's theta* is criterion 2's 4/5)
         p = NetworkParams(16, 4, 25e9)
         heavy = np.add.outer(np.arange(p.n), np.arange(p.n)) % 2
         t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy")
         m = generate("chessboard", p)
-        lp = solve_max_throughput(t, m).theta
-        assert throughput_upper_bound(t, m) == pytest.approx(0.80, abs=1e-9)
-        assert lp == pytest.approx(0.80, abs=1e-6)
+        assert residual_upper_bound(t, m) == pytest.approx(0.5, abs=1e-12)
+        monkeypatch.setattr(flowlp, "_decide_interior", lambda *args: None)  # the exact vertex
+        step = solve_max_throughput(t, m, direct_first=True)
+        assert step.objective == pytest.approx(0.5, abs=1e-9)
+        assert solve_max_throughput(t, m).theta == pytest.approx(0.80, abs=1e-6)
 
     def test_unreachable_demand_gives_zero_without_warnings(self):
         counts = np.zeros((3, 3), dtype=int)
@@ -474,7 +545,13 @@ class TestThroughputUpperBound:
         entries[0, 1] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert throughput_upper_bound(t, DemandMatrix(entries)) == 0.0
+            assert residual_upper_bound(t, DemandMatrix(entries)) == 0.0
+        # the direct link is full, and the arc left does not leave 0
+        counts[0, 1] = 1
+        entries[0, 1] = 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert residual_upper_bound(t, DemandMatrix(entries)) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hops_are_the_bfs_distances(self, seed):
@@ -489,9 +566,9 @@ class TestThroughputUpperBound:
 
     def test_zero_demand_and_mismatch_rejected(self):
         with pytest.raises(ValueError, match="no positive entries"):
-            throughput_upper_bound(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
+            residual_upper_bound(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="mismatch"):
-            throughput_upper_bound(complete_topology(3), unit_uniform_demand(4))
+            residual_upper_bound(complete_topology(3), unit_uniform_demand(4))
 
 
 def greedy_cut_bisection(x, degree):
@@ -526,7 +603,7 @@ class TestDemandUpperBound:
         t, m = instance
         degree = max(int(t.routable_counts().sum(axis=1).max()), 1)
         bound = demand_upper_bound(m, t.link_capacity, degree)
-        per_topology = throughput_upper_bound(t, m)
+        per_topology = hop_volume_bisection(t, m)
         assert bound >= per_topology - 1e-9
         assert per_topology >= solve_max_throughput(t, m).theta - 1e-9
         assert bound == pytest.approx(greedy_cut_bisection(m.entries / t.link_capacity, degree),
