@@ -27,7 +27,6 @@ import numpy as np
 from .demand import (
     DemandMatrix,
     NetworkParams,
-    Report,
     UniformResidualClass,
     classify_uniform_residual,
     decompose_integer_residual,
@@ -87,13 +86,13 @@ class HeuristicTrace:
     happens only at the accepted step. objectives[k] alone is None where the
     LP was skipped because bounds[k] fell below
     OBJECTIVE_REACHED - SKIP_MARGIN. Where the residual LP has
-    SIMPLEX_MAX_COLUMNS columns or more,
-    lambda is lambda_p, the theta column of the crossover-free interior-point
-    solve that decided the step, or the exact optimum where that solve left
-    the step undecided (`flowlp`'s docstring); either way it lies on the
-    step's side of OBJECTIVE_REACHED. When chosen_theta > 0, the last step
-    is the accepted one, and its topology certifies it: the flows that
-    decided it pass `verify_solution` on the full LP at theta = 1.
+    SIMPLEX_MAX_COLUMNS columns or more, lambda is lambda_p, the theta column
+    of the crossover-free interior-point solve that decided the step, or the
+    exact optimum where that solve left the step undecided. `flowlp`'s one
+    rule certified each solved step: a rejected one by its dual bound, an
+    accepted one by its flows. When chosen_theta > 0, the last step is the
+    accepted one, and its topology certifies it: the flows that decided it
+    pass `verify_solution` on the full LP at theta = 1.
     """
 
     iter_values: tuple
@@ -231,16 +230,11 @@ def throughput_static(t: Topology, m: DemandMatrix) -> float:
     naming its largest violation.
     """
     result = solve_max_throughput(t, m)
-    _require_verified(verify_solution(result))
-    return result.theta
-
-
-def _require_verified(report: Report) -> None:
-    """SolverError naming the largest violation unless `verify_solution`'s
-    report is ok."""
+    report = verify_solution(result)
     if not report.ok:
         worst = max(report.violations, key=lambda v: v.magnitude)
         raise SolverError(f"optimal solution failed verification: {worst.kind}: {worst.detail}")
+    return result.theta
 
 
 def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
@@ -254,14 +248,12 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     multiple of DEFAULT_STEP with uncertainty one step; 0.0 if no scan value
     succeeds. A step is accepted when its direct links carry all of the
     demand, or when the max-throughput lambda of what they leave reaches
-    OBJECTIVE_REACHED (`solve_max_throughput` with `direct_first`, whose
-    `accepted` decides), as the full LP would decide. The accepted step's
-    build certifies theta: the flows that decided it must pass
-    `verify_solution` on the full LP at theta = 1 (`DirectFirstResult.report`,
-    the check an interior-point decision already made where there was one),
-    or SolverError names the largest violation. m must meet the hose bound at
-    full scale: this is the cell's one hose check, so the builds of the
-    scanned steps make none.
+    OBJECTIVE_REACHED, as the full LP would decide. `solve_max_throughput`
+    with `direct_first` decides and certifies each step by `flowlp`'s one
+    rule, so the accepted step's build certifies theta, and a step the rule
+    cannot certify is a SolverError. m must meet the hose bound at full
+    scale: this is the cell's one hose check, so the builds of the scanned
+    steps make none.
 
     The scan starts at the first step whose scale the demand-only bound B
     (`demand_upper_bound`, once per cell) leaves room to reach 1. B bounds
@@ -302,7 +294,6 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
         objectives.append(objective)
         seeds.append(iter_seed)
         if accepted:
-            _require_verified(step.report)
             theta = scale
             break
     trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta,

@@ -46,44 +46,40 @@ residual demand x' = x - min(x, L) routes on the residual capacity
 L' = L - min(x, L), that is when x' = 0 (no LP at all) or the max-throughput
 lambda of x' on L' is at least 1. Its flows divided by lambda, plus each
 pair's direct min(x, L), are a flow block of the full LP at theta = 1
-(`DirectFirstResult.at_one`), which `verify_solution` checks as any other,
-once per result (`DirectFirstResult.report`).
+(`DirectFirstResult.at_one`), which `verify_solution` checks as any other.
 
-A step needs only that yes/no, not lambda's vertex, so a residual LP of
-SIMPLEX_MAX_COLUMNS columns or more is first solved by interior point
-without crossover (`linprog(..., crossover=False)`): a near-optimal point,
-whose theta column is the primal estimate lambda_p, and the duals y of its
-cap rows. Any arc lengths l >= 0 bound lambda from above. A routing of
-lambda * x' sends each of its units from s to v along a path no shorter than
-dist_l(s, v), and each arc carries at most L', so
-lambda * sum x' * dist_l <= sum L' * l, that is
-lambda* <= lambda_d = sum L' * l / sum x' * dist_l
-(Shahrokhi and Matula 1990; Garg and Koenemann 1998). With every l = 1 the
-bound needs no LP at all: lambda_b = sum L' / sum x' * hop', hop' the BFS
-distance in the arcs of L', is `residual_upper_bound`, which a heuristic
-scan reads before it pays for the LP. With l = max(-y, 0),
-lambda_d tends to lambda* as y tends to an optimal dual (y <= 0 on a cap row
-of this minimization); whatever y is, lambda_d is a bound, computed here in
-numpy (`_dual_bound`: Floyd-Warshall, in which an arc of zero length is an
-arc). lambda_p is no such bound: the point meets the rows only to the
-feasibility tolerance DEFAULT_TOL, and its theta was seen to exceed lambda*
-by up to 3.6e-8 on small random instances. So the step is decided as follows:
-  - accept when lambda_p >= OBJECTIVE_REACHED + DEFAULT_TOL and the flow
-    block that `at_one` builds from the point passes `verify_solution`;
-  - reject when lambda_p and lambda_d are both below OBJECTIVE_REACHED,
-    lambda_d proving lambda* < 1;
-  - otherwise (a bracket [lambda_p, lambda_d] across OBJECTIVE_REACHED or
-    its margin, a status other than optimal, or a candidate that fails the
-    check) solve the residual LP again exactly, by `_solve`, and decide on
-    its lambda.
-A smaller residual LP goes to `_solve` (dual simplex) at once.
+Any arc lengths l >= 0 bound lambda from above: a routing of lambda * x'
+sends each unit from s to v along a path no shorter than dist_l(s, v), and
+each arc carries at most L', so lambda* <= lambda_d = sum L' * l / sum x' *
+dist_l (Shahrokhi and Matula 1990; Garg and Koenemann 1998). With every l = 1 it
+needs no LP: lambda_b = sum L' / sum x' * hop', hop' the BFS distance in the
+arcs of L', is `residual_upper_bound`, which a heuristic scan reads before
+it pays for the LP. `_dual_bound` takes l = max(-y, 0), y the cap-row duals
+that every solve reads back (y <= 0 on a cap row of this minimization), and
+computes lambda_d in numpy by Floyd-Warshall, in which an arc of zero length
+is an arc. lambda_d tends to lambda* as y tends to an optimal dual, and
+meets it to rounding at an exact optimum.
+
+One rule (`_decide`) decides every step, on certificates checked here:
+  - accept when the flow block of `at_one` passes `verify_solution` and
+    lambda is None (x' = 0) or at least OBJECTIVE_REACHED, + DEFAULT_TOL on
+    an interior point;
+  - reject when lambda and lambda_d are both below OBJECTIVE_REACHED.
+From SIMPLEX_MAX_COLUMNS columns on, the residual LP is first solved by
+interior point without crossover (`linprog(..., crossover=False)`). Its
+theta column lambda_p is no bound: the point meets the rows only to
+DEFAULT_TOL, and lambda_p was seen up to 3.6e-8 above lambda* on small
+random instances. A point the rule leaves undecided (a bracket
+[lambda_p, lambda_d] across OBJECTIVE_REACHED or its margin, a status other
+than optimal, or a candidate that fails the check), and a smaller LP, go to
+the exact solve `_solve`. An exact optimum the rule leaves undecided is a
+SolverError naming lambda, lambda_d and its flow block's largest violation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -236,8 +232,7 @@ class LPResult(NamedTuple):
     x: np.ndarray | None  # the column values; None unless status is _OPTIMAL
     nit: int  # simplex iterations, or interior-point ones if there were none
     message: str
-    # the duals of the A_ub rows; None unless status is _OPTIMAL and crossover off
-    ub_dual: np.ndarray | None = None
+    ub_dual: np.ndarray | None = None  # the duals of the A_ub rows; None unless _OPTIMAL
 
 
 def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
@@ -247,13 +242,13 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
     Three modes. `solver` is HiGHS's option value: "simplex" (dual simplex)
     or "ipm" (interior point with crossover); both return a vertex. The other
     options are `_HIGHS_OPTIONS`, the ones `scipy.optimize.linprog` passes, so
-    these two give the same x as it does with highs-ds or highs-ipm, bit for
-    bit. "ipm" with `crossover` False adds `_INTERIOR_ONLY`: it returns the
-    interior point as HiGHS's interior-point solver leaves it, near-optimal
-    but no vertex and not scipy's, and reads back `ub_dual` as well. The name
-    and the keywords A_ub and A_eq stay because the benchmark traces
-    `flowlp.linprog` by attribute and reads c, A_ub, A_eq and `nit` off the
-    call.
+    these two give the same x and `ub_dual` as it does with highs-ds or
+    highs-ipm (its `ineqlin.marginals`), bit for bit. "ipm" with `crossover`
+    False adds `_INTERIOR_ONLY`: it returns the interior point and its duals
+    as HiGHS's interior-point solver leaves them, near-optimal but no vertex
+    and not scipy's. The name and the keywords A_ub and A_eq stay because the
+    benchmark traces `flowlp.linprog` by attribute and reads c, A_ub, A_eq
+    and `nit` off the call.
     """
     A = sp.vstack((A_ub, A_eq), format="csr")
     lp = _highs.HighsLp()
@@ -282,14 +277,13 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
     if status == _OPTIMAL:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
-        if not crossover:
-            ub_dual = np.array(solution.row_dual[:b_ub.size])
+        ub_dual = np.array(solution.row_dual[:b_ub.size])
     return LPResult(status, x, info.simplex_iteration_count or info.ipm_iteration_count,
                     highs.modelStatusToString(status), ub_dual)
 
 
-def _solve(lp: _FlowLP) -> ThroughputResult:
-    """lp's optimum, as `solve_max_throughput` describes."""
+def _solve(lp: _FlowLP) -> LPResult:
+    """lp's exact optimum, as `solve_max_throughput` describes."""
     solvers = ("simplex", "ipm") if lp.c.size < SIMPLEX_MAX_COLUMNS else ("ipm", "simplex")
     for solver in solvers:
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver=solver)
@@ -299,7 +293,7 @@ def _solve(lp: _FlowLP) -> ThroughputResult:
     if res.status != _OPTIMAL:
         raise SolverError(f"solver returned {_FAILURE.get(res.status, 'numerical-trouble')}: "
                           f"{res.message}")
-    return _result(lp, res.x)
+    return res
 
 
 def _result(lp: _FlowLP, x: np.ndarray) -> ThroughputResult:
@@ -341,16 +335,23 @@ class DirectFirstResult:
     lemma (module docstring), x routes on L at theta = 1 exactly when
     `objective` is None or at least 1, and `accepted` is that decision.
 
-    Where the residual LP was decided from its crossover-free interior point
-    (module docstring), `residual` holds that point, lambda_p as its theta,
-    and `dual_bound` is lambda_d; elsewhere `residual` is the exact optimum
-    and `dual_bound` None.
+    `residual` is the solve that the rule of the module docstring decided
+    on: the exact optimum, or the crossover-free interior point (lambda_p as
+    its theta), and `ub_dual` its cap-row duals. `solve_max_throughput`
+    returns it once the rule has settled it: an accepted one's `at_one()`
+    passed `verify_solution`, a rejected one's `dual_bound` is below
+    OBJECTIVE_REACHED.
     """
 
     capacity: np.ndarray
     demand: np.ndarray
     residual: ThroughputResult | None
-    dual_bound: float | None = None
+    ub_dual: np.ndarray | None = None
+
+    @property
+    def dual_bound(self) -> float | None:
+        """lambda_d >= lambda*, or None when no LP was solved."""
+        return None if self.residual is None else _dual_bound(self.residual.lp, self.ub_dual)
 
     @property
     def objective(self) -> float | None:
@@ -385,14 +386,6 @@ class DirectFirstResult:
         flows.setflags(write=False)
         return ThroughputResult(1.0, flows, lp)
 
-    @cached_property
-    def report(self) -> Report:
-        """`verify_solution` of `at_one()`, built and checked once however
-        often it is read: the interior-point decision and the heuristic's
-        certificate check read the same report. A `dataclasses.replace` copy
-        builds and checks its own."""
-        return verify_solution(self.at_one())
-
 
 def _residual(t: Topology, m: DemandMatrix):
     """(L, x, L', x'): t's routable link counts L and m in link units x, and
@@ -421,39 +414,49 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     With `direct_first`, it answers only whether theta = 1 is feasible, and
     returns a `DirectFirstResult`: the max-throughput LP of the demand that
     each pair's direct links leave on the capacity they leave, or no LP when
-    they leave none. From SIMPLEX_MAX_COLUMNS columns on, that LP is decided
-    from one crossover-free interior-point solve where its bracket and
-    certificate settle it, and solved as above where they do not (module
-    docstring).
+    they leave none, decided by the one rule of the module docstring. From
+    SIMPLEX_MAX_COLUMNS columns on, that LP is first solved by interior point
+    without crossover, and solved as above where the rule leaves that point
+    undecided. A step the rule leaves undecided after that is a SolverError.
     """
     if not direct_first:
-        return _solve(_assemble_lp(t.routable_counts().astype(float), _link_units(t, m)))
+        lp = _assemble_lp(t.routable_counts().astype(float), _link_units(t, m))
+        return _result(lp, _solve(lp).x)
     capacity, demand, room, left = _residual(t, m)
     if not left.any():
-        return DirectFirstResult(capacity, demand, None)
+        return _decide(DirectFirstResult(capacity, demand, None), exact=True)
     lp = _assemble_lp(room, left)
     if lp.c.size >= SIMPLEX_MAX_COLUMNS:
-        step = _decide_interior(lp, capacity, demand)
-        if step is not None:
+        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
+                      crossover=False)
+        if res.status == _OPTIMAL:
+            step = _decide(DirectFirstResult(capacity, demand, _result(lp, res.x), res.ub_dual),
+                           exact=False)
+            if step is not None:
+                return step
+    res = _solve(lp)
+    return _decide(DirectFirstResult(capacity, demand, _result(lp, res.x), res.ub_dual),
+                   exact=True)
+
+
+def _decide(step: DirectFirstResult, *, exact: bool) -> DirectFirstResult | None:
+    """step, once the rule of the module docstring settles it; if it does
+    not, None for an interior point, SolverError for an exact optimum.
+    lambda_d is computed only where the accept side did not settle it."""
+    objective = step.objective
+    if objective is None or objective >= OBJECTIVE_REACHED + (0.0 if exact else DEFAULT_TOL):
+        if verify_solution(step.at_one()).ok:
             return step
-    return DirectFirstResult(capacity, demand, _solve(lp))
-
-
-def _decide_interior(lp: _FlowLP, capacity: np.ndarray,
-                     demand: np.ndarray) -> DirectFirstResult | None:
-    """The step of demand on capacity whose residual LP is lp, decided from
-    lp's crossover-free interior point as the module docstring says, or None
-    for the exact solve to decide."""
-    res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
-                  crossover=False)
-    if res.status != _OPTIMAL:
+    elif objective < OBJECTIVE_REACHED and step.dual_bound < OBJECTIVE_REACHED:
+        return step
+    if not exact:
         return None
-    step = DirectFirstResult(capacity, demand, _result(lp, res.x), _dual_bound(lp, res.ub_dual))
-    if step.objective >= OBJECTIVE_REACHED + DEFAULT_TOL:
-        settled = step.report.ok
-    else:
-        settled = step.objective < OBJECTIVE_REACHED and step.dual_bound < OBJECTIVE_REACHED
-    return step if settled else None
+    worst = max(verify_solution(step.at_one()).violations, key=lambda v: v.magnitude,
+                default=None)
+    raise SolverError(
+        f"undecided step: lambda = {objective!r} and lambda_d = {step.dual_bound!r} against "
+        f"{OBJECTIVE_REACHED!r}; its flows at theta = 1 "
+        + (f"failed verification: {worst.kind}: {worst.detail}" if worst else "verify"))
 
 
 def _hops(adjacent: np.ndarray) -> np.ndarray:

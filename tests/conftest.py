@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus
 
-from rdcn_throughput import NetworkParams
+from rdcn_throughput import NetworkParams, flowlp
+
+_LINPROG = flowlp.linprog
 
 
 def sinkhorn_doubly_stochastic(n, seed, target=1.0, zero_diagonal=False):
@@ -22,3 +25,15 @@ def sinkhorn_doubly_stochastic(n, seed, target=1.0, zero_diagonal=False):
 @pytest.fixture
 def desk_params():
     return NetworkParams(16, 4, 25e9)
+
+
+def exact_only(patch):
+    """With `patch` (a monkeypatch or its context), every crossover-free
+    interior-point solve of a heuristic step ends unsolved, so each residual
+    LP is decided on its exact optimum, as below SIMPLEX_MAX_COLUMNS."""
+    def linprog(*args, crossover=True, **kwargs):
+        if crossover:
+            return _LINPROG(*args, **kwargs)
+        return flowlp.LPResult(HighsModelStatus.kNotset, None, 0, "not solved")
+
+    patch.setattr(flowlp, "linprog", linprog)

@@ -476,6 +476,20 @@ class TestEval:
         assert result.output == "error: HiGHS status 4: numerical difficulties\n"
         assert not (tmp_path / "topology.json").exists()
 
+    def test_undecided_step_exits_three(self, runner, tmp_path, monkeypatch):
+        # a dual bound of 2 certifies no reject: the first solved step of the
+        # n=8 chessboard da-static scan (scale 0.69, lambda < 1) is undecided
+        monkeypatch.setattr(flowlp, "_dual_bound", lambda lp, ub_dual: 2.0)
+        path = tmp_path / "chessboard.csv"
+        save_csv(generate("chessboard", NetworkParams(8, 4, 25e9)), path)
+        result = runner.invoke(main, ["eval", str(path), "--class", "da-static", "--u", "4",
+                                      "--c", "25e9", "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        (line,) = result.output.splitlines()
+        assert re.fullmatch(r"error: undecided step: lambda = 0\.97\d+ and lambda_d = 2\.0 "
+                            r"against 0\.999999999; its flows at theta = 1 failed "
+                            r"verification: capacity: arc .+", line)
+
 
 class TestReproduce:
     def test_fig3_small_scale_outputs(self, runner, tmp_path):
@@ -557,6 +571,26 @@ class TestReproduce:
             assert worst[cls, 8]["theta"] > 0
         failed = [(r["class"], r["degree"]) for r in payload["rows"] if r["theta"] is None]
         assert failed == [(cls, 4) for cls in classes]
+
+    def test_undecided_step_is_a_failed_cell(self, runner, tmp_path, monkeypatch):
+        # with a dual bound of 2 no exact reject is certified: each
+        # demand-aware cell that meets one is NaN with the step's message
+        monkeypatch.setattr(flowlp, "_dual_bound", lambda lp, ub_dual: 2.0)
+        result = runner.invoke(main, ["reproduce", "fig3", "--n", "8", "--u", "4",
+                                      "--jobs", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 4
+        failed = [line.split(" failed: ", 1) for line in result.stderr.splitlines()]
+        assert "cell (chessboard, da-static, u=4)" in [cell for cell, _ in failed]
+        for cell, message in failed:
+            assert re.fullmatch(r"cell \(.+, da-(static|periodic), u=4\)", cell)
+            assert re.fullmatch(r"undecided step: lambda = \S+ and lambda_d = 2\.0 against "
+                                r"0\.999999999; its flows at theta = 1 .+", message)
+        payload = json.loads((tmp_path / "fig3.json").read_text())
+        assert [e["error"] for e in payload["errors"]] == [message for _, message in failed]
+        nan_rows = [row for row in (tmp_path / "fig3.csv").read_text().splitlines()
+                    if row.endswith(",nan")]
+        assert len(nan_rows) == len(failed)
+        assert result.stdout.endswith(f"[FAIL] {len(failed)} sweep cells errored\n")
 
     @pytest.mark.parametrize("args, digests", [
         (["fig4", "--n", "8"], (

@@ -39,6 +39,8 @@ from rdcn_throughput.evaluation import (
     SweepRow,
 )
 
+from conftest import exact_only
+
 SMALL = NetworkParams(4, 2, 1e9)
 
 
@@ -280,23 +282,25 @@ class TestDirectFirstDecision:
         # patched off, against the exact vertex solve of the same residual LP;
         # and how many interior-point solves left their step to an exact
         # re-solve.
-        real, decide = evaluation.solve_max_throughput, flowlp._decide_interior
-        settled, lp_steps = [], []
+        real, real_linprog = evaluation.solve_max_throughput, flowlp.linprog
+        calls, settled, lp_steps = [], [], []
 
-        def recorded(*args):
-            step = decide(*args)
-            settled.append(step is not None)
-            return step
+        def linprog(*args, crossover=True, **kwargs):
+            calls.append(crossover)
+            return real_linprog(*args, crossover=crossover, **kwargs)
 
         def compared(t, m, **kwargs):
+            calls.clear()
             step = real(t, m, **kwargs)
+            if False in calls:
+                settled.append(calls == [False])
             with monkeypatch.context() as exact:
-                exact.setattr(flowlp, "_decide_interior", lambda *args: None)
+                exact_only(exact)
                 assert step.accepted == real(t, m, **kwargs).accepted
             lp_steps.append(step.residual is not None)
             return step
 
-        monkeypatch.setattr(flowlp, "_decide_interior", recorded)
+        monkeypatch.setattr(flowlp, "linprog", linprog)
         monkeypatch.setattr(evaluation, "solve_max_throughput", compared)
         monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: float("inf"))
         p = NetworkParams(16, 4, 25e9)
@@ -309,14 +313,17 @@ class TestDirectFirstDecision:
         assert (sum(lp_steps), len(settled), settled.count(False)) == (229, 49, 0)
 
     def test_accepted_step_must_verify(self, monkeypatch):
-        # a lambda twice the solver's: the residual flows divided by it fall short
-        real = evaluation.solve_max_throughput
+        # a lambda twice the solver's, on every solve: the residual flows
+        # divided by it fall short, and no step is accepted unverified
+        real = flowlp.linprog
 
-        def inflated(t, m, **kwargs):
-            step = real(t, m, **kwargs)
-            return replace(step, residual=replace(step.residual, theta=2 * step.objective))
+        def inflated(*args, **kwargs):
+            res = real(*args, **kwargs)
+            x = res.x.copy()
+            x[0] *= 2
+            return res._replace(x=x)
 
-        monkeypatch.setattr(evaluation, "solve_max_throughput", inflated)
+        monkeypatch.setattr(flowlp, "linprog", inflated)
         p = NetworkParams(16, 4, 25e9)
         with pytest.raises(SolverError, match="failed verification: demand: "):
             throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
@@ -325,11 +332,15 @@ class TestDirectFirstDecision:
     def test_accepted_step_is_certified_once(self, monkeypatch, n, interior):
         # the chessboard da-periodic scan accepts its last step by dual simplex
         # at n=8 and from the interior point at n=16; either way the full LP at
-        # theta = 1 is assembled once and verified once
-        steps, full_demands, checked = [], [], []
+        # theta = 1 is assembled once and verified once, inside the step's
+        # decision, and its dual bound is not computed
+        steps, full_demands, checked, bounds, solvers = [], [], [], [], []
         real_solve, real_assemble = evaluation.solve_max_throughput, flowlp._assemble_lp
+        real_bound, real_linprog = flowlp._dual_bound, flowlp.linprog
 
         def solve(t, m, **kwargs):
+            bounds.clear()
+            solvers.clear()
             steps.append(real_solve(t, m, **kwargs))
             return steps[-1]
 
@@ -343,18 +354,29 @@ class TestDirectFirstDecision:
                 return verify(result)
             return check
 
+        def bound(lp, ub_dual):
+            bounds.append(lp)
+            return real_bound(lp, ub_dual)
+
+        def linprog(*args, crossover=True, **kwargs):
+            solvers.append(crossover)
+            return real_linprog(*args, crossover=crossover, **kwargs)
+
         monkeypatch.setattr(evaluation, "solve_max_throughput", solve)
         monkeypatch.setattr(flowlp, "_assemble_lp", assemble)
+        monkeypatch.setattr(flowlp, "_dual_bound", bound)
+        monkeypatch.setattr(flowlp, "linprog", linprog)
         for module in (flowlp, evaluation):
             monkeypatch.setattr(module, "verify_solution", counted(module.verify_solution))
         p = NetworkParams(n, 4, 25e9)
         cell = throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
         step = steps[-1]
         assert cell.theta > 0 and step.accepted and step.residual is not None
-        assert (step.dual_bound is not None) == interior
+        assert solvers == [not interior] and bounds == []
         assert sum(demand is step.demand for demand in full_demands) == 1
         assert len(checked) == 1
         assert checked[0].theta == 1.0 and checked[0].lp.demand is step.demand
+        assert step.dual_bound >= OBJECTIVE_REACHED
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_exactly_one_is_accepted_without_an_lp(self, n, monkeypatch):

@@ -35,9 +35,13 @@ from rdcn_throughput.flowlp import (
     demand_upper_bound,
     residual_upper_bound,
 )
-from rdcn_throughput.topology import build_demand_aware_emulated, link_budget
+from rdcn_throughput.topology import (
+    build_demand_aware_emulated,
+    build_demand_aware_static,
+    link_budget,
+)
 
-from conftest import sinkhorn_doubly_stochastic
+from conftest import exact_only, sinkhorn_doubly_stochastic
 from lp_oracle import path_lp_throughput
 
 
@@ -139,7 +143,7 @@ class TestSolveMaxThroughput:
 
         def both(t, m, **kwargs):
             with monkeypatch.context() as size_rule:
-                size_rule.setattr(flowlp, "_decide_interior", lambda *args: None)
+                exact_only(size_rule)
                 size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", 0)  # interior point
                 a = solve(t, m, **kwargs)
                 size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf)  # dual simplex
@@ -334,32 +338,41 @@ def _interior(lp):
     return res.x[0], flowlp._dual_bound(lp, res.ub_dual)
 
 
-def _chessboard_step(scale):
-    """The topology and demand of the n=16, u=4 chessboard scan's step at
-    `scale` (0.86 and 0.85 are rejected, 0.84 accepted), at seed 0."""
-    p = NetworkParams(16, 4, 25e9)
+def _chessboard_step(scale, n=16):
+    """The topology and demand of the u=4 chessboard scan's step at `scale`,
+    at seed 0. At n=16, da-periodic, 0.86 and 0.85 are rejected and 0.84
+    accepted from the interior point; at n=8, da-static, 0.69 is rejected
+    by dual simplex."""
+    p = NetworkParams(n, 4, 25e9)
     m = generate("chessboard", p).scaled(scale)
     k = round((1 - scale) / evaluation.DEFAULT_STEP)
     seed = evaluation._seed_int(evaluation._seed_int(0, "chessboard"), "iter", k)
-    return build_demand_aware_emulated(m, p, seed=seed), m
+    build = build_demand_aware_emulated if n == 16 else build_demand_aware_static
+    return build(m, p, seed=seed), m
 
 
 class TestDecisionBracket:
-    """A large step's residual LP is decided from its crossover-free interior
-    point: accepted on lambda_p and a verified certificate, rejected on the
-    dual bound lambda_d, and solved exactly when neither settles it."""
+    """Every step is decided by one rule: accepted on lambda and a verified
+    certificate, rejected on the dual bound lambda_d. A crossover-free
+    interior point that neither settles is solved exactly, and an exact
+    optimum that neither settles is a SolverError."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.one_of(random_instances(), near_one_instances()))
     def test_bracket_holds_the_optimum(self, instance):
-        # lambda_d is a bound, and near-optimal duals make it tight;
-        # lambda_p is a point feasible to DEFAULT_TOL only
+        # lambda_d is a bound, near-optimal duals make it tight and the exact
+        # solve's duals tight to rounding; lambda_p is a point feasible to
+        # DEFAULT_TOL only
         lp = _lp_of(*instance)
-        optimum = flowlp._solve(lp).theta
+        exact = flowlp._solve(lp)
+        optimum = exact.x[0]
         primal, dual = _interior(lp)
         assert primal <= optimum + flowlp.DEFAULT_TOL
         assert optimum <= dual + 1e-9
         assert dual <= optimum * (1 + 1e-6) + 1e-9
+        exact_dual = flowlp._dual_bound(lp, exact.ub_dual)
+        # the exact lambda_d was seen one rounding step below lambda*
+        assert optimum * (1 - 1e-12) <= exact_dual <= optimum * (1 + 1e-9)
 
     def test_arcs_of_zero_length_stay_arcs(self):
         # 0->1 (10 links) and 1->2 (1 link) carry 1 from 0 to 2: lambda* = 1.
@@ -379,46 +392,80 @@ class TestDecisionBracket:
         primal, dual = _interior(lp)
         assert primal <= 1.0 + 1e-9 <= dual + 2e-9
 
-    def _decide(self, monkeypatch, scale, tamper=lambda res: res):
-        """The step at `scale`, with each crossover-free result passed through
-        `tamper`, and the (solver, crossover) of each HiGHS call it made."""
+    @staticmethod
+    def _spy(monkeypatch, tamper=lambda res, crossover: res):
+        """The (solver, crossover) of each HiGHS call from here on, each
+        result passed through `tamper` with its crossover flag."""
         calls = []
         real = flowlp.linprog
 
         def linprog(*args, crossover=True, **kwargs):
             calls.append((kwargs["solver"], crossover))
-            res = real(*args, crossover=crossover, **kwargs)
-            return res if crossover else tamper(res)
+            return tamper(real(*args, crossover=crossover, **kwargs), crossover)
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
-        return solve_max_throughput(*_chessboard_step(scale), direct_first=True), calls
+        return calls
 
     def test_straddling_bracket_is_solved_exactly(self, monkeypatch):
-        untouched, calls = self._decide(monkeypatch, 0.86)
+        calls = self._spy(monkeypatch)
+        untouched = solve_max_throughput(*_chessboard_step(0.86), direct_first=True)
         assert calls == [("ipm", False)]
         assert not untouched.accepted and untouched.dual_bound < OBJECTIVE_REACHED
-        # a dual bound of 2 leaves lambda_p < 1 <= lambda_d undecided
-        monkeypatch.setattr(flowlp, "_dual_bound", lambda lp, ub_dual: 2.0)
-        step, calls = self._decide(monkeypatch, 0.86)
+
+        # the interior point's duals zeroed: lambda_d = inf leaves
+        # lambda_p < 1 <= lambda_d undecided, and the exact duals reject
+        def zeroed(res, crossover):
+            return res if crossover else res._replace(ub_dual=np.zeros_like(res.ub_dual))
+
+        calls = self._spy(monkeypatch, zeroed)
+        step = solve_max_throughput(*_chessboard_step(0.86), direct_first=True)
         assert calls == [("ipm", False), ("ipm", True)]
-        assert not step.accepted and step.dual_bound is None
-        assert step.objective == flowlp._solve(step.residual.lp).theta
+        assert not step.accepted and step.dual_bound < OBJECTIVE_REACHED
+        assert step.objective == flowlp._solve(step.residual.lp).x[0]
 
     @pytest.mark.parametrize("scale, accepted", [(0.86, False), (0.84, True)])
     def test_candidate_that_fails_verification_is_solved_exactly(self, monkeypatch, scale,
                                                                  accepted):
         # lambda_p doubled: the point's flows divided by it fall short
-        def doubled(res):
+        def doubled(res, crossover):
+            if crossover:
+                return res
             x = res.x.copy()
             x[0] *= 2
             return res._replace(x=x)
 
-        step, calls = self._decide(monkeypatch, scale, doubled)
+        calls = self._spy(monkeypatch, doubled)
+        step = solve_max_throughput(*_chessboard_step(scale), direct_first=True)
         assert calls == [("ipm", False), ("ipm", True)]
-        assert step.accepted == accepted and step.dual_bound is None
-        assert step.objective == flowlp._solve(step.residual.lp).theta
+        assert step.accepted == accepted
+        assert step.objective == flowlp._solve(step.residual.lp).x[0]
         if accepted:
             assert verify_solution(step.at_one()).ok
+
+    @pytest.mark.parametrize("n, scale, solvers", [
+        (8, 0.69, [("simplex", True)]),
+        (16, 0.86, [("ipm", False), ("ipm", True)]),
+    ], ids=["n8-exact", "n16-interior"])
+    def test_zeroed_duals_never_reject(self, monkeypatch, n, scale, solvers):
+        # lengths of 0 leave every demand a path of length 0, so lambda_d is
+        # inf and certifies no reject: an interior point goes to the exact
+        # solve, and the exact optimum is a SolverError
+        calls = self._spy(monkeypatch, lambda res, crossover: res._replace(
+            ub_dual=np.zeros_like(res.ub_dual)))
+        with pytest.raises(SolverError, match=r"lambda_d = inf against"):
+            solve_max_throughput(*_chessboard_step(scale, n), direct_first=True)
+        assert calls == solvers
+
+    def test_undecided_exact_step_names_lambda_and_lambda_d(self, monkeypatch):
+        step = _chessboard_step(0.69, n=8)
+        objective = solve_max_throughput(*step, direct_first=True).objective
+        assert objective < OBJECTIVE_REACHED
+        monkeypatch.setattr(flowlp, "_dual_bound", lambda lp, ub_dual: 2.0)
+        with pytest.raises(SolverError) as err:
+            solve_max_throughput(*step, direct_first=True)
+        assert str(err.value).startswith(
+            f"undecided step: lambda = {objective!r} and lambda_d = 2.0 against 0.999999999; "
+            "its flows at theta = 1 failed verification: capacity: arc ")
 
 
 def hop_volume_bisection(t, m):
@@ -532,7 +579,7 @@ class TestThroughputUpperBound:
         t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy")
         m = generate("chessboard", p)
         assert residual_upper_bound(t, m) == pytest.approx(0.5, abs=1e-12)
-        monkeypatch.setattr(flowlp, "_decide_interior", lambda *args: None)  # the exact vertex
+        exact_only(monkeypatch)  # the exact vertex
         step = solve_max_throughput(t, m, direct_first=True)
         assert step.objective == pytest.approx(0.5, abs=1e-9)
         assert solve_max_throughput(t, m).theta == pytest.approx(0.80, abs=1e-6)
@@ -824,14 +871,15 @@ class TestSolverFallback:
 
 
 def _solve_by(method, t, m):
-    """solve_max_throughput(t, m) with the solver that scipy's `method` names
-    (highs-ds: simplex, highs-ipm: ipm) forced through the size rule."""
+    """The exact solve of solve_max_throughput(t, m), its `LPResult`, with the
+    solver that scipy's `method` names (highs-ds: simplex, highs-ipm: ipm)
+    forced through the size rule."""
     with pytest.MonkeyPatch.context() as size_rule:
         size_rule.setattr(flowlp, "SIMPLEX_MAX_COLUMNS", math.inf if method == "highs-ds" else 0)
-        return solve_max_throughput(t, m)
+        return flowlp._solve(_lp_of(t, m))
 
 
-def _scipy_linprog_x(method, t, m):
+def _scipy_linprog(method, t, m):
     """The same LP through scipy's public linprog, at the seam's tolerances."""
     lp = _lp_of(t, m)
     tolerances = {k: v for k, v in flowlp._HIGHS_OPTIONS.items() if k.endswith("_tolerance")}
@@ -839,7 +887,7 @@ def _scipy_linprog_x(method, t, m):
                                  b_eq=np.zeros(lp.A_eq.shape[0]), bounds=(0, None), method=method,
                                  options=tolerances)
     assert res.status == 0, res.message
-    return res.x
+    return res
 
 
 class TestHighsSeam:
@@ -868,10 +916,9 @@ class TestHighsSeam:
 
     @staticmethod
     def _assert_same_as_scipy(t, m, method):
-        result = _solve_by(method, t, m)
-        x = _scipy_linprog_x(method, t, m)
-        assert result.theta == float(x[0]) + 0.0
-        assert np.array_equal(result.flows.ravel(), x[1:])
+        res, expected = _solve_by(method, t, m), _scipy_linprog(method, t, m)
+        assert res.x.tobytes() == expected.x.tobytes()
+        assert res.ub_dual.tobytes() == expected.ineqlin.marginals.tobytes()
 
     @pytest.mark.parametrize("method", ["highs-ds", "highs-ipm"])
     @settings(derandomize=True, deadline=None, max_examples=40, database=None)
