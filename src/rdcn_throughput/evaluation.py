@@ -79,20 +79,16 @@ class HeuristicTrace:
     scan starts at the first step whose scale B leaves room to reach an
     objective of 1; every earlier step is one whose own bound rules it out.
     Scanned step k scaled the demand by iter_values[k], on a topology built
-    with seeds[k]. objectives[k] is lambda, the optimum of the residual LP of
-    `solve_max_throughput(..., direct_first=True)`, and bounds[k] is
-    `residual_upper_bound`'s lambda_b >= lambda; both are None where the
-    direct links carried all the demand and there is no residual, which
-    happens only at the accepted step. objectives[k] alone is None where the
-    LP was skipped because bounds[k] fell below
-    OBJECTIVE_REACHED - SKIP_MARGIN. Where the residual LP has
-    SIMPLEX_MAX_COLUMNS columns or more, lambda is lambda_p, the theta column
-    of the crossover-free interior-point solve that decided the step, or the
-    exact optimum where that solve left the step undecided. `flowlp`'s one
-    rule certified each solved step: a rejected one by its dual bound, an
-    accepted one by its flows. When chosen_theta > 0, the last step is the
-    accepted one, and its topology certifies it: the flows that decided it
-    pass `verify_solution` on the full LP at theta = 1.
+    with seeds[k]. objectives[k] is lambda, the theta of the residual LP of
+    `solve_max_throughput(..., direct_first=True)` as solved by the solve
+    that decided the step and certified it, by the rule in `flowlp`'s module
+    docstring; bounds[k] is `residual_upper_bound`'s lambda_b >= lambda. Both
+    are None where the direct links carried all the demand and there is no
+    residual, which happens only at the accepted step. objectives[k] alone
+    is None where the LP was skipped because bounds[k] fell below
+    OBJECTIVE_REACHED - SKIP_MARGIN. When chosen_theta > 0, the last step is
+    the accepted one, and its topology certifies it: the flows that decided
+    it pass `verify_solution` on the full LP at theta = 1.
     """
 
     iter_values: tuple
@@ -246,14 +242,12 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     (emulated degree-n graph at capacity c*u/n). The reported theta is the
     first scan value whose scaled m routes at theta = 1 on its build, hence a
     multiple of DEFAULT_STEP with uncertainty one step; 0.0 if no scan value
-    succeeds. A step is accepted when its direct links carry all of the
-    demand, or when the max-throughput lambda of what they leave reaches
-    OBJECTIVE_REACHED, as the full LP would decide. `solve_max_throughput`
-    with `direct_first` decides and certifies each step by `flowlp`'s one
-    rule, so the accepted step's build certifies theta, and a step the rule
-    cannot certify is a SolverError. m must meet the hose bound at full
-    scale: this is the cell's one hose check, so the builds of the scanned
-    steps make none.
+    succeeds. `solve_max_throughput` with `direct_first` decides and
+    certifies each step as the full LP would, by the rule in `flowlp`'s
+    module docstring, so the accepted step's build certifies theta, and a
+    step the rule cannot certify is a SolverError. m must meet the hose
+    bound at full scale: this is the cell's one hose check, so the builds of
+    the scanned steps make none.
 
     The scan starts at the first step whose scale the demand-only bound B
     (`demand_upper_bound`, once per cell) leaves room to reach 1. B bounds

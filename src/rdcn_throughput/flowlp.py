@@ -50,15 +50,15 @@ pair's direct min(x, L), are a flow block of the full LP at theta = 1
 
 Any arc lengths l >= 0 bound lambda from above: a routing of lambda * x'
 sends each unit from s to v along a path no shorter than dist_l(s, v), and
-each arc carries at most L', so lambda* <= lambda_d = sum L' * l / sum x' *
-dist_l (Shahrokhi and Matula 1990; Garg and Koenemann 1998). With every l = 1 it
-needs no LP: lambda_b = sum L' / sum x' * hop', hop' the BFS distance in the
-arcs of L', is `residual_upper_bound`, which a heuristic scan reads before
-it pays for the LP. `_dual_bound` takes l = max(-y, 0), y the cap-row duals
-that every solve reads back (y <= 0 on a cap row of this minimization), and
-computes lambda_d in numpy by Floyd-Warshall, in which an arc of zero length
-is an arc. lambda_d tends to lambda* as y tends to an optimal dual, and
-meets it to rounding at an exact optimum.
+each arc carries at most L', so lambda* <= sum L' * l / sum x' * dist_l
+(Shahrokhi and Matula 1990; Garg and Koenemann 1998). One routine,
+`_length_bound`, computes it in numpy by Floyd-Warshall over the arcs of L',
+in which an arc of length 0 is an arc, and two choices of l use it. With
+every l = 1 it needs no LP: lambda_b, `residual_upper_bound`, which a
+heuristic scan reads before it pays for the LP. With l = max(-y, 0), y the
+cap-row duals that every solve reads back (y <= 0 on a cap row of this
+minimization): lambda_d, `_dual_bound`, which tends to lambda* as y tends to
+an optimal dual, and meets it to rounding at an exact optimum.
 
 One rule (`_decide`) decides every step, on certificates checked here:
   - accept when the flow block of `at_one` passes `verify_solution` and
@@ -304,23 +304,30 @@ def _result(lp: _FlowLP, x: np.ndarray) -> ThroughputResult:
     return ThroughputResult(theta, flows, lp)
 
 
-def _dual_bound(lp: _FlowLP, ub_dual: np.ndarray) -> float:
-    """lambda_d, the bound on lp's optimum that the arc lengths
-    l = max(-ub_dual, 0) give (module docstring): sum(capacity * l) over
-    sum(demand * dist_l). Shortest paths are by Floyd-Warshall on a dense
-    matrix where only a missing arc is inf, so an arc of length 0 stays an
-    arc. 0.0 when some demand has no path; inf when l leaves every demand a
-    path of length 0."""
-    length = np.maximum(-ub_dual, 0.0)
-    n = len(lp.demand)
-    dist = np.full((n, n), np.inf)
-    dist[tuple(lp.arcs.T)] = length
+def _length_bound(capacity: np.ndarray, demand: np.ndarray, length: np.ndarray) -> float:
+    """The arc-length bound of the module docstring on the max throughput of
+    `demand` on `capacity` under arc lengths `length` >= 0, all (n, n) in link
+    units: sum(capacity * length) over sum(demand * dist). Shortest paths are
+    by Floyd-Warshall over the arcs of positive capacity, where only a missing
+    arc is inf, so an arc of length 0 stays an arc. 0.0 when some demand has
+    no path; inf when every demand has a path of length 0."""
+    dist = np.where(capacity > 0, length, np.inf)
     np.fill_diagonal(dist, 0.0)
-    for v in range(n):
+    for v in range(len(dist)):
         np.minimum(dist, dist[:, v, None] + dist[v], out=dist)
-    pair = lp.demand > 0
-    need = float(lp.demand[pair] @ dist[pair])
-    return float(lp.capacity @ length) / need if need > 0 else math.inf
+    pair = demand > 0
+    need = float(demand[pair] @ dist[pair])
+    return float((capacity * length).sum()) / need if need > 0 else math.inf
+
+
+def _dual_bound(lp: _FlowLP, ub_dual: np.ndarray) -> float:
+    """lambda_d: `_length_bound` of lp with the lengths l = max(-ub_dual, 0)
+    on its arcs."""
+    n = len(lp.demand)
+    capacity, length = np.zeros((n, n)), np.zeros((n, n))
+    capacity[tuple(lp.arcs.T)] = lp.capacity
+    length[tuple(lp.arcs.T)] = np.maximum(-ub_dual, 0.0)
+    return _length_bound(capacity, lp.demand, length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,45 +466,20 @@ def _decide(step: DirectFirstResult, *, exact: bool) -> DirectFirstResult | None
         + (f"failed verification: {worst.kind}: {worst.detail}" if worst else "verify"))
 
 
-def _hops(adjacent: np.ndarray) -> np.ndarray:
-    """Directed BFS distances: hop[i, j] is the fewest arcs from i to j, inf
-    where j is unreachable, 0 on the diagonal. Each round extends the
-    frontier of every source at once by one float (BLAS) matrix product; the
-    counts it sums are at most n, so the test `> 0` is exact."""
-    n = adjacent.shape[0]
-    step = adjacent.astype(float)
-    hop = np.full((n, n), np.inf)
-    np.fill_diagonal(hop, 0.0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached
-    for d in range(1, n):
-        frontier = (frontier.astype(float) @ step > 0) & ~reached
-        if not frontier.any():
-            break
-        hop[frontier] = d
-        reached |= frontier
-    return hop
-
-
 def residual_upper_bound(t: Topology, m: DemandMatrix) -> float | None:
     """Upper bound lambda_b on the residual LP's lambda, the `objective` of
     `solve_max_throughput(t, m, direct_first=True)` (m in bits/s), without
     an LP; None when the direct links carry all of m and there is no LP.
 
     x' and L' come from `_residual`, as in that call, so the bound is always
-    on the LP it stands for. Every unit of x' from s to v crosses at least
-    hop'(s, v) arcs of L', its BFS distance in the arcs of positive L', so
-    lambda * sum(x' * hop') <= sum(L'): the arc-length bound of the module
-    docstring with every length 1. 0.0 when some pair of x' has no path.
+    on the LP it stands for. It is `_length_bound` with every length 1:
+    sum(L') over sum(x' * hop'), hop' the fewest arcs of positive L' from s
+    to v. 0.0 when some pair of x' has no path.
     """
     _, _, room, left = _residual(t, m)
     if not left.any():
         return None
-    pair = left > 0
-    hop = _hops(room > 0)[pair]
-    if not np.isfinite(hop).all():
-        return 0.0
-    return float(room.sum() / (left[pair] @ hop))
+    return _length_bound(room, left, np.ones_like(room))
 
 
 # demand_upper_bound stops once |g(theta)| is within this share of the link

@@ -31,7 +31,7 @@ from rdcn_throughput.evaluation import build_suite, sweep_degree
 from rdcn_throughput.flowlp import (
     OBJECTIVE_REACHED,
     _assemble_lp,
-    _hops,
+    _length_bound,
     demand_upper_bound,
     residual_upper_bound,
 )
@@ -602,14 +602,33 @@ class TestThroughputUpperBound:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hops_are_the_bfs_distances(self, seed):
-        # sparse random digraphs, often disconnected, and one of two components
+        # with unit lengths, one unit on a single pair gives sum(capacity) over
+        # its BFS distance, 0.0 where it has none: on sparse random digraphs,
+        # often disconnected, and on one of two components
         rng = np.random.default_rng(seed)
-        for n in (1, 2, 5, 16, 40):
-            adjacent = rng.random((n, n)) < rng.uniform(0.0, 0.3)
-            assert _hops(adjacent).tobytes() == shortest_path(adjacent, unweighted=True).tobytes()
+        graphs = [rng.random((n, n)) < rng.uniform(0.0, 0.3) for n in (1, 2, 5, 16, 40)]
         two = np.zeros((8, 8), dtype=bool)
-        two[:4, :4] = two[4:, 4:] = ~np.eye(4, dtype=bool)
-        assert _hops(two).tobytes() == shortest_path(two, unweighted=True).tobytes()
+        two[:4, :4] = two[4:, 4:] = True
+        for adjacent in graphs + [two]:
+            np.fill_diagonal(adjacent, False)
+            capacity = adjacent * rng.integers(1, 4, adjacent.shape).astype(float)
+            hops = shortest_path(adjacent, unweighted=True)
+            for s, v in zip(*np.nonzero(~np.eye(len(adjacent), dtype=bool))):
+                demand = np.zeros_like(capacity)
+                demand[s, v] = 1.0
+                bound = _length_bound(capacity, demand, np.ones_like(capacity))
+                assert bound == (capacity.sum() / hops[s, v] if hops[s, v] < np.inf else 0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.one_of(random_instances(), near_one_instances()))
+    def test_is_the_dual_bound_with_unit_lengths(self, instance):
+        # lambda_b and lambda_d are one formula: lambda_d on lengths of 1
+        t, m = instance
+        step = solve_max_throughput(t, m, direct_first=True)
+        assume(step.residual is not None)
+        lp = step.residual.lp
+        dual = flowlp._dual_bound(lp, -np.ones(len(lp.arcs)))
+        assert dual.hex() == residual_upper_bound(t, m).hex()
 
     def test_zero_demand_and_mismatch_rejected(self):
         with pytest.raises(ValueError, match="no positive entries"):
