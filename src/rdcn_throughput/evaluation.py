@@ -7,10 +7,10 @@ The demand-aware heuristic scales the demand matrix by `iter` descending from
 matrix, and stops at the first iter whose scaled matrix routes at theta = 1;
 that iter is the reported throughput (granularity = one step). Each step is
 decided on the demand its direct links leave (`solve_max_throughput` with
-`direct_first`), which routes exactly when the full matrix does. The scan
-starts at the first step that the demand alone (`demand_upper_bound`) leaves
-room to reach 1, and a step whose residual LP is bounded below 1 from its
-topology's hop counts (`residual_upper_bound`) is rejected without an LP.
+`direct_first`), which routes exactly when the full matrix does; that one
+call skips, accepts or rejects the step by the rule in `flowlp`'s module
+docstring. The scan starts at the first step that the demand alone
+(`demand_upper_bound`) leaves room to reach 1.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .demand import (
 )
 from .flowlp import (
     OBJECTIVE_REACHED,
+    SKIP_MARGIN,
     SolverError,
     demand_upper_bound,
-    residual_upper_bound,
     solve_max_throughput,
     verify_solution,
 )
@@ -59,13 +59,6 @@ from .topology import (  # noqa: F401
 NETWORK_CLASSES = ("static", "oblivious", "da-static", "da-periodic")
 # The heuristic's granularity: every demand-aware theta is a multiple of it.
 DEFAULT_STEP = 0.01
-# A step's LP is skipped when the upper bound on its lambda lies below
-# OBJECTIVE_REACHED by more than this: ten times the solver's feasibility
-# tolerance, so a step the LP could accept is always solved. The scan starts at
-# the first step whose demand-only bound reaches OBJECTIVE_REACHED -
-# 2 * SKIP_MARGIN: that bound is computed by other arithmetic than the per-step
-# one, and the second margin covers the difference.
-SKIP_MARGIN = 1e-6
 
 _MIX_ALPHAS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -79,16 +72,16 @@ class HeuristicTrace:
     scan starts at the first step whose scale B leaves room to reach an
     objective of 1; every earlier step is one whose own bound rules it out.
     Scanned step k scaled the demand by iter_values[k], on a topology built
-    with seeds[k]. objectives[k] is lambda, the theta of the residual LP of
-    `solve_max_throughput(..., direct_first=True)` as solved by the solve
-    that decided the step and certified it, by the rule in `flowlp`'s module
-    docstring; bounds[k] is `residual_upper_bound`'s lambda_b >= lambda. Both
-    are None where the direct links carried all the demand and there is no
-    residual, which happens only at the accepted step. objectives[k] alone
-    is None where the LP was skipped because bounds[k] fell below
-    OBJECTIVE_REACHED - SKIP_MARGIN. When chosen_theta > 0, the last step is
-    the accepted one, and its topology certifies it: the flows that decided
-    it pass `verify_solution` on the full LP at theta = 1.
+    with seeds[k], and `solve_max_throughput(..., direct_first=True)` decided
+    it by the rule in `flowlp`'s module docstring. objectives[k] is the
+    step's `objective`: lambda, the theta of the residual LP as solved by the
+    solve that decided the step and certified it. bounds[k] is its `bound`,
+    lambda_b >= lambda. Both are None where the direct links carried all the
+    demand and there is no residual, which happens only at the accepted
+    step. objectives[k] alone is None where the rule skipped the LP on
+    bounds[k]. When chosen_theta > 0, the last step is the accepted one, and
+    its topology certifies it: the flows that decided it pass
+    `verify_solution` on the full LP at theta = 1.
     """
 
     iter_values: tuple
@@ -256,11 +249,11 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     at least max(2, hop) arcs), so every step before is one the per-step
     skip rejects; and B >= 1/2 on a hose-feasible m keeps some step. Every
     scanned step builds its topology from its own seed, `_seed_int(seed,
-    "iter", k)` with k counted from scale 1, but solves an LP only if
-    `residual_upper_bound` leaves lambda room to reach 1; so neither skip
-    changes a theta or a certifying build. A schedule takes no part in
-    theta, so da-periodic steps build only the emulated graph, and none is
-    synthesized here.
+    "iter", k)` with k counted from scale 1, and the one call that decides
+    it solves an LP only where the skip leaves lambda room to reach 1; so
+    neither skip changes a theta or a certifying build. A schedule takes no
+    part in theta, so da-periodic steps build only the emulated graph, and
+    none is synthesized here.
     """
     if net_class not in ("da-static", "da-periodic"):
         raise ValueError(f"unknown demand-aware class {net_class!r}")
@@ -270,6 +263,10 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     theta = 0.0
     for k in range(round(1 / DEFAULT_STEP)):
         scale = round(1.0 - k * DEFAULT_STEP, 12)
+        # The scan starts at the first step whose demand-only bound reaches
+        # OBJECTIVE_REACHED - 2 * SKIP_MARGIN: that bound is computed by other
+        # arithmetic than the per-step skip's, and the second margin covers
+        # the difference.
         if demand_bound < (OBJECTIVE_REACHED - 2 * SKIP_MARGIN) * scale:
             continue
         scaled = m.scaled(scale)
@@ -278,16 +275,12 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
             topo = build_demand_aware_static(scaled, p, seed=iter_seed)
         else:
             topo = build_demand_aware_emulated(scaled, p, seed=iter_seed)
-        bound = residual_upper_bound(topo, scaled)
-        objective, accepted = None, False
-        if bound is None or bound >= OBJECTIVE_REACHED - SKIP_MARGIN:
-            step = solve_max_throughput(topo, scaled, direct_first=True)
-            objective, accepted = step.objective, step.accepted
+        step = solve_max_throughput(topo, scaled, direct_first=True)
         iter_values.append(scale)
-        bounds.append(bound)
-        objectives.append(objective)
+        bounds.append(step.bound)
+        objectives.append(step.objective)
         seeds.append(iter_seed)
-        if accepted:
+        if step.accepted:
             theta = scale
             break
     trace = HeuristicTrace(tuple(iter_values), tuple(bounds), tuple(objectives), theta,

@@ -54,13 +54,15 @@ each arc carries at most L', so lambda* <= sum L' * l / sum x' * dist_l
 (Shahrokhi and Matula 1990; Garg and Koenemann 1998). One routine,
 `_length_bound`, computes it in numpy by Floyd-Warshall over the arcs of L',
 in which an arc of length 0 is an arc, and two choices of l use it. With
-every l = 1 it needs no LP: lambda_b, `residual_upper_bound`, which a
-heuristic scan reads before it pays for the LP. With l = max(-y, 0), y the
+every l = 1 it needs no LP: lambda_b, the hop-volume bound of x' on L',
+which a step reads before it pays for the LP. With l = max(-y, 0), y the
 cap-row duals that every solve reads back (y <= 0 on a cap row of this
 minimization): lambda_d, `_dual_bound`, which tends to lambda* as y tends to
 an optimal dual, and meets it to rounding at an exact optimum.
 
-One rule (`_decide`) decides every step, on certificates checked here:
+One rule decides every step, on bounds and certificates computed here:
+  - skip, rejected with no LP, when lambda_b is below
+    OBJECTIVE_REACHED - SKIP_MARGIN;
   - accept when the flow block of `at_one` passes `verify_solution` and
     lambda is None (x' = 0) or at least OBJECTIVE_REACHED, + DEFAULT_TOL on
     an interior point;
@@ -121,6 +123,10 @@ SIMPLEX_MAX_COLUMNS = 1500
 # A heuristic step is accepted when its lambda reaches this: 1 up to a margin
 # far below the solver's 1e-7 feasibility tolerance.
 OBJECTIVE_REACHED = 1.0 - 1e-9
+# A step's LP is skipped when lambda_b, the LP-free bound on its lambda, lies
+# below OBJECTIVE_REACHED by more than this: ten times the solver's feasibility
+# tolerance, so a step the LP could accept is always solved.
+SKIP_MARGIN = 1e-6
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
 # How SolverError names the model status of a failed solve; any other is
 # numerical-trouble.
@@ -335,24 +341,25 @@ class DirectFirstResult:
     """Demand x on capacity L (both (n, n), link units) decided direct links
     first, as `solve_max_throughput(..., direct_first=True)` returns it.
 
-    `residual` is the optimum lambda (its theta) of the demand left once each
-    pair takes min(x, L) on its own links, x' = x - min(x, L) with entries
-    below HiGHS's small_matrix_value zeroed, on the capacity left,
-    L' = L - min(x, L); None when x' = 0 and no LP was solved. By the exchange
-    lemma (module docstring), x routes on L at theta = 1 exactly when
-    `objective` is None or at least 1, and `accepted` is that decision.
-
-    `residual` is the solve that the rule of the module docstring decided
-    on: the exact optimum, or the crossover-free interior point (lambda_p as
-    its theta), and `ub_dual` its cap-row duals. `solve_max_throughput`
-    returns it once the rule has settled it: an accepted one's `at_one()`
-    passed `verify_solution`, a rejected one's `dual_bound` is below
-    OBJECTIVE_REACHED.
+    x' = x - min(x, L), with entries below HiGHS's small_matrix_value zeroed,
+    is the demand left once each pair takes min(x, L) on its own links, and
+    L' = L - min(x, L) the capacity left. `bound` is lambda_b, the LP-free
+    bound on the max throughput lambda of x' on L'; None exactly when
+    x' = 0. `residual` is the solve of that LP that the rule of the module
+    docstring decided on: the exact optimum, or the crossover-free interior
+    point (lambda_p as its theta), and `ub_dual` its cap-row duals; None
+    where no LP was solved, because x' = 0 or lambda_b skipped it. By the
+    exchange lemma (module docstring), x routes on L at theta = 1 exactly
+    when x' = 0 or lambda is at least 1, and `accepted` is that decision.
+    `solve_max_throughput` returns a step once the rule has settled it: an
+    accepted one's `at_one()` passed `verify_solution`, a rejected one's
+    `bound` or `dual_bound` is below OBJECTIVE_REACHED.
     """
 
     capacity: np.ndarray
     demand: np.ndarray
-    residual: ThroughputResult | None
+    bound: float | None
+    residual: ThroughputResult | None = None
     ub_dual: np.ndarray | None = None
 
     @property
@@ -362,14 +369,15 @@ class DirectFirstResult:
 
     @property
     def objective(self) -> float | None:
-        """lambda, or None when the direct links carry all of x."""
+        """lambda, or None when no LP was solved."""
         return None if self.residual is None else self.residual.theta
 
     @property
     def accepted(self) -> bool:
-        """Whether x routes on L at theta = 1: lambda is None or reaches
-        OBJECTIVE_REACHED."""
-        return self.objective is None or self.objective >= OBJECTIVE_REACHED
+        """Whether x routes on L at theta = 1: x' = 0 (`bound` is None) or
+        lambda reaches OBJECTIVE_REACHED."""
+        return self.bound is None or (self.objective is not None
+                                       and self.objective >= OBJECTIVE_REACHED)
 
     def at_one(self) -> ThroughputResult:
         """The full LP of x on L at theta = 1, with the flow block that sends
@@ -398,8 +406,7 @@ def _residual(t: Topology, m: DemandMatrix):
     """(L, x, L', x'): t's routable link counts L and m in link units x, and
     what each pair's min(x, L) on its own links leaves of them,
     L' = L - min(x, L) and x' = x - min(x, L) with entries below HiGHS's
-    small_matrix_value zeroed. `solve_max_throughput(..., direct_first=True)`
-    solves the LP of x' on L', and `residual_upper_bound` bounds it."""
+    small_matrix_value zeroed."""
     demand = _link_units(t, m)
     capacity = t.routable_counts().astype(float)
     direct = np.minimum(demand, capacity)
@@ -419,12 +426,13 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     SolverError names the model status and its message.
 
     With `direct_first`, it answers only whether theta = 1 is feasible, and
-    returns a `DirectFirstResult`: the max-throughput LP of the demand that
-    each pair's direct links leave on the capacity they leave, or no LP when
-    they leave none, decided by the one rule of the module docstring. From
-    SIMPLEX_MAX_COLUMNS columns on, that LP is first solved by interior point
-    without crossover, and solved as above where the rule leaves that point
-    undecided. A step the rule leaves undecided after that is a SolverError.
+    returns a `DirectFirstResult` decided by the one rule of the module
+    docstring: no LP when each pair's direct links leave no demand, or when
+    lambda_b rules the step out; otherwise the max-throughput LP of the
+    demand they leave on the capacity they leave. From SIMPLEX_MAX_COLUMNS
+    columns on, that LP is first solved by interior point without crossover,
+    and solved as above where the rule leaves that point undecided. A step
+    the rule leaves undecided after that is a SolverError.
     """
     if not direct_first:
         lp = _assemble_lp(t.routable_counts().astype(float), _link_units(t, m))
@@ -432,17 +440,20 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     capacity, demand, room, left = _residual(t, m)
     if not left.any():
         return _decide(DirectFirstResult(capacity, demand, None), exact=True)
+    bound = _length_bound(room, left, np.ones_like(room))
+    if bound < OBJECTIVE_REACHED - SKIP_MARGIN:
+        return DirectFirstResult(capacity, demand, bound)
     lp = _assemble_lp(room, left)
     if lp.c.size >= SIMPLEX_MAX_COLUMNS:
         res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
                       crossover=False)
         if res.status == _OPTIMAL:
-            step = _decide(DirectFirstResult(capacity, demand, _result(lp, res.x), res.ub_dual),
-                           exact=False)
+            step = _decide(DirectFirstResult(capacity, demand, bound, _result(lp, res.x),
+                                             res.ub_dual), exact=False)
             if step is not None:
                 return step
     res = _solve(lp)
-    return _decide(DirectFirstResult(capacity, demand, _result(lp, res.x), res.ub_dual),
+    return _decide(DirectFirstResult(capacity, demand, bound, _result(lp, res.x), res.ub_dual),
                    exact=True)
 
 
@@ -464,22 +475,6 @@ def _decide(step: DirectFirstResult, *, exact: bool) -> DirectFirstResult | None
         f"undecided step: lambda = {objective!r} and lambda_d = {step.dual_bound!r} against "
         f"{OBJECTIVE_REACHED!r}; its flows at theta = 1 "
         + (f"failed verification: {worst.kind}: {worst.detail}" if worst else "verify"))
-
-
-def residual_upper_bound(t: Topology, m: DemandMatrix) -> float | None:
-    """Upper bound lambda_b on the residual LP's lambda, the `objective` of
-    `solve_max_throughput(t, m, direct_first=True)` (m in bits/s), without
-    an LP; None when the direct links carry all of m and there is no LP.
-
-    x' and L' come from `_residual`, as in that call, so the bound is always
-    on the LP it stands for. It is `_length_bound` with every length 1:
-    sum(L') over sum(x' * hop'), hop' the fewest arcs of positive L' from s
-    to v. 0.0 when some pair of x' has no path.
-    """
-    _, _, room, left = _residual(t, m)
-    if not left.any():
-        return None
-    return _length_bound(room, left, np.ones_like(room))
 
 
 # demand_upper_bound stops once |g(theta)| is within this share of the link

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
@@ -37,3 +39,10 @@ def exact_only(patch):
         return flowlp.LPResult(HighsModelStatus.kNotset, None, 0, "not solved")
 
     patch.setattr(flowlp, "linprog", linprog)
+
+
+def no_skip(patch):
+    """With `patch` (a monkeypatch or its context), no heuristic step is
+    skipped on its bound lambda_b: every step whose direct links leave some
+    demand reaches its LP."""
+    patch.setattr(flowlp, "SKIP_MARGIN", math.inf)

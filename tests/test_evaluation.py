@@ -30,16 +30,15 @@ from rdcn_throughput import (
 )
 from rdcn_throughput import evaluation, flowlp, topology
 from rdcn_throughput.cli import fig4_degrees
-from rdcn_throughput.flowlp import DEFAULT_TOL
+from rdcn_throughput.flowlp import DEFAULT_TOL, SKIP_MARGIN
 from rdcn_throughput.evaluation import (
     NETWORK_CLASSES,
     OBJECTIVE_REACHED,
-    SKIP_MARGIN,
     SweepResult,
     SweepRow,
 )
 
-from conftest import exact_only
+from conftest import exact_only, no_skip
 
 SMALL = NetworkParams(4, 2, 1e9)
 
@@ -181,6 +180,20 @@ class TestBoundGuidedScan:
                     assert objective <= bound + DEFAULT_TOL
         assert skipped > 0
 
+    def test_one_residual_per_scanned_step(self, monkeypatch):
+        # the one call that decides a step forms its x' and L' once
+        calls = []
+        real = flowlp._residual
+
+        def residual(t, m):
+            calls.append(m)
+            return real(t, m)
+
+        monkeypatch.setattr(flowlp, "_residual", residual)
+        for trace in self._scans():
+            assert len(calls) == len(trace.iter_values)
+            calls.clear()
+
     def test_same_scan_as_solving_every_step(self, monkeypatch):
         suite = build_suite(self.P8)[:6]
         calls = []
@@ -194,7 +207,7 @@ class TestBoundGuidedScan:
         scans = {(label, cls): throughput_demand_aware(m, self.P8, cls, seed=3)
                  for label, m in suite for cls in ("da-static", "da-periodic")}
         skipping = len(calls)
-        monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: float("inf"))
+        no_skip(monkeypatch)
         for (label, cls), cell in scans.items():
             full = throughput_demand_aware(dict(suite)[label], self.P8, cls, seed=3)
             assert (cell.theta, cell.trace.iter_values, cell.trace.seeds) == (
@@ -251,7 +264,9 @@ class TestDirectFirstDecision:
         for k, (scale, step_seed) in enumerate(zip(trace.iter_values, trace.seeds)):
             scaled = m.scaled(scale)
             topo = self.BUILDS[net_class](scaled, p, seed=step_seed)
-            step = solve_max_throughput(topo, scaled, direct_first=True)
+            with pytest.MonkeyPatch.context() as patch:
+                no_skip(patch)  # lambda of every step with a residual
+                step = solve_max_throughput(topo, scaled, direct_first=True)
             accepted = step.objective is None or step.objective >= OBJECTIVE_REACHED
             full = solve_max_throughput(topo, scaled).theta
             assert accepted == (full >= OBJECTIVE_REACHED), (net_class, seed, scale, full)
@@ -302,7 +317,7 @@ class TestDirectFirstDecision:
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
         monkeypatch.setattr(evaluation, "solve_max_throughput", compared)
-        monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: float("inf"))
+        no_skip(monkeypatch)
         p = NetworkParams(16, 4, 25e9)
         for label, m in build_suite(p):
             for net_class in ("da-static", "da-periodic"):

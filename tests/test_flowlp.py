@@ -30,10 +30,10 @@ from rdcn_throughput import evaluation, flowlp
 from rdcn_throughput.evaluation import build_suite, sweep_degree
 from rdcn_throughput.flowlp import (
     OBJECTIVE_REACHED,
+    SKIP_MARGIN,
     _assemble_lp,
     _length_bound,
     demand_upper_bound,
-    residual_upper_bound,
 )
 from rdcn_throughput.topology import (
     build_demand_aware_emulated,
@@ -41,7 +41,7 @@ from rdcn_throughput.topology import (
     link_budget,
 )
 
-from conftest import exact_only, sinkhorn_doubly_stochastic
+from conftest import exact_only, no_skip, sinkhorn_doubly_stochastic
 from lp_oracle import path_lp_throughput
 
 
@@ -155,8 +155,7 @@ class TestSolveMaxThroughput:
             return solve(t, m, **kwargs)
 
         monkeypatch.setattr(evaluation, "solve_max_throughput", both)
-        # every scanned step reaches its LP
-        monkeypatch.setattr(evaluation, "residual_upper_bound", lambda t, m: math.inf)
+        no_skip(monkeypatch)  # every scanned step reaches its LP
         sweep_degree(NetworkParams(8, 4, 25e9), [4, 8], seed=0)
         assert len(gaps) > 100
         assert max(gaps) <= 1e-9
@@ -169,7 +168,8 @@ class TestSolveMaxThroughput:
         result = solve_max_throughput(t, m)
         assert result.theta == pytest.approx(1.0, abs=1e-9)
         assert verify_solution(result).ok
-        assert residual_upper_bound(t, m) is None  # each pair fits its own links
+        # each pair fits its own links
+        assert solve_max_throughput(t, m, direct_first=True).bound is None
 
     def test_zero_demand_rejected(self):
         with pytest.raises(ValueError, match="no positive entries"):
@@ -189,8 +189,7 @@ class TestSolveMaxThroughput:
         entries[0, 1], entries[0, 3] = 1.0, 1e-10
         message = (r"demand at \(0, 3\), 1e-10 link units, is below 1e-09, HiGHS's "
                    r"small_matrix_value, so the LP would drop it")
-        for solve in (solve_max_throughput, partial(solve_max_throughput, direct_first=True),
-                      residual_upper_bound):
+        for solve in (solve_max_throughput, partial(solve_max_throughput, direct_first=True)):
             with pytest.raises(ValueError, match=message):
                 solve(t, DemandMatrix(entries))
         entries[0, 3] = 1e-3
@@ -232,7 +231,7 @@ class TestDirectFirst:
         monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["solver"]))
         result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4),
                                       direct_first=True)
-        assert (result.residual, result.objective, calls) == (None, None, [])
+        assert (result.bound, result.residual, result.objective, calls) == (None, None, None, [])
         full = result.at_one()
         assert full.theta == 1.0 and verify_solution(full).ok
         # each source sends 1 on each of its own arcs, nothing else
@@ -248,8 +247,9 @@ class TestDirectFirst:
         assert full.lp.arcs.tolist() == [[0, 1], [0, 2], [1, 2]]
         assert full.flows == pytest.approx(np.array([[0.5, 1.0, 0.5]]), abs=1e-9)
 
-    def test_certificate_of_a_rejected_step_fails(self):
+    def test_certificate_of_a_rejected_step_fails(self, monkeypatch):
         # 3 from 0 to 2: 1 direct, and the path carries 1 of the other 2
+        no_skip(monkeypatch)
         result = solve_max_throughput(self._line(), self._demand(3.0), direct_first=True)
         assert result.objective == pytest.approx(0.5, abs=1e-9)
         assert solve_max_throughput(self._line(), self._demand(3.0)).theta == pytest.approx(
@@ -257,8 +257,22 @@ class TestDirectFirst:
         kinds = {v.kind for v in verify_solution(result.at_one()).violations}
         assert kinds == {"capacity"}
 
-    def test_no_arc_left_gives_zero(self):
+    def test_step_the_bound_rules_out_solves_no_lp(self, monkeypatch):
+        # 3 from 0 to 2 leaves 2 on 0->1->2: 2 units of room over 2 hops per
+        # unit, so lambda_b = 0.5 is below the skip threshold
+        def reached(*args, **kwargs):
+            raise AssertionError("a skipped step reached its LP")
+
+        monkeypatch.setattr(flowlp, "_assemble_lp", reached)
+        monkeypatch.setattr(flowlp, "linprog", reached)
+        t, m = self._line(), self._demand(3.0)
+        step = solve_max_throughput(t, m, direct_first=True)
+        assert step.bound == residual_hop_bound(t, m) == 0.5
+        assert (step.accepted, step.objective, step.dual_bound) == (False, None, None)
+
+    def test_no_arc_left_gives_zero(self, monkeypatch):
         # the direct link is full, and no other arc leaves 0
+        no_skip(monkeypatch)
         counts = np.zeros((3, 3), dtype=int)
         counts[0, 2] = counts[2, 1] = 1
         result = solve_max_throughput(Topology(counts, 1.0, "test"), self._demand(1.5),
@@ -270,9 +284,13 @@ class TestDirectFirst:
     def test_decides_as_the_full_lp(self, instance):
         t, m = instance
         reached = evaluation.OBJECTIVE_REACHED
-        result = solve_max_throughput(t, m, direct_first=True)
+        full = solve_max_throughput(t, m).theta >= reached
+        assert solve_max_throughput(t, m, direct_first=True).accepted == full
+        with pytest.MonkeyPatch.context() as patch:
+            no_skip(patch)
+            result = solve_max_throughput(t, m, direct_first=True)
         accepted = result.objective is None or result.objective >= reached
-        assert accepted == (solve_max_throughput(t, m).theta >= reached)
+        assert accepted == full
         if accepted:
             assert verify_solution(result.at_one()).ok
 
@@ -407,6 +425,7 @@ class TestDecisionBracket:
         return calls
 
     def test_straddling_bracket_is_solved_exactly(self, monkeypatch):
+        no_skip(monkeypatch)
         calls = self._spy(monkeypatch)
         untouched = solve_max_throughput(*_chessboard_step(0.86), direct_first=True)
         assert calls == [("ipm", False)]
@@ -434,6 +453,7 @@ class TestDecisionBracket:
             x[0] *= 2
             return res._replace(x=x)
 
+        no_skip(monkeypatch)
         calls = self._spy(monkeypatch, doubled)
         step = solve_max_throughput(*_chessboard_step(scale), direct_first=True)
         assert calls == [("ipm", False), ("ipm", True)]
@@ -450,6 +470,7 @@ class TestDecisionBracket:
         # lengths of 0 leave every demand a path of length 0, so lambda_d is
         # inf and certifies no reject: an interior point goes to the exact
         # solve, and the exact optimum is a SolverError
+        no_skip(monkeypatch)
         calls = self._spy(monkeypatch, lambda res, crossover: res._replace(
             ub_dual=np.zeros_like(res.ub_dual)))
         with pytest.raises(SolverError, match=r"lambda_d = inf against"):
@@ -526,18 +547,25 @@ def residual_hop_bound(t, m):
     return room.sum() / volume
 
 
+def _unskipped(t, m):
+    """solve_max_throughput(t, m, direct_first=True) with no step skipped."""
+    with pytest.MonkeyPatch.context() as patch:
+        no_skip(patch)
+        return solve_max_throughput(t, m, direct_first=True)
+
+
 class TestThroughputUpperBound:
-    """The LP-free bound the heuristic uses to skip steps, `residual_upper_bound`:
-    never below the residual LP's lambda, the exact value of its own formula,
-    and never above the skip threshold where the full LP's hop-volume bound
-    is below it."""
+    """lambda_b, the LP-free bound a direct-first step reads as its `bound`
+    and skips its LP on: never below the residual LP's lambda, the exact
+    value of its own formula, and never above the skip threshold where the
+    full LP's hop-volume bound is below it."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(random_instances())
     def test_never_below_the_lp(self, instance):
         t, m = instance
-        bound = residual_upper_bound(t, m)
-        objective = solve_max_throughput(t, m, direct_first=True).objective
+        step = _unskipped(t, m)
+        bound, objective = step.bound, step.objective
         assert (bound is None) == (objective is None)  # x' = 0: no LP to bound
         if bound is not None:
             assert bound >= objective - 1e-9
@@ -549,25 +577,27 @@ class TestThroughputUpperBound:
         # each residual unit crosses hop' >= max(2, hop) arcs of L' (x' > 0
         # leaves its own arc no room), so it skips where the full LP's bound did
         t, m = instance
-        skip = OBJECTIVE_REACHED - evaluation.SKIP_MARGIN
+        skip = OBJECTIVE_REACHED - SKIP_MARGIN
         if hop_volume_bisection(t, m) < skip:
-            bound = residual_upper_bound(t, m)
-            assert bound is not None and bound < skip
+            step = solve_max_throughput(t, m, direct_first=True)
+            assert step.bound is not None and step.bound < skip
+            assert (step.residual, step.accepted) == (None, False)
 
     def test_none_exactly_when_the_direct_links_carry_all(self):
-        counts = np.zeros((3, 3), dtype=int)
-        counts[0, 1] = counts[1, 2] = counts[0, 2] = 1
-        t = Topology(counts, 1.0, "line")
+        def bound(t, m):
+            return solve_max_throughput(t, m, direct_first=True).bound
+
+        t = TestDirectFirst._line()
         entries = np.zeros((3, 3))
         entries[0, 2] = 1.0
-        assert residual_upper_bound(t, DemandMatrix(entries)) is None
+        assert bound(t, DemandMatrix(entries)) is None
         # what is left below HiGHS's small_matrix_value is no demand
         entries[0, 2] = 1.0 + 5e-10
-        assert residual_upper_bound(t, DemandMatrix(entries)) is None
+        assert bound(t, DemandMatrix(entries)) is None
         # 0.5 left over 0->1->2: 2 units of room over 2 hops per unit
         entries[0, 2] = 1.5
-        assert residual_upper_bound(t, DemandMatrix(entries)) == 2.0
-        assert residual_upper_bound(complete_topology(4), unit_uniform_demand(4)) is None
+        assert bound(t, DemandMatrix(entries)) == 2.0
+        assert bound(complete_topology(4), unit_uniform_demand(4)) is None
 
     def test_tight_on_the_all_heavy_chessboard_graph(self, monkeypatch):
         # 2 links on every opposite-parity pair at n=16, u=4: those pairs send
@@ -578,8 +608,10 @@ class TestThroughputUpperBound:
         heavy = np.add.outer(np.arange(p.n), np.arange(p.n)) % 2
         t = Topology(2 * heavy, p.c * p.u / p.n, "all-heavy")
         m = generate("chessboard", p)
-        assert residual_upper_bound(t, m) == pytest.approx(0.5, abs=1e-12)
+        assert solve_max_throughput(t, m, direct_first=True).bound == pytest.approx(
+            0.5, abs=1e-12)
         exact_only(monkeypatch)  # the exact vertex
+        no_skip(monkeypatch)
         step = solve_max_throughput(t, m, direct_first=True)
         assert step.objective == pytest.approx(0.5, abs=1e-9)
         assert solve_max_throughput(t, m).theta == pytest.approx(0.80, abs=1e-6)
@@ -592,13 +624,13 @@ class TestThroughputUpperBound:
         entries[0, 1] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert residual_upper_bound(t, DemandMatrix(entries)) == 0.0
+            assert solve_max_throughput(t, DemandMatrix(entries), direct_first=True).bound == 0.0
         # the direct link is full, and the arc left does not leave 0
         counts[0, 1] = 1
         entries[0, 1] = 1.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert residual_upper_bound(t, DemandMatrix(entries)) == 0.0
+            assert solve_max_throughput(t, DemandMatrix(entries), direct_first=True).bound == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hops_are_the_bfs_distances(self, seed):
@@ -624,17 +656,18 @@ class TestThroughputUpperBound:
     def test_is_the_dual_bound_with_unit_lengths(self, instance):
         # lambda_b and lambda_d are one formula: lambda_d on lengths of 1
         t, m = instance
-        step = solve_max_throughput(t, m, direct_first=True)
+        step = _unskipped(t, m)
         assume(step.residual is not None)
         lp = step.residual.lp
         dual = flowlp._dual_bound(lp, -np.ones(len(lp.arcs)))
-        assert dual.hex() == residual_upper_bound(t, m).hex()
+        assert dual.hex() == step.bound.hex()
 
     def test_zero_demand_and_mismatch_rejected(self):
+        solve = partial(solve_max_throughput, direct_first=True)
         with pytest.raises(ValueError, match="no positive entries"):
-            residual_upper_bound(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
+            solve(complete_topology(3), DemandMatrix(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="mismatch"):
-            residual_upper_bound(complete_topology(3), unit_uniform_demand(4))
+            solve(complete_topology(3), unit_uniform_demand(4))
 
 
 def greedy_cut_bisection(x, degree):
