@@ -255,8 +255,8 @@ def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     suite = evaluation.build_suite(p, csv_paths=matrix_csv)  # reads every --matrix-csv
     outdir = _outdir(out)  # after the inputs, before any solve
     csv_path, json_path, svg_path = (outdir / f"{figure}.{ext}" for ext in ("csv", "json", "svg"))
-    for path in (csv_path, json_path, svg_path):  # claimed before any solve; "a" keeps old bytes
-        open(path, "a", encoding="utf-8").close()
+    for path in (csv_path, json_path, svg_path):  # checked before any solve, made after
+        _require_writable(path)
     result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs, csv_paths=matrix_csv)
     for matrix, net_class, degree, message in result.errors:
         click.echo(f"cell ({matrix}, {net_class}, u={degree}) failed: {message}", err=True)

@@ -73,15 +73,14 @@ class HeuristicTrace:
     objective of 1; every earlier step is one whose own bound rules it out.
     Scanned step k scaled the demand by iter_values[k], on a topology built
     with seeds[k], and `solve_max_throughput(..., direct_first=True)` decided
-    it by the rule in `flowlp`'s module docstring. objectives[k] is the
-    step's `objective`: lambda, the theta of the residual LP as solved by the
-    solve that decided the step and certified it. bounds[k] is its `bound`,
-    lambda_b >= lambda. Both are None where the direct links carried all the
-    demand and there is no residual, which happens only at the accepted
-    step. objectives[k] alone is None where the rule skipped the LP on
-    bounds[k]. When chosen_theta > 0, the last step is the accepted one, and
-    its topology certifies it: the flows that decided it pass
-    `verify_solution` on the full LP at theta = 1.
+    it. objectives[k] is the step's `objective`: lambda, the theta of the
+    residual LP as solved by the solve that decided the step. bounds[k] is
+    its `bound`, lambda_b >= lambda. Both are None where the direct links
+    carried all the demand and there is no residual, which happens only at
+    the accepted step. objectives[k] alone is None where the rule skipped the
+    LP on bounds[k]. When chosen_theta > 0, the last step is the one
+    accepted, by the verdict `accepted` of the rule in `flowlp`'s module
+    docstring, and its topology certifies chosen_theta.
     """
 
     iter_values: tuple
@@ -235,12 +234,12 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     (emulated degree-n graph at capacity c*u/n). The reported theta is the
     first scan value whose scaled m routes at theta = 1 on its build, hence a
     multiple of DEFAULT_STEP with uncertainty one step; 0.0 if no scan value
-    succeeds. `solve_max_throughput` with `direct_first` decides and
-    certifies each step as the full LP would, by the rule in `flowlp`'s
-    module docstring, so the accepted step's build certifies theta, and a
-    step the rule cannot certify is a SolverError. m must meet the hose
-    bound at full scale: this is the cell's one hose check, so the builds of
-    the scanned steps make none.
+    succeeds. Whether it routes is the step's `accepted` from
+    `solve_max_throughput` with `direct_first`: the verdict of the rule in
+    `flowlp`'s module docstring, so the accepted step's build certifies
+    theta, and a step the rule leaves undecided is a SolverError. m must
+    meet the hose bound at full scale: this is the cell's one hose check, so
+    the builds of the scanned steps make none.
 
     The scan starts at the first step whose scale the demand-only bound B
     (`demand_upper_bound`, once per cell) leaves room to reach 1. B bounds

@@ -81,7 +81,7 @@ SolverError naming lambda, lambda_d and its flow block's largest violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -350,10 +350,9 @@ class DirectFirstResult:
     point (lambda_p as its theta), and `ub_dual` its cap-row duals; None
     where no LP was solved, because x' = 0 or lambda_b skipped it. By the
     exchange lemma (module docstring), x routes on L at theta = 1 exactly
-    when x' = 0 or lambda is at least 1, and `accepted` is that decision.
-    `solve_max_throughput` returns a step once the rule has settled it: an
-    accepted one's `at_one()` passed `verify_solution`, a rejected one's
-    `bound` or `dual_bound` is below OBJECTIVE_REACHED.
+    when x' = 0 or lambda is at least 1. `accepted` is whether it does: the
+    verdict of the rule in the module docstring, which `_decide` alone sets.
+    A skipped or rejected step keeps False.
     """
 
     capacity: np.ndarray
@@ -361,6 +360,7 @@ class DirectFirstResult:
     bound: float | None
     residual: ThroughputResult | None = None
     ub_dual: np.ndarray | None = None
+    accepted: bool = False
 
     @property
     def dual_bound(self) -> float | None:
@@ -371,13 +371,6 @@ class DirectFirstResult:
     def objective(self) -> float | None:
         """lambda, or None when no LP was solved."""
         return None if self.residual is None else self.residual.theta
-
-    @property
-    def accepted(self) -> bool:
-        """Whether x routes on L at theta = 1: x' = 0 (`bound` is None) or
-        lambda reaches OBJECTIVE_REACHED."""
-        return self.bound is None or (self.objective is not None
-                                       and self.objective >= OBJECTIVE_REACHED)
 
     def at_one(self) -> ThroughputResult:
         """The full LP of x on L at theta = 1, with the flow block that sends
@@ -425,14 +418,15 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     If that solver fails, the other is tried once; if that fails too,
     SolverError names the model status and its message.
 
-    With `direct_first`, it answers only whether theta = 1 is feasible, and
-    returns a `DirectFirstResult` decided by the one rule of the module
-    docstring: no LP when each pair's direct links leave no demand, or when
-    lambda_b rules the step out; otherwise the max-throughput LP of the
-    demand they leave on the capacity they leave. From SIMPLEX_MAX_COLUMNS
-    columns on, that LP is first solved by interior point without crossover,
-    and solved as above where the rule leaves that point undecided. A step
-    the rule leaves undecided after that is a SolverError.
+    With `direct_first`, it answers only whether theta = 1 is feasible: a
+    `DirectFirstResult` whose `accepted` is the verdict of the rule in the
+    module docstring. It solves no LP when each pair's direct links leave no
+    demand, or when lambda_b rules the step out; otherwise the
+    max-throughput LP of the demand they leave on the capacity they leave.
+    From SIMPLEX_MAX_COLUMNS columns on, that LP is first solved by interior
+    point without crossover, and solved as above where the rule leaves that
+    point undecided. A step the rule leaves undecided after that is a
+    SolverError.
     """
     if not direct_first:
         lp = _assemble_lp(t.routable_counts().astype(float), _link_units(t, m))
@@ -444,27 +438,29 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     if bound < OBJECTIVE_REACHED - SKIP_MARGIN:
         return DirectFirstResult(capacity, demand, bound)
     lp = _assemble_lp(room, left)
-    if lp.c.size >= SIMPLEX_MAX_COLUMNS:
-        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
-                      crossover=False)
-        if res.status == _OPTIMAL:
+    # The attempts: from SIMPLEX_MAX_COLUMNS columns on the crossover-free
+    # interior point, then the exact solve, which returns a step or raises.
+    exact = lp.c.size < SIMPLEX_MAX_COLUMNS
+    while True:
+        res = _solve(lp) if exact else linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity,
+                                                 A_eq=lp.A_eq, solver="ipm", crossover=False)
+        if exact or res.status == _OPTIMAL:
             step = _decide(DirectFirstResult(capacity, demand, bound, _result(lp, res.x),
-                                             res.ub_dual), exact=False)
-            if step is not None:
+                                             res.ub_dual), exact=exact)
+            if exact or step is not None:
                 return step
-    res = _solve(lp)
-    return _decide(DirectFirstResult(capacity, demand, bound, _result(lp, res.x), res.ub_dual),
-                   exact=True)
+        exact = True
 
 
 def _decide(step: DirectFirstResult, *, exact: bool) -> DirectFirstResult | None:
-    """step, once the rule of the module docstring settles it; if it does
-    not, None for an interior point, SolverError for an exact optimum.
-    lambda_d is computed only where the accept side did not settle it."""
+    """step with its verdict, once the rule of the module docstring settles
+    it: accepted, or step as it is, rejected. If the rule does not settle it,
+    None for an interior point, SolverError for an exact optimum. lambda_d is
+    computed only where the accept side did not settle it."""
     objective = step.objective
     if objective is None or objective >= OBJECTIVE_REACHED + (0.0 if exact else DEFAULT_TOL):
         if verify_solution(step.at_one()).ok:
-            return step
+            return replace(step, accepted=True)
     elif objective < OBJECTIVE_REACHED and step.dual_bound < OBJECTIVE_REACHED:
         return step
     if not exact:

@@ -147,6 +147,18 @@ class TestOutDir:
         assert solves == []
         assert sorted(p.name for p in out.iterdir()) == [occupied]
 
+    def test_reproduce_that_never_finishes_leaves_no_file(self, runner, tmp_path,
+                                                          monkeypatch):
+        # its figure files are checked before the sweep and written after it
+        def sweep_degree(*args, **kwargs):
+            raise RuntimeError("the sweep failed")
+
+        monkeypatch.setattr(evaluation, "sweep_degree", sweep_degree)
+        out = tmp_path / "EMPTY"
+        result = runner.invoke(main, ["reproduce", "fig3", "--n", "8", "--out", str(out)])
+        assert isinstance(result.exception, RuntimeError), result.output
+        assert list(out.iterdir()) == []
+
     def test_unwritable_file_exits_two_in_a_real_process(self, tmp_path):
         # click's CliRunner catches exceptions itself; the interpreter does not
         (tmp_path / "uniform.csv").mkdir()

@@ -462,6 +462,17 @@ class TestDecisionBracket:
         if accepted:
             assert verify_solution(step.at_one()).ok
 
+    @pytest.mark.parametrize("scale, accepted", [(0.84, True), (0.86, False)])
+    def test_verdict_is_kept_not_read_again(self, monkeypatch, scale, accepted):
+        # the threshold moved past lambda after the call: the step keeps the
+        # verdict the rule gave it
+        no_skip(monkeypatch)
+        step = solve_max_throughput(*_chessboard_step(scale), direct_first=True)
+        assert step.accepted == accepted and step.residual is not None
+        monkeypatch.setattr(flowlp, "OBJECTIVE_REACHED",
+                            step.objective * (2.0 if accepted else 0.5))
+        assert step.accepted == accepted
+
     @pytest.mark.parametrize("n, scale, solvers", [
         (8, 0.69, [("simplex", True)]),
         (16, 0.86, [("ipm", False), ("ipm", True)]),
