@@ -37,7 +37,7 @@ class PermutationMatching:
         n = len(mapping)
         if sorted(mapping) != list(range(n)):  # 1.0 and numpy ints compare equal; 0.5 does not
             raise ValueError(f"mapping {mapping} is not a permutation of 0..{n - 1}")
-        object.__setattr__(self, "mapping", tuple(int(x) for x in mapping))
+        object.__setattr__(self, "mapping", tuple(map(int, mapping)))
 
     @property
     def n(self) -> int:
@@ -62,21 +62,33 @@ def link_counts(counts, name: str) -> np.ndarray:
     return out
 
 
+def _support_csr(cells: np.ndarray, n: int) -> csr_array:
+    """The n x n boolean CSR whose True cells are the sorted flat indices
+    `cells`: the one `csr_array` builds from a dense support with those
+    nonzeros, each row's columns in ascending order."""
+    return csr_array((np.ones(cells.size, dtype=bool), (cells % n).astype(np.int32),
+                      np.searchsorted(cells, np.arange(n + 1) * n).astype(np.int32)),
+                     shape=(n, n))
+
+
+def _hopcroft_karp(csr: csr_array) -> np.ndarray | None:
+    """Column matched to each row of the square support `csr`, or None when no
+    perfect matching exists. Hopcroft-Karp (scipy's maximum_bipartite_matching),
+    iterative, so n is not capped by the recursion limit; the result is
+    deterministic for a given scipy. Explicit zeros in `csr` count as edges."""
+    mapping = maximum_bipartite_matching(csr, perm_type="column")
+    return None if np.any(mapping < 0) else mapping
+
+
 def perfect_matching(support) -> PermutationMatching | None:
     """Find a perfect matching using only True cells of a boolean n x n support.
 
-    Hopcroft-Karp (scipy's maximum_bipartite_matching), iterative, so n is not
-    capped by the recursion limit; the result is deterministic for a given
-    scipy. The support goes to it as the CSR `csr_array(support)` builds, made
-    from the support's nonzeros. Returns None when no perfect matching exists.
+    `_hopcroft_karp` on the CSR built from the support's nonzeros. Returns
+    None when no perfect matching exists.
     """
     support = np.asarray(support, dtype=bool)
-    n = support.shape[0]
-    cells = np.flatnonzero(support)  # row-major, so each row's columns come sorted
-    csr = csr_array((np.ones(cells.size, dtype=bool), (cells % n).astype(np.int32),
-                     np.searchsorted(cells, np.arange(n + 1) * n).astype(np.int32)), shape=(n, n))
-    mapping = maximum_bipartite_matching(csr, perm_type="column")
-    return None if np.any(mapping < 0) else PermutationMatching(tuple(mapping.tolist()))
+    mapping = _hopcroft_karp(_support_csr(np.flatnonzero(support), support.shape[0]))
+    return None if mapping is None else PermutationMatching(tuple(mapping.tolist()))
 
 
 def bvn_decompose(m) -> tuple:
@@ -112,18 +124,32 @@ def bvn_decompose(m) -> tuple:
             "matrix is not doubly stochastic: row/column sums differ by more than tolerance"
         )
 
+    # The support's CSR is built once and only shrinks: a term changes only
+    # its matched cells, and only downwards, so dropping those that fall to
+    # BVN_DEFAULT_TOL leaves the CSR of `work > BVN_DEFAULT_TOL` each time.
+    cells = np.flatnonzero(work > BVN_DEFAULT_TOL)  # row-major, the CSR's order
+    support = _support_csr(cells, n)
+    flat = work.reshape(-1)
+    row_starts = np.arange(n) * n
     terms = []
     while work.sum() >= n * BVN_DEFAULT_TOL:
-        pm = perfect_matching(work > BVN_DEFAULT_TOL)
-        if pm is None:
+        mapping = _hopcroft_karp(support)
+        if mapping is None:
             raise DecompositionError(
                 "no perfect matching on positive support with residual mass remaining"
             )
-        idx = (np.arange(n), np.array(pm.mapping))
-        lam = float(work[idx].min())
-        terms.append((lam, pm))
-        work[idx] -= lam
-        np.maximum(work, 0.0, out=work)
+        matched = row_starts + mapping
+        left = flat[matched]
+        lam = float(left.min())
+        terms.append((lam, PermutationMatching(tuple(mapping.tolist()))))
+        left = np.maximum(left - lam, 0.0)
+        flat[matched] = left
+        emptied = matched[left <= BVN_DEFAULT_TOL]
+        if emptied.size:
+            at = np.searchsorted(cells, emptied)
+            support.data[at] = False
+            support.eliminate_zeros()  # the matching would count explicit zeros as edges
+            cells = np.delete(cells, at)
     return tuple(terms)
 
 
@@ -142,9 +168,10 @@ def edge_color_regular(counts) -> list:
     return [pm for lam, pm in terms for _ in range(round(lam))]
 
 
-def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
+def _random_disjoint_matching(allowed: np.ndarray, rng) -> list:
     """Random perfect matching on the allowed cells (Kuhn with rng-shuffled orders),
-    searching each augmenting path depth first on an explicit stack, not by recursion.
+    searching each augmenting path depth first on explicit lists, not by recursion.
+    Returns the column matched to each row.
 
     Every row of `allowed` holds the same number of cells, as in
     `random_regular_digraph`. Row i's preference order is its allowed columns
@@ -152,7 +179,7 @@ def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
     rng.permutation of each row in turn would make.
     """
     n = allowed.shape[0]
-    cols = np.nonzero(allowed)[1].reshape(n, -1)
+    cols = (np.flatnonzero(allowed) % n).reshape(n, -1)
     prefs = rng.permuted(cols, axis=1, out=cols).tolist()
     col_owner, row_col = [-1] * n, [-1] * n
     banned_by = [-1] * n  # the root whose search last tried each column
@@ -161,24 +188,29 @@ def _random_disjoint_matching(allowed: np.ndarray, rng) -> PermutationMatching:
         if prefs[root] and col_owner[prefs[root][0]] < 0:  # first choice free: take it
             col_owner[prefs[root][0]], row_col[root] = root, prefs[root][0]
             continue
-        stack = [(root, iter(prefs[root]))]  # (row, its untried columns)
-        while stack:
-            for col in stack[-1][1]:
+        path, pending = [root], []  # rows on the path; untried columns of all but the top
+        untried = iter(prefs[root])
+        while True:
+            for col in untried:
                 if banned_by[col] != root:
                     break
             else:  # the top row cannot be rematched: back up
-                stack.pop()
+                if not pending:
+                    raise DecompositionError("allowed support has no perfect matching")
+                path.pop()
+                untried = pending.pop()
                 continue
             banned_by[col] = root
-            if col_owner[col] < 0:  # free: each row on the stack takes the next row's column
-                for row, _ in reversed(stack):
+            owner = col_owner[col]
+            if owner < 0:  # free: each row on the path takes the next row's column
+                for row in reversed(path):
                     col_owner[col] = row
                     row_col[row], col = col, row_col[row]
                 break
-            stack.append((col_owner[col], iter(prefs[col_owner[col]])))
-        else:
-            raise DecompositionError("allowed support has no perfect matching")
-    return PermutationMatching(tuple(row_col))
+            path.append(owner)
+            pending.append(untried)
+            untried = iter(prefs[owner])
+    return row_col
 
 
 def random_regular_digraph(n: int, d: int, seed) -> np.ndarray:
@@ -203,8 +235,8 @@ def random_regular_digraph(n: int, d: int, seed) -> np.ndarray:
         mult = np.zeros((n, n), dtype=np.int64)
         rows = np.arange(n)
         for _ in range(d):
-            pm = _random_disjoint_matching(allowed, rng)
-            mult[rows, pm.mapping] += 1
-            allowed[rows, pm.mapping] = False
+            mapping = _random_disjoint_matching(allowed, rng)
+            mult[rows, mapping] += 1
+            allowed[rows, mapping] = False
     mult.setflags(write=False)
     return mult

@@ -87,12 +87,10 @@ class PeriodicSchedule:
     def union_counts(self) -> np.ndarray:
         """Multiset of all scheduled edges: the link_count of the emulated graph."""
         n = self.switches[0][0].n
-        counts = np.zeros((n, n), dtype=np.int64)
-        rows = np.arange(n)
-        for slots in self.switches:
-            for pm in slots:
-                counts[rows, pm.mapping] += 1
-        return counts
+        mappings = np.array([pm.mapping for slots in self.switches for pm in slots],
+                            dtype=np.int64)
+        cells = (np.arange(n) * n + mappings).reshape(-1)
+        return np.bincount(cells, minlength=n * n).reshape(n, n)
 
     def to_json_dict(self) -> dict:
         return {

@@ -116,7 +116,7 @@ class TestOutDir:
         def sweep_degree(*args, **kwargs):
             raise RuntimeError("reproduce reached the sweep")
 
-        # reproduce claims its figure files before the sweep, so it never gets there
+        # reproduce checks its figure files before the sweep, so it never gets there
         monkeypatch.setattr(evaluation, "sweep_degree", sweep_degree)
         matrix = str(write_small_permutation(tmp_path))
         out = tmp_path / "out"

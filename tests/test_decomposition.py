@@ -10,8 +10,11 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from rdcn_throughput import (
     DecompositionError,
+    NetworkParams,
     PermutationMatching,
     Topology,
+    build_demand_aware_emulated,
+    build_suite,
     bvn_decompose,
     edge_color_regular,
     perfect_matching,
@@ -20,12 +23,14 @@ from rdcn_throughput import (
 )
 
 from rdcn_throughput import decomposition
+from rdcn_throughput.decomposition import BVN_DEFAULT_TOL
 from conftest import sinkhorn_doubly_stochastic
 
 
 def recursive_disjoint_matching(allowed, rng):
     """The recursive Kuhn search the iterative `_random_disjoint_matching`
-    replaces, kept as its reference: same rng calls, same search order."""
+    replaces, kept as its reference: same rng calls, same search order, and
+    the same return, the column matched to each row."""
     n = allowed.shape[0]
     prefs = [rng.permutation(np.nonzero(allowed[i])[0]) for i in range(n)]
     col_owner = [-1] * n
@@ -46,7 +51,7 @@ def recursive_disjoint_matching(allowed, rng):
     mapping = [0] * n
     for col, row in enumerate(col_owner):
         mapping[row] = col
-    return PermutationMatching(tuple(mapping))
+    return mapping
 
 
 def peeling_edge_colouring(counts):
@@ -60,6 +65,28 @@ def peeling_edge_colouring(counts):
         work[np.arange(n), pm.mapping] -= 1
         matchings.append(pm)
     return matchings
+
+
+def peeling_bvn_decompose(m):
+    """The whole-matrix peel `bvn_decompose` replaces, kept as its reference:
+    a fresh `perfect_matching` on `work > BVN_DEFAULT_TOL` per term, then
+    `np.maximum` over the whole matrix. Takes a valid doubly stochastic m."""
+    work = np.maximum(np.array(m, dtype=float), 0.0)
+    n = work.shape[0]
+    terms = []
+    while work.sum() >= n * BVN_DEFAULT_TOL:
+        pm = perfect_matching(work > BVN_DEFAULT_TOL)
+        idx = (np.arange(n), np.array(pm.mapping))
+        lam = float(work[idx].min())
+        terms.append((lam, pm))
+        work[idx] -= lam
+        np.maximum(work, 0.0, out=work)
+    return terms
+
+
+def _term_bits(terms):
+    """Each term's coefficient, bit for bit, and its mapping."""
+    return [(lam.hex(), pm.mapping) for lam, pm in terms]
 
 
 def brute_force_matching(support):
@@ -201,6 +228,13 @@ class TestBvnDecompose:
         assert len(terms) <= max(1, n * n - 2 * n + 2)
         assert all(lam > 0 for lam, _ in terms)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 12, 24])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("target", [1.0, 4.0])
+    def test_matches_the_whole_matrix_peel_bit_for_bit(self, n, seed, target):
+        m = sinkhorn_doubly_stochastic(n, seed, target=target, zero_diagonal=seed % 2 == 1)
+        assert _term_bits(bvn_decompose(m)) == _term_bits(peeling_bvn_decompose(m))
+
     def test_rejects_non_doubly_stochastic(self):
         with pytest.raises(ValueError, match="doubly stochastic"):
             bvn_decompose(np.array([[0.9, 0.1], [0.5, 0.5]]))
@@ -235,12 +269,13 @@ class TestEdgeColorRegular:
     def test_three_copies_of_one_permutation(self, monkeypatch):
         # the support never changes, so one matching search serves all three
         calls = []
+        search = decomposition._hopcroft_karp
 
         def counted(support):
             calls.append(support)
-            return perfect_matching(support)
+            return search(support)
 
-        monkeypatch.setattr(decomposition, "perfect_matching", counted)
+        monkeypatch.setattr(decomposition, "_hopcroft_karp", counted)
         base = PermutationMatching((1, 2, 0))
         matchings = edge_color_regular(3 * _union([base], 3))
         assert [pm.mapping for pm in matchings] == [base.mapping] * 3
@@ -259,6 +294,16 @@ class TestEdgeColorRegular:
         for pm in matchings:
             union[np.arange(8), pm.mapping] += 1
         np.testing.assert_array_equal(union, counts)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9, 0.8])
+    def test_matches_the_whole_matrix_peel_at_n64(self, scale):
+        # the padded emulated graphs of the suite at n=64, u=8: most counts
+        # are 1, so a term can empty up to n cells of the support at once
+        p = NetworkParams(64, 8, 25e9)
+        for label, m in build_suite(p):
+            counts = build_demand_aware_emulated(m.scaled(scale), p, seed=3).link_count
+            assert (_term_bits(bvn_decompose(counts))
+                    == _term_bits(peeling_bvn_decompose(counts))), label
 
     def test_irregular_input_rejected(self):
         # row sums 2 and 1: no split into perfect matchings exists

@@ -43,15 +43,24 @@ from conftest import exact_only, no_skip
 SMALL = NetworkParams(4, 2, 1e9)
 
 
-class TestThroughputFunctions:
-    def test_oblivious_uniform_is_full_throughput(self):
-        theta = throughput_static(build_oblivious_equivalent(SMALL), generate("uniform", SMALL))
-        assert theta == pytest.approx(1.0, abs=1e-9)
+def _oblivious_closed_form(label: str) -> float:
+    """The oblivious network's throughput on a suite matrix, independent of n:
+    uniform 1, permutation 1/2 (Valiant load balancing), chessboard 2/3 and
+    U+P alpha 1/(1 + alpha)."""
+    fixed = {"uniform": 1.0, "permutation": 0.5, "chessboard": 2 / 3}
+    if label in fixed:
+        return fixed[label]
+    return 1 / (1 + float(label.removeprefix("U+P ")))
 
-    def test_oblivious_permutation_at_small_n(self):
-        # direct share 1/n plus (n-2) two-hop relays at half weight: (1 + (n-2)/2)/n
-        theta = throughput_static(build_oblivious_equivalent(SMALL), generate("permutation", SMALL))
-        assert theta == pytest.approx((1 + (4 - 2) / 2) / 4, abs=1e-8)
+
+class TestThroughputFunctions:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("label", [label for label, _ in build_suite(NetworkParams(8, 4, 1e9))])
+    def test_oblivious_suite_closed_forms(self, n, label):
+        p = NetworkParams(n, 4, 1e9)
+        m = dict(build_suite(p))[label]
+        theta = throughput_static(build_oblivious_equivalent(p), m)
+        assert theta == pytest.approx(_oblivious_closed_form(label), abs=1e-12)
 
     def test_failed_verification_names_the_largest_violation(self, monkeypatch):
         # Arcs 0->1, 1->0, 1->2 (row-major), one source (0) sending 1 to node 2.

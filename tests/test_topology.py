@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,23 @@ class TestDemandAwarePeriodic:
         np.testing.assert_array_equal(topo.link_count.sum(axis=0), 6)
         np.testing.assert_array_equal(schedule.union_counts(), topo.link_count)
 
+    @pytest.mark.parametrize("kind, alpha, digest", [
+        ("chessboard", None, "caa8228e1f4f063427d29afb7e1d5c27b1e962053e702c61934507780581bcd7"),
+        ("mix", 0.5, "df4f7929998bd6ded758f0525fae82a85c2b5286ee1359866f6cd5ad8b0a3e4c"),
+    ])
+    def test_n64_build_bytes_are_pinned(self, kind, alpha, digest):
+        # At n=64 the residual draw's Kuhn chains are long and a colouring
+        # term empties many support cells at once; the digest covers the
+        # link counts and every slot's mapping, in switch and slot order.
+        p = NetworkParams(64, 8, 25e9)
+        topo, schedule = build_demand_aware_periodic(generate(kind, p, alpha=alpha).scaled(0.9),
+                                                     p, seed=7)
+        h = hashlib.sha256(topo.link_count.tobytes())
+        for slots in schedule.switches:
+            for pm in slots:
+                h.update(np.array(pm.mapping, dtype=np.int64).tobytes())
+        assert h.hexdigest() == digest
+
     def test_floor_over_the_budget_names_the_node(self):
         # 2 links of c*u/n = 0.5 from each other node into node 2: 6 > n = 4
         p = NetworkParams(4, 2, 1.0)
@@ -316,7 +335,33 @@ class TestPadToRegular:
             _pad_to_regular(np.full((2, 2), 2, dtype=int), 1)
 
 
+def looped_union_counts(schedule):
+    """The plain loop `PeriodicSchedule.union_counts` must agree with: one
+    count per scheduled edge, added matching by matching."""
+    n = schedule.switches[0][0].n
+    counts = np.zeros((n, n), dtype=np.int64)
+    for slots in schedule.switches:
+        for pm in slots:
+            for i, j in enumerate(pm.mapping):
+                counts[i, j] += 1
+    return counts
+
+
 class TestPeriodicScheduleType:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_counts_match_the_plain_loop(self, seed):
+        # few distinct permutations over many slots, so pairs get parallel links
+        rng = np.random.default_rng(seed)
+        n, u, period = 6, 3, 4
+        perms = [PermutationMatching(rng.permutation(n)) for _ in range(3)]
+        switches = [[perms[k] for k in rng.integers(0, len(perms), period)] for _ in range(u)]
+        schedule = PeriodicSchedule(switches, period)
+        union = schedule.union_counts()
+        reference = looped_union_counts(schedule)
+        assert reference.max() > 1
+        assert union.dtype == reference.dtype
+        np.testing.assert_array_equal(union, reference)
+
     def test_wrong_slot_count_rejected(self):
         pm = PermutationMatching((1, 0))
         with pytest.raises(ValueError, match="period"):
