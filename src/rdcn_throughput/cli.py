@@ -252,12 +252,13 @@ def reproduce(figure, n, u, c, seed, jobs, matrix_csv, out):
     """Run the throughput-landscape sweeps, emit CSV/SVG, and check the landscape targets."""
     degrees = [u] if figure == "fig3" else fig4_degrees(n)
     p = NetworkParams(n, degrees[0], c)
-    suite = evaluation.build_suite(p, csv_paths=matrix_csv)  # reads every --matrix-csv
+    matrices = [(path, load_csv(path)) for path in matrix_csv]  # each file read once
+    suite = evaluation.build_suite(p, matrices)
     outdir = _outdir(out)  # after the inputs, before any solve
     csv_path, json_path, svg_path = (outdir / f"{figure}.{ext}" for ext in ("csv", "json", "svg"))
     for path in (csv_path, json_path, svg_path):  # checked before any solve, made after
         _require_writable(path)
-    result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs, csv_paths=matrix_csv)
+    result = evaluation.sweep_degree(p, degrees, seed=seed, jobs=jobs, matrices=matrices)
     for matrix, net_class, degree, message in result.errors:
         click.echo(f"cell ({matrix}, {net_class}, u={degree}) failed: {message}", err=True)
 

@@ -31,7 +31,6 @@ from .demand import (
     classify_uniform_residual,
     decompose_integer_residual,
     generate,
-    load_csv,
 )
 from .flowlp import (
     OBJECTIVE_REACHED,
@@ -230,11 +229,11 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     """Iterative heuristic for demand-aware networks. Returns a Cell whose
     trace is the HeuristicTrace and whose topology is the last step's build.
 
-    net_class is "da-static" (one-shot topology, degree u) or "da-periodic"
-    (emulated degree-n graph at capacity c*u/n). The reported theta is the
-    first scan value whose scaled m routes at theta = 1 on its build, hence a
-    multiple of DEFAULT_STEP with uncertainty one step; 0.0 if no scan value
-    succeeds. Whether it routes is the step's `accepted` from
+    net_class is "da-static" (static demand-aware topology, degree u) or
+    "da-periodic" (emulated degree-n graph at capacity c*u/n). The reported
+    theta is the first scan value whose scaled m routes at theta = 1 on its
+    build, hence a multiple of DEFAULT_STEP with uncertainty one step; 0.0 if
+    no scan value succeeds. Whether it routes is the step's `accepted` from
     `solve_max_throughput` with `direct_first`: the verdict of the rule in
     `flowlp`'s module docstring, so the accepted step's build certifies
     theta, and a step the rule leaves undecided is a SolverError. m must
@@ -287,10 +286,11 @@ def throughput_demand_aware(m: DemandMatrix, p: NetworkParams, net_class: str,
     return Cell(theta, trace, topo)
 
 
-def build_suite(p: NetworkParams, csv_paths=()) -> list:
+def build_suite(p: NetworkParams, matrices=()) -> list:
     """The evaluation suite: chessboard, uniform, permutation, the nine U+P
-    mixes, plus any user-supplied p.n x p.n CSV matrices labelled by file
-    stem. Returns (label, matrix) pairs; a repeated label is a ValueError."""
+    mixes, plus the user's p.n x p.n matrices, given as (path, DemandMatrix)
+    pairs read from CSV files and labelled by file stem. Returns (label,
+    matrix) pairs; a repeated label is a ValueError."""
     suite = [
         ("chessboard", generate("chessboard", p)),
         ("uniform", generate("uniform", p)),
@@ -298,8 +298,7 @@ def build_suite(p: NetworkParams, csv_paths=()) -> list:
     ]
     for alpha in _MIX_ALPHAS:
         suite.append((f"U+P {alpha}", generate("mix", p, alpha=alpha)))
-    for path in csv_paths:
-        m = load_csv(path)
+    for path, m in matrices:
         if m.n != p.n:
             raise ValueError(f"{path}: {m.n}x{m.n} matrix, but the network has n={p.n}")
         label = Path(path).stem
@@ -417,17 +416,18 @@ def sweep_matrices(p: NetworkParams, suite, classes=NETWORK_CLASSES, seed: int =
 
 
 def sweep_degree(p_base: NetworkParams, degrees, seed: int = 0, jobs: int = 1,
-                 csv_paths=()) -> SweepResult:
+                 matrices=()) -> SweepResult:
     """Worst-case throughput study across physical degrees.
 
-    The suite is regenerated per degree (matrix magnitudes scale with u) and
-    all cells are planned together, so builds that are degree-invariant after
-    normalization are solved once and shared.
+    The suite is regenerated per degree (matrix magnitudes scale with u), the
+    user's `matrices` joining it as given, and all cells are planned together,
+    so builds that are degree-invariant after normalization are solved once
+    and shared.
     """
     plans = []
     for u in degrees:
         p = NetworkParams(p_base.n, u, p_base.c)
-        plans.extend(_plan_cells(p, build_suite(p, csv_paths=csv_paths), NETWORK_CLASSES, seed))
+        plans.extend(_plan_cells(p, build_suite(p, matrices), NETWORK_CLASSES, seed))
     return _execute_plans(plans, jobs)
 
 

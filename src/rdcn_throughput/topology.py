@@ -17,12 +17,6 @@ import numpy as np
 from .decomposition import edge_color_regular, link_counts, random_regular_digraph
 from .demand import DemandMatrix, NetworkParams, decompose_integer_residual, validate_hose
 
-# The slot and reconfiguration times every schedule.json states; no schedule
-# carries its own.
-DEFAULT_SLOT_DURATION_S = 1e-6
-# RotorNet-style reconfiguration dead time: a tenth of a slot.
-DEFAULT_RECONFIG_DURATION_S = 0.1 * DEFAULT_SLOT_DURATION_S
-
 _RESIDUAL_SALT = 0
 _SHUFFLE_SALT = 1
 
@@ -96,8 +90,6 @@ class PeriodicSchedule:
         return {
             "u": self.u,
             "gamma": self.period,
-            "slot_duration_s": DEFAULT_SLOT_DURATION_S,
-            "reconfig_duration_s": DEFAULT_RECONFIG_DURATION_S,
             "switches": [[list(pm.mapping) for pm in slots] for slots in self.switches],
         }
 
@@ -174,7 +166,7 @@ def _demand_aware_counts(m: DemandMatrix, p: NetworkParams, unit: float,
 
 
 def build_demand_aware_static(m: DemandMatrix, p: NetworkParams, seed=0) -> Topology:
-    """One-shot demand-optimized topology: direct links per floor entry, random regular rest.
+    """Static demand-optimized topology: direct links per floor entry, random regular rest.
     A node whose floor links exceed the budget u is a ValueError naming it."""
     counts = _demand_aware_counts(m, p, p.c, p.u, seed)
     return Topology(counts, p.c, "da-static")

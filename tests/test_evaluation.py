@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdcn_throughput import (
     DemandMatrix,
@@ -20,6 +22,7 @@ from rdcn_throughput import (
     edge_color_regular,
     evaluate_cell,
     generate,
+    load_csv,
     save_csv,
     solve_max_throughput,
     sweep_degree,
@@ -53,6 +56,32 @@ def _oblivious_closed_form(label: str) -> float:
     return 1 / (1 + float(label.removeprefix("U+P ")))
 
 
+def _two_hop_root(m: DemandMatrix, p: NetworkParams) -> float:
+    """The largest theta with sum min(theta x, 1) + 2 sum max(theta x - 1, 0)
+    <= n(n-1), x the off-diagonal demand in links of c*u/n: each pair's own
+    arc carries at most 1, and its excess crosses at least 2 of the n(n-1)
+    arcs. The left side is the maximum, over k, of theta (S + T_k) - k, where S
+    sums every x and T_k the k largest; so the root is the least of the roots
+    (n(n-1) + k) / (S + T_k)."""
+    n = p.n
+    x = np.sort(m.entries[~np.eye(n, dtype=bool)] / (p.c * p.u / n))[::-1]
+    tops = np.concatenate(([0.0], np.cumsum(x)))
+    return float(np.min((n * (n - 1) + np.arange(len(tops))) / (x.sum() + tops)))
+
+
+@st.composite
+def hose_matrices(draw):
+    """A hose-feasible random-saturated, mix or chessboard matrix at n in 3..8
+    and any degree, scaled by s in [0.05, 1]."""
+    n = draw(st.integers(3, 8))
+    p = NetworkParams(n, draw(st.integers(1, n)), 1e9)
+    kind = draw(st.sampled_from(["random-saturated", "mix"]
+                                + ["chessboard"] * (n % 2 == 0)))
+    m = generate(kind, p, alpha=draw(st.floats(0, 1)) if kind == "mix" else None,
+                 seed=draw(st.integers(0, 2**16)))
+    return m.scaled(draw(st.floats(0.05, 1))), p
+
+
 class TestThroughputFunctions:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("label", [label for label, _ in build_suite(NetworkParams(8, 4, 1e9))])
@@ -61,6 +90,25 @@ class TestThroughputFunctions:
         m = dict(build_suite(p))[label]
         theta = throughput_static(build_oblivious_equivalent(p), m)
         assert theta == pytest.approx(_oblivious_closed_form(label), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_two_hop_root_gives_the_derived_closed_forms(self, n):
+        # the root meets the LP everywhere but on the chessboard, whose 2/3
+        # lies below it
+        p = NetworkParams(n, 4, 1e9)
+        for label, m in build_suite(p):
+            root = _two_hop_root(m, p)
+            if label == "chessboard":
+                assert root > _oblivious_closed_form(label) + 0.1
+            else:
+                assert root == pytest.approx(_oblivious_closed_form(label), abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(hose_matrices())
+    def test_two_hop_root_is_never_below_the_oblivious_lp(self, instance):
+        m, p = instance
+        theta = throughput_static(build_oblivious_equivalent(p), m)
+        assert _two_hop_root(m, p) >= theta - 1e-9
 
     def test_failed_verification_names_the_largest_violation(self, monkeypatch):
         # Arcs 0->1, 1->0, 1->2 (row-major), one source (0) sending 1 to node 2.
@@ -538,7 +586,7 @@ class TestBuildSuite:
     def test_user_csvs_are_appended(self, tmp_path):
         path = tmp_path / "custom.csv"
         save_csv(generate("uniform", SMALL), path)
-        suite = build_suite(SMALL, csv_paths=[path])
+        suite = build_suite(SMALL, [(path, load_csv(path))])
         assert suite[-1][0] == "custom"
         assert suite[-1][1].n == 4
 
@@ -552,7 +600,7 @@ class TestBuildSuite:
             save_csv(generate("uniform", SMALL), paths[-1])
         with pytest.raises(ValueError, match=f"{paths[-1]}: the suite already has a matrix "
                                              f"labelled '{stems[-1]}'"):
-            build_suite(SMALL, csv_paths=paths)
+            build_suite(SMALL, [(path, load_csv(path)) for path in paths])
 
 
 class TestSweeps:
@@ -672,8 +720,8 @@ class TestSweeps:
             return [(float("nan"), None, None)] * len(tasks)
 
         monkeypatch.setattr(evaluation, "_run_cells", no_lp)
-        sweep_degree(p, [4], seed=0, csv_paths=[tmp_path / "lopsided.csv",
-                                                tmp_path / "mirrored.csv"])
+        paths = [tmp_path / "lopsided.csv", tmp_path / "mirrored.csv"]
+        sweep_degree(p, [4], seed=0, matrices=[(path, load_csv(path)) for path in paths])
         # one oblivious cell (static at u = n shares it) and one demand-aware
         # cell per matrix, but two demand-aware cells for the lopsided one
         per_label = Counter(label for label, _ in solved)
@@ -720,9 +768,10 @@ class TestSweeps:
         # on the complete digraph at c. A matrix between their hose bounds, 3c
         # and 4c, fails the one and is solved in the other.
         hot = DemandMatrix(3.5 * generate("permutation", NetworkParams(4, 1, 1e9)).entries)
-        save_csv(hot, tmp_path / "hot.csv")
+        path = tmp_path / "hot.csv"
+        save_csv(hot, path)
         result = sweep_degree(NetworkParams(4, 3, 1e9), [3, 4], seed=0,
-                              csv_paths=[tmp_path / "hot.csv"])
+                              matrices=[(path, load_csv(path))])
         assert result.row("hot", "static", 3).error == (
             "demand matrix violates hose model: row 0 sums to 3.5e+09 > 3e+09")
         oblivious = evaluate_cell(hot, NetworkParams(4, 4, 1e9), "oblivious", seed=0, label="hot")

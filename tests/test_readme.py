@@ -6,6 +6,10 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
+from rdcn_throughput.topology import Topology, synthesize_schedule
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("flowlp", "evaluation", "topology", "demand", "decomposition", "cli")
 # `module.suffix` of a file name, such as topology.json, names no attribute
@@ -29,3 +33,17 @@ def test_every_module_attribute_in_the_readme_exists():
     missing = sorted(f"{module}.{name}" for module, name in references
                      if not hasattr(importlib.import_module(f"rdcn_throughput.{module}"), name))
     assert missing == []
+
+
+def readme_key_set(name: str) -> set:
+    """The keys README's "File formats" lists for `name`, as in
+    **Topology JSON**: `{n, link_capacity, class, link_count}`."""
+    match = re.search(rf"\*\*{name}\*\*: `\{{([^}}`]*)\}}`", README.read_text(encoding="utf-8"))
+    assert match, f"README lists no key set for {name}"
+    return {key.strip() for key in match.group(1).split(",")}
+
+
+def test_readme_file_formats_list_the_emitted_keys():
+    t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic")
+    assert readme_key_set("Topology JSON") == set(t.to_json_dict())
+    assert readme_key_set("Schedule JSON") == set(synthesize_schedule(t, 2, seed=0).to_json_dict())

@@ -248,7 +248,7 @@ class TestSynthesizeSchedule:
     def test_schedule_json_keys(self):
         t = Topology(np.ones((4, 4), dtype=int), 1.0, "da-periodic")
         payload = synthesize_schedule(t, 2, seed=0).to_json_dict()
-        assert set(payload) == {"u", "gamma", "slot_duration_s", "reconfig_duration_s", "switches"}
+        assert set(payload) == {"u", "gamma", "switches"}
         assert payload["gamma"] == 2
         assert len(payload["switches"]) == 2
         assert all(len(slot) == 4 for slots in payload["switches"] for slot in slots)
