@@ -67,15 +67,20 @@ One rule decides every step, on bounds and certificates computed here:
     lambda is None (x' = 0) or at least OBJECTIVE_REACHED, + DEFAULT_TOL on
     an interior point;
   - reject when lambda and lambda_d are both below OBJECTIVE_REACHED.
-From SIMPLEX_MAX_COLUMNS columns on, the residual LP is first solved by
-interior point without crossover (`linprog(..., crossover=False)`). Its
-theta column lambda_p is no bound: the point meets the rows only to
-DEFAULT_TOL, and lambda_p was seen up to 3.6e-8 above lambda* on small
-random instances. A point the rule leaves undecided (a bracket
-[lambda_p, lambda_d] across OBJECTIVE_REACHED or its margin, a status other
-than optimal, or a candidate that fails the check), and a smaller LP, go to
-the exact solve `_solve`. An exact optimum the rule leaves undecided is a
-SolverError naming lambda, lambda_d and its flow block's largest violation.
+
+Each step records in `method` how it was decided: "skip" by lambda_b,
+"direct" when x' = 0, or by the residual LP's solve, "interior" or "exact".
+The residual LP's attempts are ("exact",) below SIMPLEX_MAX_COLUMNS columns
+and ("interior", "exact") from there. "interior" is HiGHS's interior point
+without crossover (`linprog(..., mode="interior")`). Its theta column
+lambda_p is no bound: the point meets the rows only to DEFAULT_TOL, and
+lambda_p was seen up to 3.6e-8 above lambda* on small random instances. A
+point the rule leaves undecided (a bracket [lambda_p, lambda_d] across
+OBJECTIVE_REACHED or its margin, a status other than optimal, or a candidate
+that fails the check) goes to the next attempt, "exact": the exact solve
+`_solve`. An exact optimum the rule leaves undecided, or a direct step whose
+flow block fails the check, is a SolverError naming lambda, lambda_d and the
+block's largest violation.
 """
 
 from __future__ import annotations
@@ -98,9 +103,9 @@ from .demand import DemandMatrix, Report, Violation
 from .topology import Topology
 
 DEFAULT_TOL = 1e-7
-# Every HiGHS option `linprog` sets but `solver`, in one table. output_flag goes
-# first, so that HiGHS prints nothing (it writes at C level, past sys.stdout)
-# from the next option on.
+# Every HiGHS option `linprog` sets in every mode, in one table. output_flag
+# goes first, so that HiGHS prints nothing (it writes at C level, past
+# sys.stdout) from the next option on.
 _HIGHS_OPTIONS = {
     "output_flag": False,
     "presolve": "on",
@@ -109,16 +114,19 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": DEFAULT_TOL,
     "small_matrix_value": 1e-9,  # HiGHS's default: smaller coefficients are dropped
 }
-# What `linprog(..., crossover=False)` sets on top: HiGHS's interior point
-# returns its own point and duals, with no presolve to undo and no crossover.
-_INTERIOR_ONLY = {"presolve": "off", "run_crossover": "off"}
+# What each `linprog` mode sets on top of _HIGHS_OPTIONS. "simplex" (dual
+# simplex) and "ipm" (interior point with crossover) return a vertex; in
+# "interior" HiGHS's interior point returns its own point and duals, with no
+# presolve to undo and no crossover.
+_MODES = {"simplex": {"solver": "simplex"}, "ipm": {"solver": "ipm"},
+          "interior": {"solver": "ipm", "presolve": "off", "run_crossover": "off"}}
 # The HiGHS solver follows the LP's size. Below SIMPLEX_MAX_COLUMNS columns
 # (every sweep cell at n=8) dual simplex takes about two thirds of the
 # interior point time; above it interior point with crossover is the faster
 # (the n=16 chessboard full LP, 3,105 columns). Both return the same vertex
 # optima to rounding. A solver that fails is retried once with the other. From
 # this size on a heuristic step's residual LP (2,049 columns in the n=16
-# chessboard scan) is first solved without crossover (module docstring).
+# chessboard scan) is first solved in mode "interior" (module docstring).
 SIMPLEX_MAX_COLUMNS = 1500
 # A heuristic step is accepted when its lambda reaches this: 1 up to a margin
 # far below the solver's 1e-7 feasibility tolerance.
@@ -241,20 +249,19 @@ class LPResult(NamedTuple):
     ub_dual: np.ndarray | None = None  # the duals of the A_ub rows; None unless _OPTIMAL
 
 
-def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
+def linprog(c, *, A_ub, b_ub, A_eq, mode) -> LPResult:
     """min c @ x subject to A_ub @ x <= b_ub, A_eq @ x == 0 and x >= 0, by
     HiGHS's own binding that scipy ships: the module's only solver call.
 
-    Three modes. `solver` is HiGHS's option value: "simplex" (dual simplex)
-    or "ipm" (interior point with crossover); both return a vertex. The other
-    options are `_HIGHS_OPTIONS`, the ones `scipy.optimize.linprog` passes, so
-    these two give the same x and `ub_dual` as it does with highs-ds or
-    highs-ipm (its `ineqlin.marginals`), bit for bit. "ipm" with `crossover`
-    False adds `_INTERIOR_ONLY`: it returns the interior point and its duals
-    as HiGHS's interior-point solver leaves them, near-optimal but no vertex
-    and not scipy's. The name and the keywords A_ub and A_eq stay because the
-    benchmark traces `flowlp.linprog` by attribute and reads c, A_ub, A_eq
-    and `nit` off the call.
+    `mode` names the HiGHS options: `_HIGHS_OPTIONS`, the ones
+    `scipy.optimize.linprog` passes, with `_MODES[mode]` on top. "simplex"
+    (dual simplex) and "ipm" (interior point with crossover) return a vertex,
+    the same x and `ub_dual` as scipy's with highs-ds or highs-ipm (its
+    `ineqlin.marginals`), bit for bit. "interior" returns the interior point
+    and its duals as HiGHS's interior-point solver leaves them, near-optimal
+    but no vertex and not scipy's. The name and the keywords A_ub and A_eq
+    stay because the benchmark traces `flowlp.linprog` by attribute and reads
+    c, A_ub, A_eq and `nit` off the call.
     """
     A = sp.vstack((A_ub, A_eq), format="csr")
     lp = _highs.HighsLp()
@@ -270,8 +277,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
 
     highs = _highs._Highs()
-    options = {**_HIGHS_OPTIONS, "solver": solver, **({} if crossover else _INTERIOR_ONLY)}
-    for name, value in options.items():
+    for name, value in {**_HIGHS_OPTIONS, **_MODES[mode]}.items():
         if highs.setOptionValue(name, value) != _highs.HighsStatus.kOk:
             raise SolverError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(lp) == _highs.HighsStatus.kError:
@@ -290,9 +296,9 @@ def linprog(c, *, A_ub, b_ub, A_eq, solver, crossover=True) -> LPResult:
 
 def _solve(lp: _FlowLP) -> LPResult:
     """lp's exact optimum, as `solve_max_throughput` describes."""
-    solvers = ("simplex", "ipm") if lp.c.size < SIMPLEX_MAX_COLUMNS else ("ipm", "simplex")
-    for solver in solvers:
-        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver=solver)
+    modes = ("simplex", "ipm") if lp.c.size < SIMPLEX_MAX_COLUMNS else ("ipm", "simplex")
+    for mode in modes:
+        res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, mode=mode)
         if res.status in (_OPTIMAL, _highs.HighsModelStatus.kUnbounded):
             break  # the other solver cannot bound an unbounded LP
 
@@ -345,19 +351,23 @@ class DirectFirstResult:
     is the demand left once each pair takes min(x, L) on its own links, and
     L' = L - min(x, L) the capacity left. `bound` is lambda_b, the LP-free
     bound on the max throughput lambda of x' on L'; None exactly when
-    x' = 0. `residual` is the solve of that LP that the rule of the module
-    docstring decided on: the exact optimum, or the crossover-free interior
+    x' = 0. `method` is how the step was decided, set where it is made:
+    "skip" (lambda_b ruled it out, no LP), "direct" (x' = 0, no LP),
+    "interior" (the interior point without crossover decided it) or "exact"
+    (the exact optimum did). `residual` is the solve of that LP that the rule
+    of the module docstring decided on: the exact optimum, or the interior
     point (lambda_p as its theta), and `ub_dual` its cap-row duals; None
-    where no LP was solved, because x' = 0 or lambda_b skipped it. By the
-    exchange lemma (module docstring), x routes on L at theta = 1 exactly
-    when x' = 0 or lambda is at least 1. `accepted` is whether it does: the
-    verdict of the rule in the module docstring, which `_decide` alone sets.
-    A skipped or rejected step keeps False.
+    where no LP was solved. By the exchange lemma (module docstring), x
+    routes on L at theta = 1 exactly when x' = 0 or lambda is at least 1.
+    `accepted` is whether it does: the verdict of the rule in the module
+    docstring, which `_decide` alone sets. A skipped or rejected step keeps
+    False.
     """
 
     capacity: np.ndarray
     demand: np.ndarray
     bound: float | None
+    method: str
     residual: ThroughputResult | None = None
     ub_dual: np.ndarray | None = None
     accepted: bool = False
@@ -413,9 +423,9 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     """Maximize theta such that theta*m admits a feasible flow on t.
 
     `m` is in bits/s; the flows come back in link units. The LP goes to
-    HiGHS through `linprog`, once per attempt, with `_HIGHS_OPTIONS`:
-    dual simplex below SIMPLEX_MAX_COLUMNS columns, interior point from there.
-    If that solver fails, the other is tried once; if that fails too,
+    HiGHS through `linprog`, once per attempt: in mode "simplex" (dual
+    simplex) below SIMPLEX_MAX_COLUMNS columns, "ipm" (interior point) from
+    there. If that solver fails, the other is tried once; if that fails too,
     SolverError names the model status and its message.
 
     With `direct_first`, it answers only whether theta = 1 is feasible: a
@@ -423,47 +433,45 @@ def solve_max_throughput(t: Topology, m: DemandMatrix, *,
     module docstring. It solves no LP when each pair's direct links leave no
     demand, or when lambda_b rules the step out; otherwise the
     max-throughput LP of the demand they leave on the capacity they leave.
-    From SIMPLEX_MAX_COLUMNS columns on, that LP is first solved by interior
-    point without crossover, and solved as above where the rule leaves that
-    point undecided. A step the rule leaves undecided after that is a
-    SolverError.
+    Its attempts are the step's methods in order: from SIMPLEX_MAX_COLUMNS
+    columns on "interior", the interior point without crossover, then
+    "exact", the solve above; below that size "exact" alone. A step the rule
+    leaves undecided after "exact" is a SolverError.
     """
     if not direct_first:
         lp = _assemble_lp(t.routable_counts().astype(float), _link_units(t, m))
         return _result(lp, _solve(lp).x)
     capacity, demand, room, left = _residual(t, m)
     if not left.any():
-        return _decide(DirectFirstResult(capacity, demand, None), exact=True)
+        return _decide(DirectFirstResult(capacity, demand, None, "direct"))
     bound = _length_bound(room, left, np.ones_like(room))
     if bound < OBJECTIVE_REACHED - SKIP_MARGIN:
-        return DirectFirstResult(capacity, demand, bound)
+        return DirectFirstResult(capacity, demand, bound, "skip")
     lp = _assemble_lp(room, left)
-    # The attempts: from SIMPLEX_MAX_COLUMNS columns on the crossover-free
-    # interior point, then the exact solve, which returns a step or raises.
-    exact = lp.c.size < SIMPLEX_MAX_COLUMNS
-    while True:
-        res = _solve(lp) if exact else linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity,
-                                                 A_eq=lp.A_eq, solver="ipm", crossover=False)
-        if exact or res.status == _OPTIMAL:
-            step = _decide(DirectFirstResult(capacity, demand, bound, _result(lp, res.x),
-                                             res.ub_dual), exact=exact)
-            if exact or step is not None:
+    # "exact" comes last: _solve and _decide return its step or raise
+    for method in ("exact",) if lp.c.size < SIMPLEX_MAX_COLUMNS else ("interior", "exact"):
+        res = _solve(lp) if method == "exact" else linprog(
+            lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, mode=method)
+        if res.status == _OPTIMAL:
+            step = _decide(DirectFirstResult(capacity, demand, bound, method,
+                                             _result(lp, res.x), res.ub_dual))
+            if step is not None:
                 return step
-        exact = True
 
 
-def _decide(step: DirectFirstResult, *, exact: bool) -> DirectFirstResult | None:
+def _decide(step: DirectFirstResult) -> DirectFirstResult | None:
     """step with its verdict, once the rule of the module docstring settles
     it: accepted, or step as it is, rejected. If the rule does not settle it,
-    None for an interior point, SolverError for an exact optimum. lambda_d is
+    None for an "interior" step, SolverError for any other. lambda_d is
     computed only where the accept side did not settle it."""
     objective = step.objective
-    if objective is None or objective >= OBJECTIVE_REACHED + (0.0 if exact else DEFAULT_TOL):
+    interior = step.method == "interior"
+    if objective is None or objective >= OBJECTIVE_REACHED + (DEFAULT_TOL if interior else 0.0):
         if verify_solution(step.at_one()).ok:
             return replace(step, accepted=True)
     elif objective < OBJECTIVE_REACHED and step.dual_bound < OBJECTIVE_REACHED:
         return step
-    if not exact:
+    if interior:
         return None
     worst = max(verify_solution(step.at_one()).violations, key=lambda v: v.magnitude,
                 default=None)

@@ -30,12 +30,12 @@ def desk_params():
 
 
 def exact_only(patch):
-    """With `patch` (a monkeypatch or its context), every crossover-free
-    interior-point solve of a heuristic step ends unsolved, so each residual
-    LP is decided on its exact optimum, as below SIMPLEX_MAX_COLUMNS."""
-    def linprog(*args, crossover=True, **kwargs):
-        if crossover:
-            return _LINPROG(*args, **kwargs)
+    """With `patch` (a monkeypatch or its context), every "interior" solve of
+    a heuristic step ends unsolved, so each residual LP is decided on its
+    exact optimum, as below SIMPLEX_MAX_COLUMNS."""
+    def linprog(*args, mode, **kwargs):
+        if mode != "interior":
+            return _LINPROG(*args, mode=mode, **kwargs)
         return flowlp.LPResult(HighsModelStatus.kNotset, None, 0, "not solved")
 
     patch.setattr(flowlp, "linprog", linprog)

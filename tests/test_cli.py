@@ -657,7 +657,7 @@ class TestReproduce:
         real = flowlp.linprog
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["solver"])
+            calls.append(kwargs["mode"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(flowlp, "linprog", counted)
@@ -665,6 +665,44 @@ class TestReproduce:
                                       "--jobs", "1", "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         assert len(calls) == 75
+
+    def test_each_step_names_the_method_its_highs_calls_show(self, runner, tmp_path,
+                                                              monkeypatch):
+        # every heuristic step of the serial n=8 landscape sweep and of the
+        # n=16 chessboard da-periodic scan at seeds 0-2, its `method` against
+        # the HiGHS calls made while it was decided: none for skip and
+        # direct, one "interior" call for interior, and for exact one or two
+        # exact solves (the second the other solver) after at most one
+        # "interior" call
+        calls, steps = [], []
+        real_linprog, real_solve = flowlp.linprog, evaluation.solve_max_throughput
+
+        def linprog(*args, mode, **kwargs):
+            calls.append(mode)
+            return real_linprog(*args, mode=mode, **kwargs)
+
+        def solve(t, m, **kwargs):
+            calls.clear()
+            result = real_solve(t, m, **kwargs)
+            if kwargs.get("direct_first"):
+                steps.append((result.method, tuple(calls)))
+            return result
+
+        monkeypatch.setattr(flowlp, "linprog", linprog)
+        monkeypatch.setattr(evaluation, "solve_max_throughput", solve)
+        result = runner.invoke(main, ["reproduce", "fig4", "--n", "8", "--seed", "0",
+                                      "--jobs", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        p = NetworkParams(16, 4, 25e9)
+        for seed in range(3):
+            evaluation.evaluate_cell(generate("chessboard", p), p, "da-periodic", seed=seed,
+                                     label="chessboard")
+        exact = {("simplex",), ("ipm",), ("simplex", "ipm"), ("ipm", "simplex")}
+        allowed = {"skip": {()}, "direct": {()}, "interior": {("interior",)},
+                   "exact": exact | {("interior", *modes) for modes in exact}}
+        for method, modes in steps:
+            assert modes in allowed[method], (method, modes)
+        assert {method for method, _ in steps} == set(allowed)
 
     @pytest.mark.parametrize("args, message", [
         (["fig3", "--n", "3", "--u", "1"], "chessboard needs even n"),

@@ -257,7 +257,7 @@ class TestBoundGuidedScan:
         real = flowlp.linprog
 
         def counted(*args, **kwargs):
-            calls.append(kwargs["solver"])
+            calls.append(kwargs["mode"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(flowlp, "linprog", counted)
@@ -352,27 +352,22 @@ class TestDirectFirstDecision:
         # Every scanned step of the n=16 suite's demand-aware cells at u=4, and
         # of the n=16 chessboard scan at seeds 0-9, with the bound's skip
         # patched off, against the exact vertex solve of the same residual LP;
-        # and how many interior-point solves left their step to an exact
-        # re-solve.
-        real, real_linprog = evaluation.solve_max_throughput, flowlp.linprog
-        calls, settled, lp_steps = [], [], []
-
-        def linprog(*args, crossover=True, **kwargs):
-            calls.append(crossover)
-            return real_linprog(*args, crossover=crossover, **kwargs)
+        # and how many residual LPs large enough for an interior-point attempt
+        # were left by it to the exact solve.
+        real = evaluation.solve_max_throughput
+        settled, lp_steps = [], []
 
         def compared(t, m, **kwargs):
-            calls.clear()
             step = real(t, m, **kwargs)
-            if False in calls:
-                settled.append(calls == [False])
+            if step.method in ("interior", "exact"):
+                lp_steps.append(step.method)
+                if step.residual.lp.c.size >= flowlp.SIMPLEX_MAX_COLUMNS:
+                    settled.append(step.method == "interior")
             with monkeypatch.context() as exact:
                 exact_only(exact)
                 assert step.accepted == real(t, m, **kwargs).accepted
-            lp_steps.append(step.residual is not None)
             return step
 
-        monkeypatch.setattr(flowlp, "linprog", linprog)
         monkeypatch.setattr(evaluation, "solve_max_throughput", compared)
         no_skip(monkeypatch)
         p = NetworkParams(16, 4, 25e9)
@@ -382,7 +377,7 @@ class TestDirectFirstDecision:
         for seed in range(10):
             evaluate_cell(generate("chessboard", p), p, "da-periodic", seed=seed,
                           label="chessboard")
-        assert (sum(lp_steps), len(settled), settled.count(False)) == (229, 49, 0)
+        assert (len(lp_steps), len(settled), settled.count(False)) == (229, 49, 0)
 
     def test_accepted_step_must_verify(self, monkeypatch):
         # a lambda twice the solver's, on every solve: the residual flows
@@ -430,9 +425,9 @@ class TestDirectFirstDecision:
             bounds.append(lp)
             return real_bound(lp, ub_dual)
 
-        def linprog(*args, crossover=True, **kwargs):
-            solvers.append(crossover)
-            return real_linprog(*args, crossover=crossover, **kwargs)
+        def linprog(*args, mode, **kwargs):
+            solvers.append(mode)
+            return real_linprog(*args, mode=mode, **kwargs)
 
         monkeypatch.setattr(evaluation, "solve_max_throughput", solve)
         monkeypatch.setattr(flowlp, "_assemble_lp", assemble)
@@ -444,7 +439,8 @@ class TestDirectFirstDecision:
         cell = throughput_demand_aware(generate("chessboard", p), p, "da-periodic")
         step = steps[-1]
         assert cell.theta > 0 and step.accepted and step.residual is not None
-        assert solvers == [not interior] and bounds == []
+        assert step.method == ("interior" if interior else "exact")
+        assert solvers == [("interior" if interior else "simplex")] and bounds == []
         assert sum(demand is step.demand for demand in full_demands) == 1
         assert len(checked) == 1
         assert checked[0].theta == 1.0 and checked[0].lp.demand is step.demand
@@ -454,7 +450,7 @@ class TestDirectFirstDecision:
     def test_exactly_one_is_accepted_without_an_lp(self, n, monkeypatch):
         # the fig3 steps whose full-LP optimum is exactly 1.0
         calls = []
-        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["solver"]))
+        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["mode"]))
         p = NetworkParams(n, 4, 25e9)
         for label, net_class in (("permutation", "da-static"), ("permutation", "da-periodic"),
                                  ("uniform", "da-periodic")):

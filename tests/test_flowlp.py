@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 import scipy.sparse as sp
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 from scipy.sparse.csgraph import shortest_path
 
 from rdcn_throughput import (
@@ -228,10 +228,11 @@ class TestDirectFirst:
 
     def test_no_lp_when_the_direct_links_carry_all(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["solver"]))
+        monkeypatch.setattr(flowlp, "linprog", lambda *a, **k: calls.append(k["mode"]))
         result = solve_max_throughput(complete_topology(4), unit_uniform_demand(4),
                                       direct_first=True)
         assert (result.bound, result.residual, result.objective, calls) == (None, None, None, [])
+        assert (result.method, result.accepted) == ("direct", True)
         full = result.at_one()
         assert full.theta == 1.0 and verify_solution(full).ok
         # each source sends 1 on each of its own arcs, nothing else
@@ -349,9 +350,8 @@ class TestRandomInstances:
 
 
 def _interior(lp):
-    """lp's crossover-free interior point: (lambda_p, lambda_d)."""
-    res = flowlp.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, solver="ipm",
-                         crossover=False)
+    """lp's "interior" point, with no crossover: (lambda_p, lambda_d)."""
+    res = flowlp.linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.capacity, A_eq=lp.A_eq, mode="interior")
     assert res.status == HighsModelStatus.kOptimal
     return res.x[0], flowlp._dual_bound(lp, res.ub_dual)
 
@@ -371,9 +371,9 @@ def _chessboard_step(scale, n=16):
 
 class TestDecisionBracket:
     """Every step is decided by one rule: accepted on lambda and a verified
-    certificate, rejected on the dual bound lambda_d. A crossover-free
-    interior point that neither settles is solved exactly, and an exact
-    optimum that neither settles is a SolverError."""
+    certificate, rejected on the dual bound lambda_d. An "interior" point
+    that neither settles is solved exactly, and an exact optimum that neither
+    settles is a SolverError. Each step names the method that decided it."""
 
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.one_of(random_instances(), near_one_instances()))
@@ -411,15 +411,15 @@ class TestDecisionBracket:
         assert primal <= 1.0 + 1e-9 <= dual + 2e-9
 
     @staticmethod
-    def _spy(monkeypatch, tamper=lambda res, crossover: res):
-        """The (solver, crossover) of each HiGHS call from here on, each
-        result passed through `tamper` with its crossover flag."""
+    def _spy(monkeypatch, tamper=lambda res, mode: res):
+        """The mode of each HiGHS call from here on, each result passed
+        through `tamper` with its mode."""
         calls = []
         real = flowlp.linprog
 
-        def linprog(*args, crossover=True, **kwargs):
-            calls.append((kwargs["solver"], crossover))
-            return tamper(real(*args, crossover=crossover, **kwargs), crossover)
+        def linprog(*args, mode, **kwargs):
+            calls.append(mode)
+            return tamper(real(*args, mode=mode, **kwargs), mode)
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
         return calls
@@ -428,17 +428,17 @@ class TestDecisionBracket:
         no_skip(monkeypatch)
         calls = self._spy(monkeypatch)
         untouched = solve_max_throughput(*_chessboard_step(0.86), direct_first=True)
-        assert calls == [("ipm", False)]
+        assert calls == ["interior"] and untouched.method == "interior"
         assert not untouched.accepted and untouched.dual_bound < OBJECTIVE_REACHED
 
         # the interior point's duals zeroed: lambda_d = inf leaves
         # lambda_p < 1 <= lambda_d undecided, and the exact duals reject
-        def zeroed(res, crossover):
-            return res if crossover else res._replace(ub_dual=np.zeros_like(res.ub_dual))
+        def zeroed(res, mode):
+            return res if mode != "interior" else res._replace(ub_dual=np.zeros_like(res.ub_dual))
 
         calls = self._spy(monkeypatch, zeroed)
         step = solve_max_throughput(*_chessboard_step(0.86), direct_first=True)
-        assert calls == [("ipm", False), ("ipm", True)]
+        assert calls == ["interior", "ipm"] and step.method == "exact"
         assert not step.accepted and step.dual_bound < OBJECTIVE_REACHED
         assert step.objective == flowlp._solve(step.residual.lp).x[0]
 
@@ -446,8 +446,8 @@ class TestDecisionBracket:
     def test_candidate_that_fails_verification_is_solved_exactly(self, monkeypatch, scale,
                                                                  accepted):
         # lambda_p doubled: the point's flows divided by it fall short
-        def doubled(res, crossover):
-            if crossover:
+        def doubled(res, mode):
+            if mode != "interior":
                 return res
             x = res.x.copy()
             x[0] *= 2
@@ -456,7 +456,7 @@ class TestDecisionBracket:
         no_skip(monkeypatch)
         calls = self._spy(monkeypatch, doubled)
         step = solve_max_throughput(*_chessboard_step(scale), direct_first=True)
-        assert calls == [("ipm", False), ("ipm", True)]
+        assert calls == ["interior", "ipm"] and step.method == "exact"
         assert step.accepted == accepted
         assert step.objective == flowlp._solve(step.residual.lp).x[0]
         if accepted:
@@ -473,20 +473,20 @@ class TestDecisionBracket:
                             step.objective * (2.0 if accepted else 0.5))
         assert step.accepted == accepted
 
-    @pytest.mark.parametrize("n, scale, solvers", [
-        (8, 0.69, [("simplex", True)]),
-        (16, 0.86, [("ipm", False), ("ipm", True)]),
+    @pytest.mark.parametrize("n, scale, modes", [
+        (8, 0.69, ["simplex"]),
+        (16, 0.86, ["interior", "ipm"]),
     ], ids=["n8-exact", "n16-interior"])
-    def test_zeroed_duals_never_reject(self, monkeypatch, n, scale, solvers):
+    def test_zeroed_duals_never_reject(self, monkeypatch, n, scale, modes):
         # lengths of 0 leave every demand a path of length 0, so lambda_d is
         # inf and certifies no reject: an interior point goes to the exact
         # solve, and the exact optimum is a SolverError
         no_skip(monkeypatch)
-        calls = self._spy(monkeypatch, lambda res, crossover: res._replace(
+        calls = self._spy(monkeypatch, lambda res, mode: res._replace(
             ub_dual=np.zeros_like(res.ub_dual)))
         with pytest.raises(SolverError, match=r"lambda_d = inf against"):
             solve_max_throughput(*_chessboard_step(scale, n), direct_first=True)
-        assert calls == solvers
+        assert calls == modes
 
     def test_undecided_exact_step_names_lambda_and_lambda_d(self, monkeypatch):
         step = _chessboard_step(0.69, n=8)
@@ -874,11 +874,11 @@ class TestSolverFallback:
         calls = []
         real = flowlp.linprog
 
-        def linprog(*args, solver, **kwargs):
-            calls.append(solver)
-            if solver in failing:
-                return flowlp.LPResult(status, None, 0, f"forced failure of {solver}")
-            return real(*args, solver=solver, **kwargs)
+        def linprog(*args, mode, **kwargs):
+            calls.append(mode)
+            if mode in failing:
+                return flowlp.LPResult(status, None, 0, f"forced failure of {mode}")
+            return real(*args, mode=mode, **kwargs)
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
         return calls
@@ -1020,20 +1020,46 @@ class TestHighsSeam:
         # min -x0 - x1 subject to x0 + x1 <= bound, x0 - x1 == 0, x >= 0
         res = flowlp.linprog(np.array([-1.0, -1.0]), A_ub=sp.csr_matrix(np.ones((1, 2))),
                              b_ub=np.array([bound]), A_eq=sp.csr_matrix([[1.0, -1.0]]),
-                             solver="simplex")
+                             mode="simplex")
         assert (res.status, res.message) == (status, message)
         assert (res.x is None) == (status != HighsModelStatus.kOptimal)
         if res.x is not None:
             assert res.x.tolist() == [0.5, 0.5]
+
+    COMMON = [("output_flag", False), ("presolve", "on"), ("simplex_strategy", 1),
+              ("primal_feasibility_tolerance", 1e-7), ("dual_feasibility_tolerance", 1e-7),
+              ("small_matrix_value", 1e-9)]
+
+    @pytest.mark.parametrize("mode, options", [
+        ("simplex", COMMON + [("solver", "simplex")]),
+        ("ipm", COMMON + [("solver", "ipm")]),
+        ("interior", [("output_flag", False), ("presolve", "off"), *COMMON[2:],
+                      ("solver", "ipm"), ("run_crossover", "off")]),
+    ], ids=["simplex", "ipm", "interior"])
+    def test_mode_sets_these_options_in_this_order(self, monkeypatch, mode, options):
+        # the options HiGHS is given, written out: a change to _HIGHS_OPTIONS
+        # or _MODES changes what every solve does, and shows here first
+        calls = []
+        real = _Highs.setOptionValue
+
+        def set_option(highs, name, value):
+            calls.append((name, value))
+            return real(highs, name, value)
+
+        monkeypatch.setattr(_Highs, "setOptionValue", set_option)
+        res = flowlp.linprog(np.array([-1.0, -1.0]), A_ub=sp.csr_matrix(np.ones((1, 2))),
+                             b_ub=np.array([1.0]), A_eq=sp.csr_matrix([[1.0, -1.0]]), mode=mode)
+        assert res.status == HighsModelStatus.kOptimal
+        assert calls == options
 
     @staticmethod
     def _spy(monkeypatch):
         calls = []
         real = flowlp.linprog
 
-        def linprog(*args, solver, **kwargs):
-            res = real(*args, solver=solver, **kwargs)
-            calls.append((solver, res.status, res.message))
+        def linprog(*args, mode, **kwargs):
+            res = real(*args, mode=mode, **kwargs)
+            calls.append((mode, res.status, res.message))
             return res
 
         monkeypatch.setattr(flowlp, "linprog", linprog)
@@ -1054,7 +1080,7 @@ class TestHighsSeam:
         with pytest.raises(SolverError) as err:
             solve_max_throughput(complete_topology(4), unit_uniform_demand(4))
         assert str(err.value) == "solver returned numerical-trouble: Iteration limit reached"
-        assert [solver for solver, *_ in calls] == ["simplex", "ipm"]
+        assert [mode for mode, *_ in calls] == ["simplex", "ipm"]
 
 
 class TestAssembleLp:
